@@ -222,7 +222,7 @@ jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, bool batch
       wire.Push(std::move(frame));
       std::vector<Item> staged;
       (void)wire.DrainInto(&staged, kChunk);
-      for (Item& item : staged) (void)outbox.OfferToAll(std::move(item));
+      for (Item& item : staged) outbox.OfferToAll(std::move(item));
     } else {
       Item popped;
       while (queue.TryPop(popped)) inbox.Add(std::move(popped));
@@ -233,7 +233,8 @@ jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, bool batch
       }
       std::deque<Item> staged;
       while (wire.Drain(&staged, 1) > 0) {
-        (void)outbox.OfferToAll(staged.front());
+        Item copy = staged.front();  // the legacy broadcast copied the staged item
+        outbox.OfferToAll(std::move(copy));
         staged.pop_front();
       }
     }

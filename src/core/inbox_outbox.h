@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -123,86 +122,129 @@ struct StateEntry {
 /// outbox of output records to be dispatched downstream").
 ///
 /// The outbox has one bucket per output edge plus a bucket for snapshot
-/// state. Buckets have bounded capacity; `Offer*` returns false when a
-/// bucket is full, which is the backpressure signal telling the processor
-/// to stop and yield (the tasklet will drain buckets into the outbound
-/// queues and retry).
+/// state. Offers never fail, so a processor can hand over everything one
+/// step produces (a flat-map's fan-out, a window flush, a whole snapshot)
+/// without keeping a queue of its own. `HasRoom()` is the backpressure
+/// signal: once an edge bucket holds `bucket_capacity` undelivered items
+/// the processor should stop consuming input or generating events and
+/// return. The tasklet delivers at most `bucket_capacity` items per bucket
+/// per drain pass, and it empties the outbox before it forwards the next
+/// watermark, barrier or Done, so control items never overtake output.
+///
+/// Each bucket is a flat vector drained through a head cursor (as in
+/// Inbox): delivery costs O(items delivered), and a processor's offers
+/// during one call append at the tail.
 ///
 /// Not thread-safe: offers and drains must all come from the owning
 /// tasklet's worker thread (checked under JETSIM_DEBUG_CHECKS).
 class Outbox {
  public:
-  /// Creates an outbox with `edge_count` edge buckets of capacity
-  /// `bucket_capacity` items each.
+  /// Creates an outbox with `edge_count` edge buckets; `bucket_capacity`
+  /// is the backpressure threshold and the per-pass drain bound.
   explicit Outbox(int edge_count, size_t bucket_capacity = 128)
-      : buckets_(static_cast<size_t>(edge_count)), capacity_(bucket_capacity) {}
+      : buckets_(static_cast<size_t>(edge_count)),
+        heads_(static_cast<size_t>(edge_count), 0),
+        capacity_(bucket_capacity) {}
 
-  /// Offers an item to one output edge. Returns false (and does not
-  /// consume) if that bucket is full.
-  bool Offer(int ordinal, Item item) {
+  /// Appends an item to one output edge.
+  void Offer(int ordinal, Item item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (Offer)");
     JET_DCHECK(ordinal >= 0 && ordinal < edge_count());
-    auto& bucket = buckets_[static_cast<size_t>(ordinal)];
-    if (bucket.size() >= capacity_) return false;
-    bucket.push_back(std::move(item));
-    return true;
+    buckets_[static_cast<size_t>(ordinal)].push_back(std::move(item));
   }
 
-  /// Offers an item to every output edge; returns false (and consumes
-  /// nothing) unless all buckets have room. The item is *moved* into the
-  /// last bucket and refcount-copied into the first n-1 — the caller's
-  /// item is consumed (left empty) on success, untouched on failure.
-  bool OfferToAll(Item&& item) {
+  /// Appends an item to every output edge. The item is *moved* into the
+  /// last bucket and refcount-copied into the first n-1, so the caller's
+  /// item is consumed (left empty).
+  void OfferToAll(Item&& item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToAll)");
-    for (const auto& bucket : buckets_) {
-      if (bucket.size() >= capacity_) return false;
-    }
     const size_t n = buckets_.size();
     for (size_t i = 0; i + 1 < n; ++i) buckets_[i].push_back(item);
     if (n > 0) buckets_[n - 1].push_back(std::move(item));
-    return true;
   }
 
-  /// Lvalue overload: copies into every bucket (broadcast callers that
-  /// must keep the item). Prefer the rvalue overload on hot paths.
-  bool OfferToAll(const Item& item) {
-    Item copy = item;
-    return OfferToAll(std::move(copy));
-  }
-
-  /// Offers a state entry to the snapshot bucket. Returns false if full.
-  bool OfferToSnapshot(StateEntry entry) {
+  /// Appends a state entry to the snapshot bucket, which has no cap.
+  void OfferToSnapshot(StateEntry entry) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToSnapshot)");
-    if (snapshot_bucket_.size() >= capacity_) return false;
     snapshot_bucket_.push_back(std::move(entry));
+  }
+
+  /// True while every edge bucket holds fewer than `bucket_capacity`
+  /// undelivered items. Always true without output edges.
+  bool HasRoom() const {
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      if (buckets_[i].size() - heads_[i] >= capacity_) return false;
+    }
     return true;
   }
 
   /// Number of output edges.
   int edge_count() const { return static_cast<int>(buckets_.size()); }
 
-  /// True when all buckets (including snapshot) are empty.
+  /// True when all buckets (including snapshot) are drained.
   bool Empty() const {
-    if (!snapshot_bucket_.empty()) return false;
-    for (const auto& bucket : buckets_) {
-      if (!bucket.empty()) return false;
-    }
-    return true;
+    return snapshot_bucket_.size() == snapshot_head_ && PendingItems() == 0;
   }
 
-  /// The tasklet-side view of one edge bucket. Flat vector so the tasklet
-  /// drains it as a contiguous batch (prefix-erase after delivery).
+  /// Items offered to the edge buckets and not yet delivered.
+  size_t PendingItems() const {
+    size_t n = 0;
+    for (size_t i = 0; i < buckets_.size(); ++i) n += buckets_[i].size() - heads_[i];
+    return n;
+  }
+
+  /// Tasklet side: hands the undelivered items of edge bucket `ordinal`,
+  /// oldest first, to `deliver(Item&)` until it returns false or
+  /// `bucket_capacity` items went out. Returns the number delivered.
+  template <typename Deliver>
+  size_t DrainBucket(int ordinal, Deliver&& deliver) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (DrainBucket)");
+    const auto o = static_cast<size_t>(ordinal);
+    return DrainFront(&buckets_[o], &heads_[o], deliver);
+  }
+
+  /// Tasklet side: DrainBucket for the snapshot bucket.
+  template <typename Deliver>
+  size_t DrainSnapshot(Deliver&& deliver) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (DrainSnapshot)");
+    return DrainFront(&snapshot_bucket_, &snapshot_head_, deliver);
+  }
+
+  /// Raw storage of one edge bucket. Items before the drain cursor were
+  /// already delivered; a processor's offers append at the tail.
   std::vector<Item>& bucket(int ordinal) { return buckets_[static_cast<size_t>(ordinal)]; }
 
-  /// The tasklet-side view of the snapshot bucket.
-  std::deque<StateEntry>& snapshot_bucket() { return snapshot_bucket_; }
+  /// Raw storage of the snapshot bucket (same layout as bucket()).
+  std::vector<StateEntry>& snapshot_bucket() { return snapshot_bucket_; }
 
   /// Unbinds the owner guard for tasklet migration (see Inbox::ReleaseOwner).
   void ReleaseOwner() { owner_guard_.Release(); }
 
  private:
+  template <typename T, typename Deliver>
+  size_t DrainFront(std::vector<T>* items, size_t* head, Deliver& deliver) {
+    size_t delivered = 0;
+    while (delivered < capacity_ && *head < items->size() && deliver((*items)[*head])) {
+      ++*head;
+      ++delivered;
+    }
+    const size_t left = items->size() - *head;
+    if (left == 0) {
+      items->clear();
+      *head = 0;
+    } else if (*head >= left) {
+      // The delivered prefix outweighs what is left: moving the rest down
+      // costs at most what was delivered since the cursor last reset.
+      items->erase(items->begin(), items->begin() + static_cast<std::ptrdiff_t>(*head));
+      *head = 0;
+    }
+    return delivered;
+  }
+
   std::vector<std::vector<Item>> buckets_;
-  std::deque<StateEntry> snapshot_bucket_;
+  std::vector<size_t> heads_;
+  std::vector<StateEntry> snapshot_bucket_;
+  size_t snapshot_head_ = 0;
   size_t capacity_;
   debug::ThreadOwnershipGuard owner_guard_;
 };

@@ -72,10 +72,13 @@ struct ProcessorContext {
 /// need no synchronization.
 ///
 /// Cooperative contract: every method must complete quickly (well under a
-/// millisecond of work) and never block. Methods that cannot finish —
-/// because the outbox is full or more input is needed — return and are
-/// called again later. Processors that must block (3rd-party sources/sinks,
-/// §3.1) return false from `IsCooperative()` and run on dedicated threads.
+/// millisecond of work) and never block. Output goes to the outbox, whose
+/// offers never fail: stop consuming input or generating events once
+/// `outbox->HasRoom()` is false, and return. Whatever you offered is
+/// delivered before the next watermark, barrier or Done, so a processor
+/// needs no output buffer of its own. Methods that stop early are called
+/// again later. Processors that must block (3rd-party sources/sinks, §3.1)
+/// return false from `IsCooperative()` and run on dedicated threads.
 class Processor {
  public:
   virtual ~Processor() = default;
@@ -88,10 +91,11 @@ class Processor {
   }
 
   /// Consumes items from `inbox` (input edge `ordinal`), emitting results
-  /// to the outbox. The processor should consume as much as it can; items
-  /// left in the inbox are re-offered on the next call (do this when the
-  /// outbox rejects an emission). Source processors (no input edges) keep
-  /// the default no-op and do their work in Complete().
+  /// to the outbox. Stop when `outbox->HasRoom()` is false; items left in
+  /// the inbox are re-offered on the next call, and whatever you offered is
+  /// delivered before the next watermark, barrier or Done. Source
+  /// processors (no input edges) keep the default no-op and do their work
+  /// in Complete().
   virtual void Process(int ordinal, Inbox* inbox) {
     (void)ordinal;
     (void)inbox;
@@ -99,15 +103,19 @@ class Processor {
 
   /// Called periodically when the tasklet found no input to process (and
   /// at least once between input batches), mirroring Jet's tryProcess():
-  /// lets processors do time-driven work — flush buffers, release
-  /// transactions whose snapshot committed, emit periodic output. Return
-  /// false to be called again before any new input is offered.
+  /// lets processors do time-driven work — release transactions whose
+  /// snapshot committed, emit periodic output. Stop when
+  /// `outbox->HasRoom()` is false; whatever you offered is delivered before
+  /// the next watermark, barrier or Done. Return false to be called again
+  /// before any new input is offered.
   virtual bool TryProcess() { return true; }
 
   /// A watermark `wm` has been coalesced across all input queues: no data
-  /// item with timestamp <= wm will arrive on any input. Return true when
-  /// fully handled; returning false re-delivers the same watermark later
-  /// (use when the outbox is full mid-flush).
+  /// item with timestamp <= wm will arrive on any input. Whatever you offer
+  /// is delivered before `wm` itself is forwarded. Return true when fully
+  /// handled; to spread a large flush over several calls, stop when
+  /// `outbox->HasRoom()` is false and return false, which re-delivers the
+  /// same watermark once the outbox drained.
   virtual bool TryProcessWatermark(Nanos wm) {
     (void)wm;
     return true;
@@ -121,15 +129,18 @@ class Processor {
   }
 
   /// All input edges are exhausted (sources: called immediately). Emit any
-  /// final output. Return true when finished — the tasklet then completes —
-  /// or false to be called again. Streaming sources return false until
+  /// final output; sources generate their events here. Stop when
+  /// `outbox->HasRoom()` is false; whatever you offered is delivered before
+  /// Done. Return true when finished — the tasklet then completes — or
+  /// false to be called again. Streaming sources return false until
   /// cancelled/deadline.
   virtual bool Complete() { return true; }
 
-  /// Save all state to the outbox's snapshot bucket. Return true when all
-  /// state has been offered; false to continue in a later call (outbox
-  /// full). Called between two input batches, never concurrently with
-  /// Process.
+  /// Save all state to the outbox's snapshot bucket, which has no cap:
+  /// offer every entry in one call and return true. Every entry is
+  /// delivered before the barrier is forwarded. (Returning false calls
+  /// this again, so only do that to spread a save you resume yourself.)
+  /// Called between two input batches, never concurrently with Process.
   virtual bool SaveToSnapshot() { return true; }
 
   /// Restore one state entry captured by SaveToSnapshot. Called before any

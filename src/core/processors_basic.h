@@ -44,33 +44,23 @@ class FlatMapP final : public Processor {
 
   void Process(int ordinal, Inbox* inbox) override {
     (void)ordinal;
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
+    Outbox* outbox = ctx()->outbox;
+    while (!inbox->Empty() && outbox->HasRoom()) {
       const Item* item = inbox->Peek();
       buf_.clear();
       fn_(item->payload.As<In>(), &buf_);
       for (auto& rec : buf_) {
         Nanos ts = rec.timestamp.value_or(item->timestamp);
         uint64_t key = rec.key_hash.value_or(item->key_hash);
-        pending_.push_back(Item::Data<Out>(std::move(rec.value), ts, key));
+        outbox->OfferToAll(Item::Data<Out>(std::move(rec.value), ts, key));
       }
       inbox->RemoveFront();
-      if (!FlushPending()) return;
     }
   }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   Fn fn_;
   std::vector<OutRecord<Out>> buf_;
-  std::deque<Item> pending_;
 };
 
 /// Convenience factory: 1-to-1 map.
@@ -179,7 +169,7 @@ class GeneratorSourceP final : public Processor {
     const Nanos now = ctx()->clock->Now();
     const auto vp_count = static_cast<int64_t>(options_.virtual_partitions);
     int32_t budget = options_.max_batch;
-    while (budget-- > 0) {
+    while (budget-- > 0 && ctx()->outbox->HasRoom()) {
       // The next event overall is the unexhausted shard with the earliest
       // next event time.
       Shard* next = nullptr;
@@ -194,12 +184,7 @@ class GeneratorSourceP final : public Processor {
       if (next == nullptr) {
         // All shards exhausted: emit a final watermark so downstream
         // windows flush, then finish.
-        if (!final_wm_emitted_) {
-          if (!ctx()->outbox->OfferToAll(Item::WatermarkAt(kMaxWatermark))) {
-            return false;
-          }
-          final_wm_emitted_ = true;
-        }
+        ctx()->outbox->OfferToAll(Item::WatermarkAt(kMaxWatermark));
         return true;
       }
       const int64_t seq = next->NextSeq(vp_count);
@@ -213,22 +198,16 @@ class GeneratorSourceP final : public Processor {
             static_cast<uint64_t>(options_.max_disorder));
         if (stamped_time < 0) stamped_time = 0;
       }
-      if (!ctx()->outbox->OfferToAll(
-              Item::Data<Out>(std::move(value), stamped_time, key_hash))) {
-        return false;  // backpressure: retry the same event later
-      }
+      ctx()->outbox->OfferToAll(Item::Data<Out>(std::move(value), stamped_time, key_hash));
       ++next->next_round;
       if (event_time > last_emitted_ts_) last_emitted_ts_ = event_time;
       ++events_emitted_;
       if (last_emitted_ts_ - last_wm_ >= options_.watermark_interval) {
         // The watermark trails the schedule by the disorder bound, so no
         // future event can be stamped at or before it.
-        Nanos wm = last_emitted_ts_ - options_.max_disorder;
-        if (ctx()->outbox->OfferToAll(Item::WatermarkAt(wm))) {
-          last_wm_ = last_emitted_ts_;
-        }
-        // If the watermark didn't fit we simply retry after more events;
-        // watermarks are only delayed, never lost.
+        ctx()->outbox->OfferToAll(
+            Item::WatermarkAt(last_emitted_ts_ - options_.max_disorder));
+        last_wm_ = last_emitted_ts_;
       }
     }
     return false;
@@ -237,8 +216,7 @@ class GeneratorSourceP final : public Processor {
   bool SaveToSnapshot() override {
     // One entry per shard, keyed by the shard id so a rescaled job routes
     // each replay cursor to the shard's new owner.
-    while (snapshot_index_ < shards_.size()) {
-      const Shard& shard = shards_[snapshot_index_];
+    for (const Shard& shard : shards_) {
       StateEntry entry;
       entry.key_hash = static_cast<uint64_t>(shard.vp);
       BytesWriter key;
@@ -249,10 +227,8 @@ class GeneratorSourceP final : public Processor {
       value.WriteI64(shard.start_time);
       value.WriteI64(last_wm_);
       entry.value = value.Take();
-      if (!ctx()->outbox->OfferToSnapshot(std::move(entry))) return false;
-      ++snapshot_index_;
+      ctx()->outbox->OfferToSnapshot(std::move(entry));
     }
-    snapshot_index_ = 0;
     return true;
   }
 
@@ -299,9 +275,7 @@ class GeneratorSourceP final : public Processor {
   Nanos start_time_ = -1;
   Nanos last_emitted_ts_ = kMinWatermark;
   Nanos last_wm_ = 0;
-  bool final_wm_emitted_ = false;
   int64_t events_emitted_ = 0;
-  size_t snapshot_index_ = 0;
 };
 
 /// Batch source that emits a fixed list of records (with timestamp 0) and
@@ -322,12 +296,13 @@ class ListSourceP final : public Processor {
   }
 
   bool Complete() override {
-    while (index_ < static_cast<int64_t>(records_->size())) {
+    const auto size = static_cast<int64_t>(records_->size());
+    while (index_ < size && ctx()->outbox->HasRoom()) {
       const auto& [value, key] = (*records_)[static_cast<size_t>(index_)];
-      if (!ctx()->outbox->OfferToAll(Item::Data<Out>(value, 0, key))) return false;
+      ctx()->outbox->OfferToAll(Item::Data<Out>(value, 0, key));
       index_ += stride_;
     }
-    return true;
+    return index_ >= size;
   }
 
  private:

@@ -128,20 +128,12 @@ class AcknowledgingSourceP final : public Processor {
       for (int64_t id : epochs_.begin()->second) seen_.erase(id);
       epochs_.erase(epochs_.begin());
     }
-    // Retry a record the outbox rejected earlier.
-    if (stashed_.has_value()) {
-      if (!EmitRecord(*stashed_)) return false;
-      stashed_.reset();
-    }
     int budget = 64;
-    while (budget-- > 0) {
+    while (budget-- > 0 && ctx()->outbox->HasRoom()) {
       auto record = broker_->Poll();
       if (!record.has_value()) break;
       if (seen_.count(record->id) != 0) continue;  // §4.5 dedup by record id
-      if (!EmitRecord(*record)) {
-        stashed_ = std::move(record);
-        return false;  // backpressure: retry this record next call
-      }
+      EmitRecord(*record);
     }
     return false;  // streaming source: runs until cancelled
   }
@@ -149,31 +141,22 @@ class AcknowledgingSourceP final : public Processor {
   bool SaveToSnapshot() override {
     // The ids delivered since the previous barrier become this snapshot's
     // epoch; all unacked seen-ids (with their epoch) persist for dedup.
-    if (!epoch_staged_) {
-      auto& epoch = epochs_[ctx()->current_snapshot_id];
-      epoch.insert(epoch.end(), current_epoch_.begin(), current_epoch_.end());
-      current_epoch_.clear();
-      epoch_staged_ = true;
-      save_items_.clear();
-      for (const auto& [epoch_id, ids] : epochs_) {
-        for (int64_t id : ids) save_items_.push_back({epoch_id, id});
+    auto& epoch = epochs_[ctx()->current_snapshot_id];
+    epoch.insert(epoch.end(), current_epoch_.begin(), current_epoch_.end());
+    current_epoch_.clear();
+    for (const auto& [epoch_id, ids] : epochs_) {
+      for (int64_t id : ids) {
+        StateEntry entry;
+        entry.key_hash = 0;  // the single instance owns everything
+        BytesWriter kw;
+        kw.WriteVarI64(id);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        vw.WriteVarI64(epoch_id);
+        entry.value = vw.Take();
+        ctx()->outbox->OfferToSnapshot(std::move(entry));
       }
     }
-    while (save_cursor_ < save_items_.size()) {
-      auto [epoch_id, id] = save_items_[save_cursor_];
-      StateEntry entry;
-      entry.key_hash = 0;  // the single instance owns everything
-      BytesWriter kw;
-      kw.WriteVarI64(id);
-      entry.key = kw.Take();
-      BytesWriter vw;
-      vw.WriteVarI64(epoch_id);
-      entry.value = vw.Take();
-      if (!ctx()->outbox->OfferToSnapshot(std::move(entry))) return false;
-      ++save_cursor_;
-    }
-    save_cursor_ = 0;
-    epoch_staged_ = false;
     return true;
   }
 
@@ -197,17 +180,15 @@ class AcknowledgingSourceP final : public Processor {
   }
 
  private:
-  bool EmitRecord(const typename AckingBroker<T>::Record& record) {
-    Item item = Item::Data<T>(record.value, record.timestamp, key_of_(record.value));
-    if (!ctx()->outbox->OfferToAll(item)) return false;
+  void EmitRecord(const typename AckingBroker<T>::Record& record) {
+    ctx()->outbox->OfferToAll(
+        Item::Data<T>(record.value, record.timestamp, key_of_(record.value)));
     seen_.insert(record.id);
     current_epoch_.push_back(record.id);
     if (record.timestamp > last_wm_) {
-      if (ctx()->outbox->OfferToAll(Item::WatermarkAt(record.timestamp))) {
-        last_wm_ = record.timestamp;
-      }
+      ctx()->outbox->OfferToAll(Item::WatermarkAt(record.timestamp));
+      last_wm_ = record.timestamp;
     }
-    return true;
   }
 
   std::shared_ptr<AckingBroker<T>> broker_;
@@ -215,10 +196,6 @@ class AcknowledgingSourceP final : public Processor {
   std::set<int64_t> seen_;
   std::map<int64_t, std::vector<int64_t>> epochs_;  // snapshot id -> ids
   std::vector<int64_t> current_epoch_;
-  std::vector<std::pair<int64_t, int64_t>> save_items_;
-  bool epoch_staged_ = false;
-  size_t save_cursor_ = 0;
-  std::optional<typename AckingBroker<T>::Record> stashed_;
   Nanos last_wm_ = kMinWatermark;
 };
 
@@ -343,11 +320,8 @@ class TransactionalSinkP final : public Processor {
   bool SaveToSnapshot() override {
     int64_t snapshot_id = ctx()->current_snapshot_id;
     // Phase 1: prepare this barrier's transaction at the external system.
-    if (!staged_) {
-      collector_->Prepare(TxnId(snapshot_id), std::move(buffer_));
-      buffer_.clear();
-      staged_ = true;
-    }
+    collector_->Prepare(TxnId(snapshot_id), std::move(buffer_));
+    buffer_.clear();
     // Durable marker: "transaction TxnId(snapshot_id) exists and belongs to
     // this snapshot" — restoring this snapshot re-commits it.
     StateEntry entry;
@@ -359,8 +333,7 @@ class TransactionalSinkP final : public Processor {
     BytesWriter vw;
     vw.WriteVarI64(TxnId(snapshot_id));
     entry.value = vw.Take();
-    if (!ctx()->outbox->OfferToSnapshot(std::move(entry))) return false;
-    staged_ = false;
+    ctx()->outbox->OfferToSnapshot(std::move(entry));
     pending_commits_.push_back(snapshot_id);
     return true;
   }
@@ -404,7 +377,6 @@ class TransactionalSinkP final : public Processor {
 
   std::shared_ptr<TransactionalCollector<T>> collector_;
   std::vector<T> buffer_;
-  bool staged_ = false;
   std::deque<int64_t> pending_commits_;
   std::set<int64_t> restored_txns_;
   int32_t instance_ = 0;

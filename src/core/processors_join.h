@@ -1,7 +1,6 @@
 #ifndef JETSIM_CORE_PROCESSORS_JOIN_H_
 #define JETSIM_CORE_PROCESSORS_JOIN_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -47,8 +46,8 @@ class HashJoinP final : public Processor {
       }
       return;
     }
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
+    Outbox* outbox = ctx()->outbox;
+    while (!inbox->Empty() && outbox->HasRoom()) {
       const Item* item = inbox->Peek();
       const Probe& p = item->payload.template As<Probe>();
       auto it = table_.find(probe_key_(p));
@@ -56,32 +55,22 @@ class HashJoinP final : public Processor {
         out_buf_.clear();
         join_(p, it->second, &out_buf_);
         for (auto& out : out_buf_) {
-          pending_.push_back(
-              Item::Data<Out>(std::move(out), item->timestamp, item->key_hash));
+          outbox->OfferToAll(Item::Data<Out>(std::move(out), item->timestamp, item->key_hash));
         }
       }
       inbox->RemoveFront();
-      if (!FlushPending()) return;
     }
   }
 
   size_t build_table_size() const { return table_.size(); }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
 
   std::function<uint64_t(const Build&)> build_key_;
   std::function<uint64_t(const Probe&)> probe_key_;
   std::function<void(const Probe&, const std::vector<Build>&, std::vector<Out>*)> join_;
   std::unordered_map<uint64_t, std::vector<Build>> table_;
   std::vector<Out> out_buf_;
-  std::deque<Item> pending_;
 };
 
 /// Stream-to-stream equi-join over tumbling windows (NEXMark Q8 shape:
@@ -119,21 +108,22 @@ class WindowJoinP final : public Processor {
   }
 
   bool TryProcessWatermark(Nanos wm) override {
+    // Stop between frames once the outbox is full.
     while (!frames_.empty() && frames_.begin()->first <= wm) {
-      if (!FlushPending()) return false;
+      if (!ctx()->outbox->HasRoom()) return false;
       auto it = frames_.begin();
       const Nanos frame_end = it->first;
       for (auto& [key, bucket] : it->second) {
         for (const L& l : bucket.left) {
           for (const R& r : bucket.right) {
-            pending_.push_back(
+            ctx()->outbox->OfferToAll(
                 Item::Data<Out>(join_(l, r), frame_end, HashU64(key)));
           }
         }
       }
       frames_.erase(it);
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
@@ -157,20 +147,11 @@ class WindowJoinP final : public Processor {
 
   Nanos FrameEndFor(Nanos ts) const { return (ts / window_size_) * window_size_ + window_size_; }
 
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   std::function<uint64_t(const L&)> left_key_;
   std::function<uint64_t(const R&)> right_key_;
   std::function<Out(const L&, const R&)> join_;
   Nanos window_size_;
   std::map<Nanos, std::unordered_map<uint64_t, Bucket>> frames_;
-  std::deque<Item> pending_;
 };
 
 }  // namespace jet::core

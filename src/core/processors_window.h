@@ -1,7 +1,6 @@
 #ifndef JETSIM_CORE_PROCESSORS_WINDOW_H_
 #define JETSIM_CORE_PROCESSORS_WINDOW_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -105,45 +104,36 @@ class AccumulateByFrameP final : public Processor {
 
   bool TryProcessWatermark(Nanos wm) override {
     if (wm > flushed_up_to_) flushed_up_to_ = wm;
-    // Move closed frames into the pending-emission queue, then flush.
+    // Flush closed frames downstream; stop between frames once the outbox
+    // is full.
     while (!frames_.empty() && frames_.begin()->first <= wm) {
+      if (!ctx()->outbox->HasRoom()) return false;
       auto frame_it = frames_.begin();
       const Nanos frame_end = frame_it->first;
       for (auto& [key, acc] : frame_it->second) {
-        pending_.push_back(Item::Data<KeyedFrame<Acc>>(
+        ctx()->outbox->OfferToAll(Item::Data<KeyedFrame<Acc>>(
             KeyedFrame<Acc>{key, frame_end, std::move(acc)}, frame_end, HashU64(key)));
       }
       frames_.erase(frame_it);
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [frame_end, keyed] : frames_) {
-        for (const auto& [key, acc] : keyed) {
-          StateEntry entry;
-          entry.key_hash = HashU64(key);
-          BytesWriter kw;
-          kw.WriteVarU64(key);
-          kw.WriteVarI64(frame_end);
-          entry.key = kw.Take();
-          BytesWriter vw;
-          op_.serialize(acc, &vw);
-          entry.value = vw.Take();
-          snapshot_pending_.push_back(std::move(entry));
-        }
+    for (const auto& [frame_end, keyed] : frames_) {
+      for (const auto& [key, acc] : keyed) {
+        StateEntry entry;
+        entry.key_hash = HashU64(key);
+        BytesWriter kw;
+        kw.WriteVarU64(key);
+        kw.WriteVarI64(frame_end);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        op_.serialize(acc, &vw);
+        entry.value = vw.Take();
+        ctx()->outbox->OfferToSnapshot(std::move(entry));
       }
-      snapshot_building_ = true;
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
     return true;
   }
 
@@ -162,14 +152,6 @@ class AccumulateByFrameP final : public Processor {
   }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   AggregateOperation<In, Acc, Res> op_;
   std::function<uint64_t(const In&)> key_fn_;
   WindowDef window_;
@@ -178,9 +160,6 @@ class AccumulateByFrameP final : public Processor {
   std::map<Nanos, std::unordered_map<uint64_t, Acc>> frames_;
   Nanos flushed_up_to_ = kMinWatermark;
   int64_t late_events_dropped_ = 0;
-  std::deque<Item> pending_;
-  std::deque<StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 /// Stage 2 of the two-stage windowed aggregation: combines per-frame
@@ -220,57 +199,46 @@ class CombineFramesP final : public Processor {
   }
 
   bool TryProcessWatermark(Nanos wm) override {
-    while (true) {
-      if (!FlushPending()) return false;
-      // Once all state is gone there is nothing left to emit (guards the
-      // final kMaxWatermark flush against running forever).
-      if (frames_.empty() && running_.empty()) break;
+    // Stop between windows once the outbox is full. Once all state is gone
+    // there is nothing left to emit (guards the final kMaxWatermark flush
+    // against running forever).
+    while (!frames_.empty() || !running_.empty()) {
       Nanos next = NextWindowEnd();
       if (next == kMinWatermark || next > wm) break;
+      if (!ctx()->outbox->HasRoom()) return false;
       EmitWindow(next);
       last_window_end_ = next;
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [frame_end, keyed] : frames_) {
-        for (const auto& [key, acc] : keyed) {
-          StateEntry entry;
-          entry.key_hash = HashU64(key);
-          BytesWriter kw;
-          kw.WriteU8(0);  // 0 = frame entry
-          kw.WriteVarU64(key);
-          kw.WriteVarI64(frame_end);
-          entry.key = kw.Take();
-          BytesWriter vw;
-          op_.serialize(acc, &vw);
-          entry.value = vw.Take();
-          snapshot_pending_.push_back(std::move(entry));
-        }
+    for (const auto& [frame_end, keyed] : frames_) {
+      for (const auto& [key, acc] : keyed) {
+        StateEntry entry;
+        entry.key_hash = HashU64(key);
+        BytesWriter kw;
+        kw.WriteU8(0);  // 0 = frame entry
+        kw.WriteVarU64(key);
+        kw.WriteVarI64(frame_end);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        op_.serialize(acc, &vw);
+        entry.value = vw.Take();
+        ctx()->outbox->OfferToSnapshot(std::move(entry));
       }
-      // Per-instance meta entry: the emission position.
-      StateEntry meta;
-      meta.key_hash = static_cast<uint64_t>(ctx()->meta.global_index);
-      BytesWriter kw;
-      kw.WriteU8(1);  // 1 = meta entry
-      kw.WriteVarU64(static_cast<uint64_t>(ctx()->meta.global_index));
-      meta.key = kw.Take();
-      BytesWriter vw;
-      vw.WriteI64(last_window_end_);
-      meta.value = vw.Take();
-      snapshot_pending_.push_back(std::move(meta));
-      snapshot_building_ = true;
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
+    // Per-instance meta entry: the emission position.
+    StateEntry meta;
+    meta.key_hash = static_cast<uint64_t>(ctx()->meta.global_index);
+    BytesWriter kw;
+    kw.WriteU8(1);  // 1 = meta entry
+    kw.WriteVarU64(static_cast<uint64_t>(ctx()->meta.global_index));
+    meta.key = kw.Take();
+    BytesWriter vw;
+    vw.WriteI64(last_window_end_);
+    meta.value = vw.Take();
+    ctx()->outbox->OfferToSnapshot(std::move(meta));
     return true;
   }
 
@@ -348,7 +316,7 @@ class CombineFramesP final : public Processor {
         for (const auto& [key, acc] : entering->second) AddToRunning(key, acc);
       }
       for (const auto& [key, run] : running_) {
-        pending_.push_back(Item::Data<WindowResult<Res>>(
+        ctx()->outbox->OfferToAll(Item::Data<WindowResult<Res>>(
             WindowResult<Res>{key, window_start, window_end, op_.finish(run.acc)},
             window_end, HashU64(key)));
       }
@@ -378,7 +346,7 @@ class CombineFramesP final : public Processor {
         }
       }
       for (const auto& [key, acc] : combined) {
-        pending_.push_back(Item::Data<WindowResult<Res>>(
+        ctx()->outbox->OfferToAll(Item::Data<WindowResult<Res>>(
             WindowResult<Res>{key, window_start, window_end, op_.finish(acc)},
             window_end, HashU64(key)));
       }
@@ -389,14 +357,6 @@ class CombineFramesP final : public Processor {
     }
   }
 
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   AggregateOperation<In, Acc, Res> op_;
   WindowDef window_;
   StateOwnershipClaim claim_;
@@ -404,9 +364,6 @@ class CombineFramesP final : public Processor {
   std::unordered_map<uint64_t, Running> running_;
   Nanos last_window_end_ = kMinWatermark;
   bool restored_meta_ = false;
-  std::deque<Item> pending_;
-  std::deque<StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 /// Session windows: per-key windows that grow while events keep arriving
@@ -446,7 +403,7 @@ class SessionWindowP final : public Processor {
       auto& sessions = key_it->second;
       for (auto it = sessions.begin(); it != sessions.end();) {
         if (it->end <= wm) {
-          pending_.push_back(Item::Data<WindowResult<Res>>(
+          ctx()->outbox->OfferToAll(Item::Data<WindowResult<Res>>(
               WindowResult<Res>{key_it->first, it->start, it->end,
                                 op_.finish(it->acc)},
               it->end, HashU64(key_it->first)));
@@ -457,38 +414,27 @@ class SessionWindowP final : public Processor {
       }
       key_it = sessions.empty() ? sessions_.erase(key_it) : std::next(key_it);
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [key, sessions] : sessions_) {
-        int64_t index = 0;
-        for (const auto& session : sessions) {
-          StateEntry entry;
-          entry.key_hash = HashU64(key);
-          BytesWriter kw;
-          kw.WriteVarU64(key);
-          kw.WriteVarI64(index++);
-          entry.key = kw.Take();
-          BytesWriter vw;
-          vw.WriteI64(session.start);
-          vw.WriteI64(session.end);
-          op_.serialize(session.acc, &vw);
-          entry.value = vw.Take();
-          snapshot_pending_.push_back(std::move(entry));
-        }
+    for (const auto& [key, sessions] : sessions_) {
+      int64_t index = 0;
+      for (const auto& session : sessions) {
+        StateEntry entry;
+        entry.key_hash = HashU64(key);
+        BytesWriter kw;
+        kw.WriteVarU64(key);
+        kw.WriteVarI64(index++);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        vw.WriteI64(session.start);
+        vw.WriteI64(session.end);
+        op_.serialize(session.acc, &vw);
+        entry.value = vw.Take();
+        ctx()->outbox->OfferToSnapshot(std::move(entry));
       }
-      snapshot_building_ = true;
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
     return true;
   }
 
@@ -556,22 +502,11 @@ class SessionWindowP final : public Processor {
     sessions.push_back(std::move(session));
   }
 
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   AggregateOperation<In, Acc, Res> op_;
   std::function<uint64_t(const In&)> key_fn_;
   Nanos gap_;
   StateOwnershipClaim claim_;
   std::unordered_map<uint64_t, std::vector<Session>> sessions_;
-  std::deque<Item> pending_;
-  std::deque<StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 /// Result of a rolling (non-windowed) keyed aggregation: the running value
@@ -606,44 +541,32 @@ class RollingAggregateP final : public Processor {
 
   void Process(int ordinal, Inbox* inbox) override {
     (void)ordinal;
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
+    Outbox* outbox = ctx()->outbox;
+    while (!inbox->Empty() && outbox->HasRoom()) {
       const Item* item = inbox->Peek();
       const In& in = item->payload.As<In>();
       uint64_t key = key_fn_(in);
       auto [it, inserted] = state_.try_emplace(key, op_.create());
       op_.accumulate(&it->second, in);
-      pending_.push_back(Item::Data<RollingResult<Res>>(
+      outbox->OfferToAll(Item::Data<RollingResult<Res>>(
           RollingResult<Res>{key, op_.finish(it->second)}, item->timestamp,
           HashU64(key)));
       inbox->RemoveFront();
-      if (!FlushPending()) return;
     }
   }
 
   bool SaveToSnapshot() override {
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [key, acc] : state_) {
-        StateEntry entry;
-        entry.key_hash = HashU64(key);
-        BytesWriter kw;
-        kw.WriteVarU64(key);
-        entry.key = kw.Take();
-        BytesWriter vw;
-        op_.serialize(acc, &vw);
-        entry.value = vw.Take();
-        snapshot_pending_.push_back(std::move(entry));
-      }
-      snapshot_building_ = true;
+    for (const auto& [key, acc] : state_) {
+      StateEntry entry;
+      entry.key_hash = HashU64(key);
+      BytesWriter kw;
+      kw.WriteVarU64(key);
+      entry.key = kw.Take();
+      BytesWriter vw;
+      op_.serialize(acc, &vw);
+      entry.value = vw.Take();
+      ctx()->outbox->OfferToSnapshot(std::move(entry));
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
     return true;
   }
 
@@ -661,21 +584,10 @@ class RollingAggregateP final : public Processor {
   size_t key_count() const { return state_.size(); }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   AggregateOperation<In, Acc, Res> op_;
   std::function<uint64_t(const In&)> key_fn_;
   StateOwnershipClaim claim_;
   std::unordered_map<uint64_t, Acc> state_;
-  std::deque<Item> pending_;
-  std::deque<StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 }  // namespace jet::core

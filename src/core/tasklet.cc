@@ -77,11 +77,7 @@ void ProcessorTasklet::RegisterMetrics() {
 
 void ProcessorTasklet::UpdateQueueGauges() {
   inbox_depth_gauge_.Set(static_cast<int64_t>(inbox_.Size()));
-  int64_t outbox_depth = 0;
-  for (int o = 0; o < outbox_.edge_count(); ++o) {
-    outbox_depth += static_cast<int64_t>(outbox_.bucket(o).size());
-  }
-  outbox_depth_gauge_.Set(outbox_depth);
+  outbox_depth_gauge_.Set(static_cast<int64_t>(outbox_.PendingItems()));
 }
 
 void ProcessorTasklet::SetRestoreEntries(std::vector<StateEntry> entries) {
@@ -175,45 +171,27 @@ void ProcessorTasklet::OnWorkerAdopted(int32_t worker_index) {
 }
 
 bool ProcessorTasklet::DrainOutbox() {
-  bool fully_drained = true;
   for (int o = 0; o < outbox_.edge_count(); ++o) {
-    auto& bucket = outbox_.bucket(o);
     auto& collector = collectors_[static_cast<size_t>(o)];
-    // Deliver a contiguous prefix, then erase it in one shot: data items
-    // are *moved* into their target queue (single-target routes), so the
-    // hot path never bumps the payload refcount.
-    size_t delivered = 0;
-    while (delivered < bucket.size()) {
-      Item& front = bucket[delivered];
-      bool ok = front.IsData() ? collector.OfferDataMove(front)
-                               : collector.OfferControl(front);
-      if (!ok) {
-        fully_drained = false;
-        break;
-      }
-      ++delivered;
-      MarkProgress();
-    }
-    if (delivered > 0) {
-      bucket.erase(bucket.begin(), bucket.begin() + static_cast<std::ptrdiff_t>(delivered));
-    }
+    // Data items are *moved* into their target queue (single-target
+    // routes), so the hot path never bumps the payload refcount.
+    const size_t delivered = outbox_.DrainBucket(o, [&collector](Item& item) {
+      return item.IsData() ? collector.OfferDataMove(item) : collector.OfferControl(item);
+    });
+    if (delivered > 0) MarkProgress();
   }
-  auto& snapshot_bucket = outbox_.snapshot_bucket();
-  while (!snapshot_bucket.empty()) {
-    if (snapshot_control_ == nullptr || !snapshot_control_->write_entry) {
-      snapshot_bucket.pop_front();
-      continue;
+  const size_t written = outbox_.DrainSnapshot([this](StateEntry& entry) {
+    // Entries are dropped without a snapshot store, and once the watchdog
+    // abandoned their epoch (its map is gone).
+    if (snapshot_control_ == nullptr || !snapshot_control_->write_entry ||
+        snapshot_control_->aborted.load(std::memory_order_acquire) >= pending_snapshot_id_) {
+      return true;
     }
-    if (!snapshot_control_->write_entry(pending_snapshot_id_, context_.vertex_id,
-                                        context_.meta.global_index,
-                                        std::move(snapshot_bucket.front()))) {
-      fully_drained = false;
-      break;
-    }
-    snapshot_bucket.pop_front();
-    MarkProgress();
-  }
-  return fully_drained;
+    return snapshot_control_->write_entry(pending_snapshot_id_, context_.vertex_id,
+                                          context_.meta.global_index, std::move(entry));
+  });
+  if (written > 0) MarkProgress();
+  return outbox_.Empty();
 }
 
 void ProcessorTasklet::UpdateCoalescedWatermark() {
@@ -428,7 +406,7 @@ void ProcessorTasklet::DoProcess() {
 
 void ProcessorTasklet::DoWatermark() {
   if (!wm_processed_by_processor_) {
-    if (!processor_->TryProcessWatermark(pending_wm_)) return;  // outbox full; retry
+    if (!processor_->TryProcessWatermark(pending_wm_)) return;  // stopped at HasRoom()
     wm_processed_by_processor_ = true;
     MarkProgress();
     if (!DrainOutbox()) return;
@@ -467,7 +445,8 @@ void ProcessorTasklet::DoSnapshotSave() {
     MarkProgress();
     return;
   }
-  if (!DrainOutbox()) return;  // flush remaining state entries
+  // The barrier step runs once the state entries are out: Call() drains
+  // the outbox before every step.
   state_ = State::kSnapshotBarrier;
   control_armed_ = false;
   MarkProgress();

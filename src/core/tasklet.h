@@ -177,8 +177,9 @@ class ProcessorTasklet final : public Tasklet {
     kDone,
   };
 
-  // Attempts to move outbox contents into collectors / the snapshot store.
-  // Returns true when the outbox is fully drained.
+  // One delivery pass: moves up to outbox_capacity items per bucket into
+  // the collectors / the snapshot store. Returns true when the outbox is
+  // fully drained.
   bool DrainOutbox();
 
   // Moves items from one eligible inbound queue into the inbox. Returns

@@ -213,32 +213,21 @@ Status ReceiverProcessor::Init(core::ProcessorContext* ctx) {
 }
 
 bool ReceiverProcessor::Complete() {
-  if (staged_pos_ >= staged_.size() && !saw_done_) {
-    staged_.clear();
-    staged_pos_ = 0;
-    channel_->wire->DrainInto(&staged_, 256);
-  }
-  bool blocked = false;
-  while (staged_pos_ < staged_.size()) {
-    core::Item& item = staged_[staged_pos_];
+  // One wire frame (at most 256 items) per call, forwarded whole: the
+  // tasklet delivers it before it runs this processor again.
+  staged_.clear();
+  if (!saw_done_) channel_->wire->DrainInto(&staged_, 256);
+  for (core::Item& item : staged_) {
     if (item.IsDone()) {
       saw_done_ = true;
-      ++staged_pos_;
       continue;
     }
-    const bool is_data = item.IsData();
-    // Move into the outbox: OfferToAll copies into the first n-1 buckets
-    // and moves into the last, and leaves `item` untouched when it returns
-    // false, so a blocked offer retries safely next Complete().
-    if (!ctx()->outbox->OfferToAll(std::move(item))) {
-      blocked = true;  // downstream full; retry later
-      break;
-    }
-    if (is_data) {
+    if (item.IsData()) {
       ++forwarded_seq_;
       items_forwarded_counter_.Add(1);
     }
-    ++staged_pos_;
+    // Moved into the last bucket, refcount-copied into the rest.
+    ctx()->outbox->OfferToAll(std::move(item));
   }
   // Periodically ack our progress so the sender's window slides (§3.3).
   int64_t limit = window_ctl_.MaybeAck(ctx()->clock->Now(), forwarded_seq_);
@@ -247,7 +236,7 @@ bool ReceiverProcessor::Complete() {
     acks_sent_counter_.Add(1);
     receive_window_gauge_.Set(window_ctl_.window());
   }
-  return !blocked && saw_done_ && staged_pos_ >= staged_.size();
+  return saw_done_;
 }
 
 // ---------------------------------------------------------------------------

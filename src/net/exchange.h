@@ -261,10 +261,8 @@ class ReceiverProcessor final : public core::Processor {
  private:
   std::shared_ptr<ExchangeChannel> channel_;
   ReceiveWindowController window_ctl_;
-  // Staged wire frame, consumed through a cursor so frames drained with a
-  // single vector steal need no per-item pop.
+  // The wire frame being forwarded (drained with a single vector steal).
   std::vector<core::Item> staged_;
-  size_t staged_pos_ = 0;
   int64_t forwarded_seq_ = 0;
   bool saw_done_ = false;
 

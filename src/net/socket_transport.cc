@@ -201,7 +201,7 @@ void SocketConnection::Wake() {
   }
 }
 
-bool SocketConnection::FlushPending() {
+bool SocketConnection::WritePending() {
   while (true) {
     const uint8_t* data = nullptr;
     size_t len = 0;
@@ -323,7 +323,7 @@ void SocketConnection::IoLoop() {
     }
 
     if (!failed && (fds[0].revents & POLLOUT || want_write)) {
-      if (!FlushPending()) failed = true;
+      if (!WritePending()) failed = true;
     }
   }
 

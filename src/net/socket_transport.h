@@ -112,7 +112,7 @@ class SocketConnection {
   void IoLoop();
   /// Drains as much of the pending queue as the socket accepts; returns
   /// false on a fatal write error.
-  bool FlushPending() JET_EXCLUDES(pending_mu_);
+  bool WritePending() JET_EXCLUDES(pending_mu_);
   /// Parses complete frames out of read_buf_, dispatching each. Returns
   /// false on protocol error (oversized frame).
   bool ParseFrames();

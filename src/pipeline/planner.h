@@ -1,8 +1,6 @@
 #ifndef JETSIM_PIPELINE_PLANNER_H_
 #define JETSIM_PIPELINE_PLANNER_H_
 
-#include <deque>
-
 #include "common/status.h"
 #include "core/dag.h"
 #include "core/processor.h"
@@ -31,38 +29,26 @@ class FusedStatelessP final : public core::Processor {
 
   void Process(int ordinal, core::Inbox* inbox) override {
     (void)ordinal;
-    if (!FlushPending()) return;
-    while (!inbox->Empty()) {
-      ApplyChain(*inbox->Peek());
-      inbox->RemoveFront();
-      if (!FlushPending()) return;
+    while (!inbox->Empty() && ctx()->outbox->HasRoom()) {
+      ApplyChain(inbox->Poll());
     }
   }
 
  private:
-  void ApplyChain(const core::Item& in) {
+  void ApplyChain(core::Item in) {
     scratch_a_.clear();
-    scratch_a_.push_back(in);
+    scratch_a_.push_back(std::move(in));
     for (const ItemTransformFn& fn : chain_) {
       scratch_b_.clear();
       for (const core::Item& item : scratch_a_) fn(item, &scratch_b_);
       scratch_a_.swap(scratch_b_);
     }
-    for (auto& item : scratch_a_) pending_.push_back(std::move(item));
-  }
-
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
+    for (auto& item : scratch_a_) ctx()->outbox->OfferToAll(std::move(item));
   }
 
   std::vector<ItemTransformFn> chain_;
   std::vector<core::Item> scratch_a_;
   std::vector<core::Item> scratch_b_;
-  std::deque<core::Item> pending_;
 };
 
 /// Lowers a stage graph to a core::Dag: fuses stateless chains, expands

@@ -1,7 +1,6 @@
 #ifndef JETSIM_SHUFFLEBENCH_GRID_MATCHER_H_
 #define JETSIM_SHUFFLEBENCH_GRID_MATCHER_H_
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -115,49 +114,41 @@ class GridMatcherP final : public core::Processor {
 
   bool TryProcessWatermark(Nanos wm) override {
     if (wm > flushed_up_to_) flushed_up_to_ = wm;
+    // Flush closed frames downstream; stop between frames once the outbox
+    // is full.
     while (!frames_.empty() && frames_.begin()->first <= wm) {
+      if (!ctx()->outbox->HasRoom()) return false;
       auto frame_it = frames_.begin();
       const Nanos frame_end = frame_it->first;
       for (auto& [key, count] : frame_it->second) {
         MatcherState partial;
         partial.count = count;
-        pending_.push_back(core::Item::Data<core::KeyedFrame<MatcherState>>(
+        ctx()->outbox->OfferToAll(core::Item::Data<core::KeyedFrame<MatcherState>>(
             core::KeyedFrame<MatcherState>{key, frame_end, std::move(partial)},
             frame_end, HashU64(key)));
       }
       frames_.erase(frame_it);
     }
-    return FlushPending();
+    return true;
   }
 
   bool SaveToSnapshot() override {
     // Only the local (key, frame) counts need the job snapshot; the state
     // blocks live in the grid, which replicates and survives on its own.
-    if (!snapshot_building_) {
-      snapshot_pending_.clear();
-      for (const auto& [frame_end, keyed] : frames_) {
-        for (const auto& [key, count] : keyed) {
-          core::StateEntry entry;
-          entry.key_hash = HashU64(key);
-          BytesWriter kw;
-          kw.WriteVarU64(key);
-          kw.WriteVarI64(frame_end);
-          entry.key = kw.Take();
-          BytesWriter vw;
-          vw.WriteVarI64(count);
-          entry.value = vw.Take();
-          snapshot_pending_.push_back(std::move(entry));
-        }
+    for (const auto& [frame_end, keyed] : frames_) {
+      for (const auto& [key, count] : keyed) {
+        core::StateEntry entry;
+        entry.key_hash = HashU64(key);
+        BytesWriter kw;
+        kw.WriteVarU64(key);
+        kw.WriteVarI64(frame_end);
+        entry.key = kw.Take();
+        BytesWriter vw;
+        vw.WriteVarI64(count);
+        entry.value = vw.Take();
+        ctx()->outbox->OfferToSnapshot(std::move(entry));
       }
-      snapshot_building_ = true;
     }
-    while (!snapshot_pending_.empty()) {
-      if (!ctx()->outbox->OfferToSnapshot(std::move(snapshot_pending_.front()))) {
-        return false;
-      }
-      snapshot_pending_.pop_front();
-    }
-    snapshot_building_ = false;
     return true;
   }
 
@@ -181,14 +172,6 @@ class GridMatcherP final : public core::Processor {
   size_t owned_partition_count() const { return handles_.size(); }
 
  private:
-  bool FlushPending() {
-    while (!pending_.empty()) {
-      if (!ctx()->outbox->OfferToAll(pending_.front())) return false;
-      pending_.pop_front();
-    }
-    return true;
-  }
-
   imdg::DataGrid* grid_;
   std::string map_name_;
   int32_t state_bytes_per_key_;
@@ -202,9 +185,6 @@ class GridMatcherP final : public core::Processor {
   std::map<Nanos, std::unordered_map<uint64_t, int64_t>> frames_;
   Nanos flushed_up_to_ = core::kMinWatermark;
   int64_t late_events_dropped_ = 0;
-  std::deque<core::Item> pending_;
-  std::deque<core::StateEntry> snapshot_pending_;
-  bool snapshot_building_ = false;
 };
 
 /// GenFn emitting the grid-owned routing hash: key_hash = key % partition

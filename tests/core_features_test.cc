@@ -2,12 +2,14 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/job.h"
 #include "core/processors_basic.h"
 #include "core/processors_window.h"
+#include "core/tasklet.h"
 #include "imdg/grid.h"
 #include "imdg/snapshot_store.h"
 #include "pipeline/pipeline.h"
@@ -310,6 +312,54 @@ TEST(MetricsTest, JobMetricsReflectWork) {
   EXPECT_NE(report.find("job 77"), std::string::npos);
 }
 
+// A source that offers `count` items in its first Complete() call, past
+// the outbox capacity, then idles.
+class BurstSourceP final : public Processor {
+ public:
+  explicit BurstSourceP(int count) : count_(count) {}
+
+  bool Complete() override {
+    for (; count_ > 0; --count_) ctx()->outbox->OfferToAll(Item::Data<int>(count_, 0));
+    return false;
+  }
+
+ private:
+  int count_;
+};
+
+// tasklet.outbox_depth counts the items the outbox has not delivered yet,
+// not the delivered slots the drain cursor leaves in the bucket's storage.
+TEST(MetricsTest, OutboxDepthCountsUndeliveredItems) {
+  obs::MetricsRegistry registry;
+  ManualClock clock(0);
+  ProcessorContext context;
+  context.config.outbox_capacity = 4;
+  context.clock = &clock;
+  context.metrics = &registry;
+  auto queue = std::make_shared<ItemQueue>(2);
+  std::vector<OutboundCollector> collectors;
+  collectors.emplace_back(RoutingPolicy::kUnicast, std::vector<ItemQueuePtr>{queue},
+                          std::vector<RemoteSink>{}, /*total_parallelism=*/1,
+                          /*node_count=*/1, /*node_id=*/0);
+  ProcessorTasklet tasklet("burst", std::make_unique<BurstSourceP>(10), context, {},
+                           std::move(collectors), ProcessingGuarantee::kNone, nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+  auto outbox_depth = [&registry]() {
+    for (const auto& m : registry.Snapshot()) {
+      if (m.id.name == "tasklet.outbox_depth") return m.value;
+    }
+    return int64_t{-1};
+  };
+
+  tasklet.Call();  // offers 10; the 2-slot queue takes 2
+  EXPECT_EQ(outbox_depth(), 8);
+  Item item;
+  while (queue->TryPop(item)) {
+  }
+  tasklet.Call();  // 2 more
+  EXPECT_EQ(outbox_depth(), 6);
+}
+
 // ---------------------------------------------------------------------------
 // Non-cooperative processors (§3.2: dedicated threads)
 // ---------------------------------------------------------------------------
@@ -328,12 +378,9 @@ class BlockingSourceP final : public Processor {
     // Deliberately block (forbidden for cooperative tasklets).
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     int32_t batch = 64;
-    while (batch-- > 0 && emitted_ < count_) {
-      if (!ctx()->outbox->OfferToAll(
-              Item::Data<int64_t>(emitted_, emitted_,
-                                  HashU64(static_cast<uint64_t>(emitted_))))) {
-        return false;
-      }
+    while (batch-- > 0 && emitted_ < count_ && ctx()->outbox->HasRoom()) {
+      ctx()->outbox->OfferToAll(Item::Data<int64_t>(
+          emitted_, emitted_, HashU64(static_cast<uint64_t>(emitted_))));
       ++emitted_;
     }
     return emitted_ >= count_;

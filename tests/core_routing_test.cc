@@ -1,5 +1,6 @@
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,23 +31,55 @@ TEST(InboxTest, FifoPeekPoll) {
   EXPECT_TRUE(inbox.Empty());
 }
 
-TEST(OutboxTest, BucketCapacityEnforced) {
-  Outbox outbox(2, /*bucket_capacity=*/3);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(outbox.Offer(0, Item::Data<int>(i, 0)));
-  }
-  EXPECT_FALSE(outbox.Offer(0, Item::Data<int>(9, 0)));  // bucket 0 full
-  EXPECT_TRUE(outbox.Offer(1, Item::Data<int>(9, 0)));   // bucket 1 has room
+// Delivers one pass of bucket `ordinal` to a consumer that accepts all,
+// appending the payloads to `got`; returns the number delivered.
+size_t DrainPass(Outbox* outbox, int ordinal, std::vector<int>* got) {
+  return outbox->DrainBucket(ordinal, [got](Item& item) {
+    got->push_back(item.payload.As<int>());
+    return true;
+  });
 }
 
-TEST(OutboxTest, OfferToAllIsAtomicAcrossBuckets) {
+TEST(OutboxTest, BucketCapacityEnforced) {
+  // The capacity is the backpressure threshold: HasRoom() turns false once
+  // any one edge bucket holds `bucket_capacity` undelivered items, and
+  // turns true again when a drain pass brings it below.
+  Outbox outbox(2, /*bucket_capacity=*/3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(outbox.HasRoom());
+    outbox.Offer(0, Item::Data<int>(i, 0));
+  }
+  EXPECT_FALSE(outbox.HasRoom());  // bucket 0 full, bucket 1 empty
+  outbox.Offer(0, Item::Data<int>(3, 0));  // still accepted past capacity
+  outbox.Offer(1, Item::Data<int>(9, 0));
+  EXPECT_EQ(outbox.PendingItems(), 5u);
+  std::vector<int> got;
+  EXPECT_EQ(DrainPass(&outbox, 0, &got), 3u);  // at most capacity per pass
+  EXPECT_TRUE(outbox.HasRoom());
+  EXPECT_EQ(outbox.PendingItems(), 2u);
+}
+
+TEST(OutboxTest, OfferToAllPastCapacityDeliversInOrderAcrossPasses) {
   Outbox outbox(2, /*bucket_capacity=*/2);
-  ASSERT_TRUE(outbox.OfferToAll(Item::Data<int>(1, 0)));
-  ASSERT_TRUE(outbox.OfferToAll(Item::Data<int>(2, 0)));
-  // Bucket 0 and 1 both full: OfferToAll must deliver to NEITHER.
-  EXPECT_FALSE(outbox.OfferToAll(Item::Data<int>(3, 0)));
-  EXPECT_EQ(outbox.bucket(0).size(), 2u);
-  EXPECT_EQ(outbox.bucket(1).size(), 2u);
+  for (int i = 0; i < 5; ++i) outbox.OfferToAll(Item::Data<int>(i, 0));
+  EXPECT_FALSE(outbox.HasRoom());
+  std::vector<int> got[2];
+  for (size_t expected : {2u, 2u, 1u}) {
+    for (int b = 0; b < 2; ++b) EXPECT_EQ(DrainPass(&outbox, b, &got[b]), expected);
+  }
+  EXPECT_TRUE(outbox.Empty());
+  for (int b = 0; b < 2; ++b) EXPECT_EQ(got[b], (std::vector<int>{0, 1, 2, 3, 4}));
+
+  // Offers between passes join the tail, and an item the consumer refuses
+  // stays at the front for the next pass.
+  std::vector<int> tail;
+  for (int i = 5; i < 8; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(DrainPass(&outbox, 0, &tail), 2u);
+  outbox.Offer(0, Item::Data<int>(8, 0));
+  EXPECT_EQ(outbox.DrainBucket(0, [](Item&) { return false; }), 0u);
+  EXPECT_EQ(DrainPass(&outbox, 0, &tail), 2u);
+  EXPECT_EQ(tail, (std::vector<int>{5, 6, 7, 8}));
+  EXPECT_EQ(outbox.PendingItems(), 0u);
 }
 
 TEST(OutboxTest, OfferToAllMovesIntoLastBucketAndSharesTheRest) {
@@ -59,7 +92,7 @@ TEST(OutboxTest, OfferToAllMovesIntoLastBucketAndSharesTheRest) {
   const int* original = &item.payload.As<int>();
   ASSERT_EQ(item.payload.SharedCount(), 1);
 
-  ASSERT_TRUE(outbox.OfferToAll(std::move(item)));
+  outbox.OfferToAll(std::move(item));
   EXPECT_TRUE(item.payload.Empty());  // source consumed, not copied
   // The three buckets share one payload: refcount is exactly n, and the
   // last bucket holds the original allocation (a move, not a copy).
@@ -70,23 +103,27 @@ TEST(OutboxTest, OfferToAllMovesIntoLastBucketAndSharesTheRest) {
   }
 }
 
-TEST(OutboxTest, OfferToAllRvalueLeavesSourceIntactOnFailure) {
-  Outbox outbox(2, /*bucket_capacity=*/1);
-  ASSERT_TRUE(outbox.OfferToAll(Item::Data<int>(1, 0)));
-  Item item = Item::Data<int>(2, 0);
-  EXPECT_FALSE(outbox.OfferToAll(std::move(item)));
-  // A failed broadcast must not consume the item — the caller retries.
-  EXPECT_FALSE(item.payload.Empty());
-  EXPECT_EQ(item.payload.As<int>(), 2);
-}
-
 TEST(OutboxTest, SnapshotBucketIndependent) {
+  // The snapshot bucket has no cap and never withdraws room from the edge
+  // buckets; it still drains at most `bucket_capacity` entries per pass.
   Outbox outbox(1, 2);
-  EXPECT_TRUE(outbox.OfferToSnapshot(StateEntry{}));
-  EXPECT_TRUE(outbox.OfferToSnapshot(StateEntry{}));
-  EXPECT_FALSE(outbox.OfferToSnapshot(StateEntry{}));
-  EXPECT_TRUE(outbox.Offer(0, Item::Data<int>(1, 0)));  // data bucket unaffected
-  EXPECT_FALSE(outbox.Empty());
+  for (uint64_t i = 0; i < 5; ++i) outbox.OfferToSnapshot(StateEntry{i, {}, {}});
+  EXPECT_TRUE(outbox.HasRoom());
+  outbox.Offer(0, Item::Data<int>(1, 0));
+  EXPECT_TRUE(outbox.HasRoom());
+  std::vector<uint64_t> got;
+  std::vector<size_t> passes;
+  while (true) {
+    size_t n = outbox.DrainSnapshot([&got](StateEntry& entry) {
+      got.push_back(entry.key_hash);
+      return true;
+    });
+    if (n == 0) break;
+    passes.push_back(n);
+  }
+  EXPECT_EQ(passes, (std::vector<size_t>{2, 2, 1}));
+  EXPECT_EQ(got, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_FALSE(outbox.Empty());  // the data bucket still holds its item
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,12 +27,24 @@ struct WindowedJobResult {
   std::vector<WindowResult<int64_t>> results;
 };
 
+// Optional extras of RunCountWindowJob.
+struct WindowJobShape {
+  /// When > 0, a FlatMapP vertex between source and accumulate emits every
+  /// event this many times.
+  int32_t fan_out = 0;
+  JobConfig config;
+  /// Receives the accumulate stage's late-event drops.
+  std::shared_ptr<std::atomic<int64_t>> late;
+};
+
 // Runs: generator(count events, one per `period_ns` of event time, key =
-// seq % key_count) -> accumulate (parallelism ap) -> combine (parallelism
-// cp, partitioned) -> collect. Returns all emitted window results.
+// seq % key_count) -> [flat-map] -> accumulate (parallelism ap) -> combine
+// (parallelism cp, partitioned) -> collect. Returns all emitted window
+// results.
 std::vector<WindowResult<int64_t>> RunCountWindowJob(
     int64_t count, int64_t key_count, Nanos period_ns, WindowDef window,
-    AggregateOperation<Event, int64_t, int64_t> op, int32_t ap = 2, int32_t cp = 2) {
+    AggregateOperation<Event, int64_t, int64_t> op, int32_t ap = 2, int32_t cp = 2,
+    const WindowJobShape& shape = {}) {
   // A manual clock far in the future makes every event due immediately and
   // anchors event time 0 deterministically, so runs are exactly comparable.
   static ManualClock manual_clock(int64_t{1} << 60);
@@ -50,9 +67,9 @@ std::vector<WindowResult<int64_t>> RunCountWindowJob(
       1);
   VertexId accumulate = dag.AddVertex(
       "accumulate",
-      [op, window](const ProcessorMeta&) {
+      [op, window, late = shape.late](const ProcessorMeta&) {
         return std::make_unique<AccumulateByFrameP<Event, int64_t, int64_t>>(
-            op, [](const Event& e) { return e.key; }, window);
+            op, [](const Event& e) { return e.key; }, window, late);
       },
       ap);
   VertexId combine = dag.AddVertex(
@@ -68,11 +85,26 @@ std::vector<WindowResult<int64_t>> RunCountWindowJob(
         return std::make_unique<CollectSinkP<WindowResult<int64_t>>>(collector);
       },
       1);
-  dag.AddEdge(source, accumulate);
+  if (shape.fan_out > 0) {
+    VertexId flat_map = dag.AddVertex(
+        "fan-out",
+        [n = shape.fan_out](const ProcessorMeta&) {
+          return std::make_unique<FlatMapP<Event, Event>>(
+              [n](const Event& e, std::vector<OutRecord<Event>>* out) {
+                for (int32_t i = 0; i < n; ++i) out->push_back({e, std::nullopt, std::nullopt});
+              });
+        },
+        1);
+    dag.AddEdge(source, flat_map);
+    dag.AddEdge(flat_map, accumulate);
+  } else {
+    dag.AddEdge(source, accumulate);
+  }
   dag.AddEdge(accumulate, combine).routing = RoutingPolicy::kPartitioned;
   dag.AddEdge(combine, sink);
 
   JobParams params;
+  params.config = shape.config;
   params.dag = &dag;
   params.cooperative_threads = 2;
   params.clock = &manual_clock;
@@ -83,39 +115,60 @@ std::vector<WindowResult<int64_t>> RunCountWindowJob(
   return collector->Snapshot();
 }
 
-// Reference: brute-force tumbling window counts. Event seq has timestamp
-// anchored at the source's start; windows are relative so we only compare
-// relative structure: counts per (key, windows-since-first).
+// Reference: brute-force tumbling window counts. The manual clock and the
+// source's start time 0 give event seq s the timestamp s * period, so the
+// exact count of every (key, window) is known.
+//
+// The second shape puts a 1->3 FlatMapP in front of the window with a
+// one-item outbox, so every flat-map step overfills it: all three copies
+// must still reach the window before the next watermark does.
 TEST(WindowTest, TumblingCountMatchesReference) {
   constexpr int64_t kCount = 10'000;
   constexpr int64_t kKeys = 10;
   constexpr Nanos kPeriod = 1000;  // 1 event / us
   WindowDef window = WindowDef::Tumbling(kNanosPerMilli);  // 1000 events per window
 
-  auto results =
-      RunCountWindowJob(kCount, kKeys, kPeriod, window, CountingAggregate<Event>());
+  WindowJobShape fan_out;
+  fan_out.fan_out = 3;
+  fan_out.config.outbox_capacity = 1;
+  for (WindowJobShape shape : {WindowJobShape{}, fan_out}) {
+    SCOPED_TRACE("fan_out=" + std::to_string(shape.fan_out));
+    shape.late = std::make_shared<std::atomic<int64_t>>(0);
+    const int64_t copies = std::max(1, shape.fan_out);
+    auto results = RunCountWindowJob(kCount, kKeys, kPeriod, window,
+                                     CountingAggregate<Event>(), 2, 2, shape);
 
-  // Total counted events across all windows must equal the event count.
-  int64_t total = 0;
-  for (const auto& r : results) total += r.value;
-  EXPECT_EQ(total, kCount);
+    // Total counted events across all windows must equal the event count.
+    int64_t total = 0;
+    for (const auto& r : results) total += r.value;
+    EXPECT_EQ(total, kCount * copies);
+    EXPECT_EQ(shape.late->load(), 0);
 
-  // Each (key, window_end) appears at most once.
-  std::set<std::pair<uint64_t, Nanos>> seen;
-  for (const auto& r : results) {
-    auto [it, inserted] = seen.insert({r.key, r.window_end});
-    EXPECT_TRUE(inserted) << "duplicate window result for key " << r.key;
-    EXPECT_EQ(r.window_end - r.window_start, window.size);
+    // Each (key, window_end) appears at most once.
+    std::set<std::pair<uint64_t, Nanos>> seen;
+    for (const auto& r : results) {
+      auto [it, inserted] = seen.insert({r.key, r.window_end});
+      EXPECT_TRUE(inserted) << "duplicate window result for key " << r.key;
+      EXPECT_EQ(r.window_end - r.window_start, window.size);
+    }
+
+    // Full windows hold exactly events/window / keys per key.
+    std::map<Nanos, int64_t> per_window_total;
+    for (const auto& r : results) per_window_total[r.window_end] += r.value;
+    int64_t full_windows = 0;
+    for (const auto& [end, sum] : per_window_total) {
+      if (sum == copies * kNanosPerMilli / kPeriod) ++full_windows;
+    }
+    EXPECT_GE(full_windows, kCount * kPeriod / kNanosPerMilli - 2);
+
+    std::map<std::pair<uint64_t, Nanos>, int64_t> expected, got;
+    for (int64_t seq = 0; seq < kCount; ++seq) {
+      expected[{static_cast<uint64_t>(seq % kKeys), window.FrameEndFor(seq * kPeriod)}] +=
+          copies;
+    }
+    for (const auto& r : results) got[{r.key, r.window_end}] += r.value;
+    EXPECT_EQ(got, expected);
   }
-
-  // Full windows hold exactly events/window / keys per key.
-  std::map<Nanos, int64_t> per_window_total;
-  for (const auto& r : results) per_window_total[r.window_end] += r.value;
-  int64_t full_windows = 0;
-  for (const auto& [end, sum] : per_window_total) {
-    if (sum == kNanosPerMilli / kPeriod) ++full_windows;
-  }
-  EXPECT_GE(full_windows, kCount * kPeriod / kNanosPerMilli - 2);
 }
 
 // Sliding windows: every event is counted window_size/slide times.

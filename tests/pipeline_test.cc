@@ -1,6 +1,9 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,11 +32,13 @@ GeneratorSourceP<int64_t>::GenFn IntGen() {
   };
 }
 
-Status RunPipeline(Pipeline* p, const PlanOptions& options = {}) {
+Status RunPipeline(Pipeline* p, const PlanOptions& options = {},
+                   const core::JobConfig& config = {}) {
   static ManualClock clock(int64_t{1} << 60);
   auto dag = p->ToDag(options);
   JET_RETURN_IF_ERROR(dag.status());
   core::JobParams params;
+  params.config = config;
   params.dag = &*dag;
   params.cooperative_threads = 2;
   params.clock = &clock;
@@ -93,38 +98,86 @@ TEST(PipelineTest, FusionReducesVertexCount) {
   EXPECT_EQ(dag_unfused->vertices().size(), 5u);
 }
 
+// With a one-item outbox every flat-map step overfills it; the outputs of
+// the last input must still be delivered before the stage completes.
 TEST(PipelineTest, FlatMapProducesMultiple) {
-  Pipeline p;
-  auto counter =
-      p.ReadFrom<int64_t>("ints", IntGen(), FastIntOptions(1'000))
-          .FlatMap<int64_t>("dup",
-                            [](const int64_t& v, std::vector<int64_t>* out) {
-                              out->push_back(v);
-                              out->push_back(-v);
-                            })
-          .WriteToCountSink("count");
-  ASSERT_TRUE(RunPipeline(&p).ok());
-  EXPECT_EQ(counter->load(), 2'000);
+  for (int32_t outbox_capacity : {core::JobConfig{}.outbox_capacity, 1}) {
+    SCOPED_TRACE("outbox_capacity=" + std::to_string(outbox_capacity));
+    Pipeline p;
+    auto counter =
+        p.ReadFrom<int64_t>("ints", IntGen(), FastIntOptions(1'000))
+            .FlatMap<int64_t>("dup",
+                              [](const int64_t& v, std::vector<int64_t>* out) {
+                                out->push_back(v);
+                                out->push_back(-v);
+                              })
+            .WriteToCountSink("count");
+    core::JobConfig config;
+    config.outbox_capacity = outbox_capacity;
+    ASSERT_TRUE(RunPipeline(&p, {}, config).ok());
+    EXPECT_EQ(counter->load(), 2'000);
+  }
 }
 
+// Every event lands in exactly its (key, window) count. Besides the plain
+// pipeline, a 1->3 stage runs in front of the window with a one-item
+// outbox, so every step of that stage overfills it: a fused flat-map
+// chain and a hash-join probe. All three outputs of each event must reach
+// the window before the watermark that closes it.
 TEST(PipelineTest, WindowedAggregateCountsEverything) {
   constexpr int64_t kCount = 20'000;
-  Pipeline p;
+  constexpr int64_t kKeys = 10;
   GeneratorSourceP<int64_t>::Options opt;
   opt.events_per_second = 1e6;  // 1 event per us
   opt.duration = kCount * 1000;
   opt.watermark_interval = 100 * 1000;
   opt.start_time = 0;
-  auto results =
-      p.ReadFrom<int64_t>("ints", IntGen(), opt)
-          .GroupingKey([](const int64_t& v) { return static_cast<uint64_t>(v % 10); })
-          .Window(WindowDef::Tumbling(kNanosPerMilli))
-          .Aggregate<int64_t, int64_t>("count", core::CountingAggregate<int64_t>())
-          .CollectTo("sink");
-  ASSERT_TRUE(RunPipeline(&p).ok());
-  int64_t total = 0;
-  for (const auto& r : results->Snapshot()) total += r.value;
-  EXPECT_EQ(total, kCount);
+  const WindowDef window = WindowDef::Tumbling(kNanosPerMilli);
+  enum class Front { kNone, kFusedFlatMap, kHashJoinProbe };
+  for (Front front : {Front::kNone, Front::kFusedFlatMap, Front::kHashJoinProbe}) {
+    SCOPED_TRACE("front=" + std::to_string(static_cast<int>(front)));
+    Pipeline p;
+    StreamStage<int64_t> events = p.ReadFrom<int64_t>("ints", IntGen(), opt);
+    if (front == Front::kFusedFlatMap) {
+      events = events.FlatMap<int64_t>(
+          "x3", [](const int64_t& v, std::vector<int64_t>* out) { out->assign(3, v); });
+    } else if (front == Front::kHashJoinProbe) {
+      // Three build records per key, so every probe matches three times.
+      std::vector<std::pair<int64_t, uint64_t>> dim;
+      for (int64_t key = 0; key < kKeys; ++key) {
+        for (int copy = 0; copy < 3; ++copy) {
+          dim.push_back({key, HashU64(static_cast<uint64_t>(key))});
+        }
+      }
+      events = events.HashJoin<int64_t, int64_t>(
+          "x3", p.ReadFromList<int64_t>("dim", dim),
+          [](const int64_t& b) { return static_cast<uint64_t>(b); },
+          [](const int64_t& v) { return static_cast<uint64_t>(v % kKeys); },
+          [](const int64_t& v, const std::vector<int64_t>& matches,
+             std::vector<int64_t>* out) { out->assign(matches.size(), v); });
+    }
+    auto results =
+        events.GroupingKey([](const int64_t& v) { return static_cast<uint64_t>(v % kKeys); })
+            .Window(window)
+            .Aggregate<int64_t, int64_t>("count", core::CountingAggregate<int64_t>())
+            .CollectTo("sink");
+    const int64_t copies = front == Front::kNone ? 1 : 3;
+    core::JobConfig config;
+    if (front != Front::kNone) config.outbox_capacity = 1;
+    ASSERT_TRUE(RunPipeline(&p, {}, config).ok());
+
+    int64_t total = 0;
+    std::map<std::pair<uint64_t, Nanos>, int64_t> expected, got;
+    for (const auto& r : results->Snapshot()) {
+      total += r.value;
+      got[{r.key, r.window_end}] += r.value;
+    }
+    EXPECT_EQ(total, kCount * copies);
+    for (int64_t v = 0; v < kCount; ++v) {
+      expected[{static_cast<uint64_t>(v % kKeys), window.FrameEndFor(v * 1000)}] += copies;
+    }
+    EXPECT_EQ(got, expected);
+  }
 }
 
 TEST(PipelineTest, HashJoinEnrichesStream) {

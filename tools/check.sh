@@ -31,7 +31,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 echo "== lint: jet-verify (cooperative-blocking + concurrency contracts) =="
-python3 tools/jet_verify.py --strict --baseline tools/jet_verify_baseline.json
+python3 tools/jet_verify.py --strict
 
 if command -v run-clang-tidy >/dev/null 2>&1 && command -v clang-tidy >/dev/null 2>&1; then
   echo "== lint: clang-tidy (advisory) =="

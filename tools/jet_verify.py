@@ -70,7 +70,6 @@ Usage
 -----
   python3 tools/jet_verify.py [--strict] [--backend auto|text|clang]
                               [--compile-commands PATH]
-                              [--baseline tools/jet_verify_baseline.json]
                               [--expect RULE | --expect-clean] [paths...]
 
 Default paths: src/. --strict exits non-zero on errors (CI and
@@ -82,7 +81,6 @@ given paths; --expect-clean means no findings at all.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass, field
@@ -816,9 +814,6 @@ def main() -> int:
     parser.add_argument("--backend", choices=("auto", "text", "clang"),
                         default="auto")
     parser.add_argument("--compile-commands", type=Path, default=None)
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="JSON baseline of accepted finding keys; new "
-                        "findings beyond it fail, stale entries fail too")
     parser.add_argument("--expect", default=None, metavar="RULE",
                         help="fixture mode: succeed iff >=1 finding of RULE")
     parser.add_argument("--expect-clean", action="store_true",
@@ -857,25 +852,14 @@ def main() -> int:
         print("jet-verify: fixture OK: clean")
         return 0
 
-    baseline_keys: set[str] = set()
-    if args.baseline is not None and args.baseline.exists():
-        baseline_keys = set(json.loads(args.baseline.read_text())
-                            .get("accepted", []))
-    fresh = [f for f in errors if f.key() not in baseline_keys]
-    stale_baseline = baseline_keys - {f.key() for f in errors}
-
-    for f in fresh:
+    for f in errors:
         print(f.render())
     for f in warnings:
         print(f.render())
-    for key in sorted(stale_baseline):
-        print(f"error: baseline entry '{key}' no longer matches any "
-              f"finding; remove it from {args.baseline}")
     backend_name = type(backend).__name__.replace("Backend", "").lower()
     print(f"jet-verify[{backend_name}]: {len(files)} files, "
-          f"{len(fresh)} errors, {len(warnings)} warnings"
-          + (f", {len(baseline_keys)} baselined" if baseline_keys else ""))
-    if args.strict and (fresh or stale_baseline):
+          f"{len(errors)} errors, {len(warnings)} warnings")
+    if args.strict and errors:
         return 1
     return 0
 
