@@ -5,9 +5,9 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <utility>
-#include <vector>
 
 #include "common/debug_check.h"
 
@@ -23,9 +23,12 @@ namespace jet {
 ///
 /// Exactly one thread may call the producer methods (TryPush/PushBatch) and
 /// exactly one thread the consumer methods (TryPop/DrainTo/...). Capacity is
-/// rounded up to a power of two. Under JETSIM_DEBUG_CHECKS each side's role
-/// binds to the first thread that exercises it and any second thread aborts
-/// (see debug::ThreadOwnershipGuard).
+/// rounded up to a power of two. Slot storage is raw: an element is
+/// constructed in its slot on push and destroyed on pop, so creating a queue
+/// costs one allocation however large T is, and an empty slot holds no
+/// object. Under JETSIM_DEBUG_CHECKS each side's role binds to the first
+/// thread that exercises it and any second thread aborts (see
+/// debug::ThreadOwnershipGuard).
 template <typename T>
 class SpscQueue {
  public:
@@ -34,10 +37,19 @@ class SpscQueue {
   explicit SpscQueue(size_t capacity)
       : capacity_(std::bit_ceil(capacity < 2 ? size_t{2} : capacity)),
         mask_(capacity_ - 1),
-        slots_(capacity_) {}
+        slots_(std::allocator<T>().allocate(capacity_)) {}
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
+
+  /// Destroys the items still enqueued. Neither side may be in use.
+  ~SpscQueue() {
+    const size_t head = head_.load(std::memory_order_acquire);
+    for (size_t i = tail_.load(std::memory_order_relaxed); i != head; ++i) {
+      std::destroy_at(&slots_[i & mask_]);
+    }
+    std::allocator<T>().deallocate(slots_, capacity_);
+  }
 
   /// Producer: attempts to enqueue `item`. Returns false if the queue is
   /// full (item is left untouched so the caller can retry later).
@@ -48,18 +60,14 @@ class SpscQueue {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       if (head - cached_tail_ >= capacity_) return false;
     }
-    slots_[head & mask_] = std::move(item);
+    std::construct_at(&slots_[head & mask_], std::move(item));
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
-  /// Producer: rvalue convenience overload.
-  bool TryPush(T&& item) {
-    T local = std::move(item);
-    if (TryPush(local)) return true;
-    item = std::move(local);
-    return false;
-  }
+  /// Producer: rvalue convenience overload. As above, `item` is moved from
+  /// only when the push succeeds.
+  bool TryPush(T&& item) { return TryPush(item); }
 
   /// Producer: enqueues items from [first, last) until the queue fills up.
   /// Returns the number of items enqueued. Enqueued items are moved-from.
@@ -75,7 +83,7 @@ class SpscQueue {
     }
     size_t n = 0;
     for (It it = first; it != last && n < free_slots; ++it, ++n) {
-      slots_[(head + n) & mask_] = std::move(*it);
+      std::construct_at(&slots_[(head + n) & mask_], std::move(*it));
     }
     head_.store(head + n, std::memory_order_release);
     return n;
@@ -89,7 +97,9 @@ class SpscQueue {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (cached_head_ == tail) return false;
     }
-    out = std::move(slots_[tail & mask_]);
+    T& slot = slots_[tail & mask_];
+    out = std::move(slot);
+    std::destroy_at(&slot);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -108,7 +118,9 @@ class SpscQueue {
     }
     const size_t n = available < limit ? available : limit;
     for (size_t i = 0; i < n; ++i) {
-      sink(std::move(slots_[(tail + i) & mask_]));
+      T& slot = slots_[(tail + i) & mask_];
+      sink(std::move(slot));
+      std::destroy_at(&slot);
     }
     tail_.store(tail + n, std::memory_order_release);
     return n;
@@ -133,7 +145,9 @@ class SpscQueue {
     const size_t max = available < limit ? available : limit;
     size_t n = 0;
     while (n < max && pred(static_cast<const T&>(slots_[(tail + n) & mask_]))) {
-      sink(std::move(slots_[(tail + n) & mask_]));
+      T& slot = slots_[(tail + n) & mask_];
+      sink(std::move(slot));
+      std::destroy_at(&slot);
       ++n;
     }
     if (n > 0) tail_.store(tail + n, std::memory_order_release);
@@ -158,7 +172,7 @@ class SpscQueue {
     JET_DCHECK_SINGLE_THREAD(consumer_guard_, "SpscQueue consumer (PopFront)");
     const size_t tail = tail_.load(std::memory_order_relaxed);
     JET_DCHECK(cached_head_ != tail && "PopFront without preceding Peek");
-    slots_[tail & mask_] = T();
+    std::destroy_at(&slots_[tail & mask_]);
     tail_.store(tail + 1, std::memory_order_release);
   }
 
@@ -219,7 +233,7 @@ class SpscQueue {
 
   const size_t capacity_;
   const size_t mask_;
-  std::vector<T> slots_;
+  T* const slots_;  // capacity_ slots; only [tail_, head_) hold live objects
 
   alignas(kCacheLine) std::atomic<size_t> head_{0};  // next write position
   alignas(kCacheLine) size_t cached_tail_{0};        // producer's view of tail_

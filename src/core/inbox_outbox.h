@@ -154,8 +154,9 @@ class Outbox {
   }
 
   /// Appends an item to every output edge. The item is *moved* into the
-  /// last bucket and refcount-copied into the first n-1, so the caller's
-  /// item is consumed (left empty).
+  /// last bucket and copied into the first n-1 (a byte copy of an inline
+  /// payload, a refcount bump of a boxed one), so the caller's item is
+  /// consumed (left empty).
   void OfferToAll(Item&& item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToAll)");
     const size_t n = buckets_.size();

@@ -2,8 +2,12 @@
 #define JETSIM_CORE_ITEM_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <typeinfo>
 #include <utility>
 
@@ -11,13 +15,34 @@
 
 namespace jet::core {
 
-/// Cheap type-erased payload container for the data plane.
+/// Type-erased payload container for the data plane.
 ///
-/// Holds an immutable, reference-counted value; copying an `Any` (needed for
-/// broadcast edges) only bumps a refcount. `As<T>()` type-checks in debug
-/// builds.
+/// Trivially copyable values of up to `kInlineSize` bytes (alignment at most
+/// 8) are stored inline, in the `Any` itself: making, moving and copying
+/// one never touches the heap, and a copy (as made for broadcast edges) is
+/// an independent byte copy. Every other value is boxed: it lives in an
+/// immutable, reference-counted heap cell whose `std::shared_ptr` sits in
+/// the same buffer, so copying a boxed `Any` only bumps the refcount. The
+/// NEXMark `Event` and `Bid`, `WindowResult<int64_t>` and the scalar
+/// payloads are all inline; strings, `Bytes` and records holding them are
+/// boxed.
+///
+/// A reference from `As<T>()` / `TryAs<T>()` into an inline payload lives
+/// only as long as the `Any` (and the `Item` holding it) stays put: moving
+/// the item, or popping it from its inbox or queue, ends it. `As<T>()`
+/// type-checks in debug builds.
 class Any {
  public:
+  /// Largest payload, in bytes, stored inline. Sized so that `Item` is two
+  /// cache lines and the 88-byte NEXMark `Event` fits.
+  static constexpr size_t kInlineSize = 96;
+
+  /// True if values of type T are stored inline rather than boxed.
+  template <typename T>
+  static constexpr bool kStoresInline = std::is_trivially_copyable_v<T> &&
+                                        sizeof(T) <= kInlineSize &&
+                                        alignof(T) <= alignof(uint64_t);
+
   /// Empty payload.
   Any() = default;
 
@@ -25,43 +50,143 @@ class Any {
   template <typename T>
   static Any Of(T value) {
     Any a;
-    a.ptr_ = std::make_shared<T>(std::move(value));
-    a.type_ = &typeid(T);
+    a.Emplace<T>(std::move(value));
     return a;
   }
 
-  Any(const Any&) = default;
-  Any& operator=(const Any&) = default;
-  Any(Any&&) noexcept = default;
-  Any& operator=(Any&&) noexcept = default;
+  Any(const Any& other) : type_(other.type_) { CopyPayloadFrom(other); }
+
+  Any(Any&& other) noexcept : type_(other.type_) { MovePayloadFrom(other); }
+
+  Any& operator=(const Any& other) {
+    if (this != &other) {
+      Reset();
+      type_ = other.type_;
+      CopyPayloadFrom(other);
+    }
+    return *this;
+  }
+
+  Any& operator=(Any&& other) noexcept {
+    if (this != &other) {
+      Reset();
+      type_ = other.type_;
+      MovePayloadFrom(other);
+    }
+    return *this;
+  }
+
+  ~Any() { Reset(); }
+
+  /// Replaces the held value with `value`.
+  template <typename T>
+  void Emplace(T value) {
+    Reset();
+    if constexpr (kStoresInline<T>) {
+      ::new (static_cast<void*>(buf_)) T(value);
+    } else {
+      ::new (static_cast<void*>(buf_)) Box(std::make_shared<const T>(std::move(value)));
+    }
+    type_ = &TypeFor<T>::kInfo;
+  }
+
+  /// Drops the held value, leaving the Any empty.
+  void Reset() {
+    if (type_ != nullptr && type_->boxed) box().~Box();
+    type_ = nullptr;
+  }
 
   /// True if no value is held.
-  bool Empty() const { return ptr_ == nullptr; }
+  bool Empty() const { return type_ == nullptr; }
+
+  /// True if a value is held and it is stored inline.
+  bool IsInline() const { return type_ != nullptr && !type_->boxed; }
 
   /// Returns the held value. The caller must know the correct type;
   /// debug builds assert on mismatch.
   template <typename T>
   const T& As() const {
-    assert(ptr_ != nullptr && "Any::As on empty Any");
-    assert(*type_ == typeid(T) && "Any::As type mismatch");
-    return *static_cast<const T*>(ptr_.get());
+    assert(type_ != nullptr && "Any::As on empty Any");
+    assert(Holds<T>() && "Any::As type mismatch");
+    return *Get<T>();
   }
 
   /// Returns a pointer to the held value if it has type T, else nullptr.
   template <typename T>
   const T* TryAs() const {
-    if (ptr_ == nullptr || *type_ != typeid(T)) return nullptr;
-    return static_cast<const T*>(ptr_.get());
+    return Holds<T>() ? Get<T>() : nullptr;
   }
 
-  /// Number of Any instances sharing this payload (0 when empty). Test
-  /// inspection only: distinguishes a refcount-bumping copy from a move,
+  /// Number of Any instances sharing this payload: 0 when empty, 1 for an
+  /// inline payload (every copy owns its bytes). Test inspection only:
+  /// distinguishes a refcount-bumping copy of a boxed payload from a move,
   /// which leaves the source Empty() and the count unchanged.
-  long SharedCount() const { return ptr_.use_count(); }
+  long SharedCount() const {
+    if (type_ == nullptr) return 0;
+    return type_->boxed ? box().use_count() : 1;
+  }
 
  private:
-  std::shared_ptr<const void> ptr_;
-  const std::type_info* type_ = nullptr;
+  using Box = std::shared_ptr<const void>;
+
+  // One static descriptor per payload type: the type's identity and where
+  // its value lives.
+  struct TypeInfo {
+    const std::type_info* type;
+    bool boxed;
+  };
+  template <typename T>
+  struct TypeFor {
+    static constexpr TypeInfo kInfo{&typeid(T), !kStoresInline<T>};
+  };
+
+  template <typename T>
+  bool Holds() const {
+    // The descriptor address settles the common case; type_info equality
+    // covers descriptors duplicated across shared objects.
+    return type_ != nullptr &&
+           (type_ == &TypeFor<T>::kInfo || *type_->type == typeid(T));
+  }
+
+  template <typename T>
+  const T* Get() const {
+    if constexpr (kStoresInline<T>) {
+      return std::launder(reinterpret_cast<const T*>(buf_));
+    } else {
+      return static_cast<const T*>(box().get());
+    }
+  }
+
+  Box& box() { return *std::launder(reinterpret_cast<Box*>(buf_)); }
+  const Box& box() const { return *std::launder(reinterpret_cast<const Box*>(buf_)); }
+
+  // Both expect type_ already taken over from `other` and no live payload.
+  // An inline payload is copied as the whole buffer, a fixed-size copy the
+  // compiler inlines; bytes past the value are copied as unsigned chars,
+  // which is well defined even where they were never written.
+  void CopyPayloadFrom(const Any& other) {
+    if (type_ == nullptr) return;
+    if (type_->boxed) {
+      ::new (static_cast<void*>(buf_)) Box(other.box());
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineSize);
+    }
+  }
+  void MovePayloadFrom(Any& other) {
+    if (type_ == nullptr) return;
+    if (type_->boxed) {
+      ::new (static_cast<void*>(buf_)) Box(std::move(other.box()));
+      other.box().~Box();
+    } else {
+      std::memcpy(buf_, other.buf_, kInlineSize);
+    }
+    other.type_ = nullptr;
+  }
+
+  const TypeInfo* type_ = nullptr;
+  alignas(uint64_t) unsigned char buf_[kInlineSize];
+
+  static_assert(sizeof(Box) <= kInlineSize && alignof(Box) <= alignof(uint64_t));
 };
 
 /// Kind of an item traveling along an edge.
@@ -91,7 +216,7 @@ struct Item {
     item.kind = ItemKind::kData;
     item.timestamp = event_time;
     item.key_hash = key_hash;
-    item.payload = Any::Of<T>(std::move(value));
+    item.payload.Emplace<T>(std::move(value));
     return item;
   }
 

@@ -1,6 +1,7 @@
 #ifndef JETSIM_CORE_PROCESSORS_BASIC_H_
 #define JETSIM_CORE_PROCESSORS_BASIC_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -154,42 +155,23 @@ class GeneratorSourceP final : public Processor {
   bool Complete() override {
     if (ctx()->IsCancelled()) return true;
     if (shards_.empty()) return true;
-    if (start_time_ < 0) {
-      // Anchor event time: either the shared configured start or this
-      // instance's first Complete() call. The anchor is per *shard* — a
-      // shard restored from a snapshot keeps the anchor it was generated
-      // with, so replayed events reproduce their original timestamps even
-      // when a rescale moves shards between instances with different
-      // anchors.
-      start_time_ = options_.start_time >= 0 ? options_.start_time : ctx()->clock->Now();
-    }
-    for (auto& shard : shards_) {
-      if (shard.start_time < 0) shard.start_time = start_time_;
-    }
+    if (!heap_built_) BuildHeap();
     const Nanos now = ctx()->clock->Now();
     const auto vp_count = static_cast<int64_t>(options_.virtual_partitions);
     int32_t budget = options_.max_batch;
     while (budget-- > 0 && ctx()->outbox->HasRoom()) {
-      // The next event overall is the unexhausted shard with the earliest
-      // next event time.
-      Shard* next = nullptr;
-      for (auto& shard : shards_) {
-        if (shard.NextSeq(vp_count) * period_ >= options_.duration) continue;
-        if (next == nullptr ||
-            shard.NextEventTime(vp_count, period_) <
-                next->NextEventTime(vp_count, period_)) {
-          next = &shard;
-        }
-      }
-      if (next == nullptr) {
+      if (heap_.empty()) {
         // All shards exhausted: emit a final watermark so downstream
         // windows flush, then finish.
         ctx()->outbox->OfferToAll(Item::WatermarkAt(kMaxWatermark));
         return true;
       }
-      const int64_t seq = next->NextSeq(vp_count);
-      const Nanos event_time = next->NextEventTime(vp_count, period_);
+      // The next event overall is the unexhausted shard with the earliest
+      // next event time, the lowest shard index breaking ties.
+      const auto [event_time, index] = heap_.front();
       if (event_time > now) break;  // not yet due
+      Shard* next = &shards_[index];
+      const int64_t seq = next->NextSeq(vp_count);
       auto [value, key_hash] = gen_(seq);
       Nanos stamped_time = event_time;
       if (options_.max_disorder > 0) {
@@ -200,6 +182,13 @@ class GeneratorSourceP final : public Processor {
       }
       ctx()->outbox->OfferToAll(Item::Data<Out>(std::move(value), stamped_time, key_hash));
       ++next->next_round;
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      if (Exhausted(*next)) {
+        heap_.pop_back();
+      } else {
+        heap_.back().first = next->NextEventTime(vp_count, period_);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      }
       if (event_time > last_emitted_ts_) last_emitted_ts_ = event_time;
       ++events_emitted_;
       if (last_emitted_ts_ - last_wm_ >= options_.watermark_interval) {
@@ -251,6 +240,7 @@ class GeneratorSourceP final : public Processor {
     }
     if (start_time_ < 0 || start < start_time_) start_time_ = start;
     if (wm > last_wm_) last_wm_ = wm;
+    heap_built_ = false;  // a cursor or anchor moved: re-rank the shards
     return Status::OK();
   }
 
@@ -268,9 +258,40 @@ class GeneratorSourceP final : public Processor {
     }
   };
 
+  bool Exhausted(const Shard& shard) const {
+    return shard.NextSeq(options_.virtual_partitions) * period_ >= options_.duration;
+  }
+
+  // Anchors event time and ranks the unexhausted shards by next event time.
+  // Runs on the first Complete() and again after a restore.
+  void BuildHeap() {
+    if (start_time_ < 0) {
+      // Anchor event time: either the shared configured start or this
+      // instance's first Complete() call. The anchor is per *shard* — a
+      // shard restored from a snapshot keeps the anchor it was generated
+      // with, so replayed events reproduce their original timestamps even
+      // when a rescale moves shards between instances with different
+      // anchors.
+      start_time_ = options_.start_time >= 0 ? options_.start_time : ctx()->clock->Now();
+    }
+    const auto vp_count = static_cast<int64_t>(options_.virtual_partitions);
+    heap_.clear();
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      Shard& shard = shards_[i];
+      if (shard.start_time < 0) shard.start_time = start_time_;
+      if (!Exhausted(shard)) heap_.emplace_back(shard.NextEventTime(vp_count, period_), i);
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+    heap_built_ = true;
+  }
+
   GenFn gen_;
   Options options_;
   std::vector<Shard> shards_;
+  // Min-heap of (next event time, index into shards_) over the unexhausted
+  // shards; the top is the shard that emits next.
+  std::vector<std::pair<Nanos, size_t>> heap_;
+  bool heap_built_ = false;
   Nanos period_ = 1000;
   Nanos start_time_ = -1;
   Nanos last_emitted_ts_ = kMinWatermark;

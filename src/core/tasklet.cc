@@ -37,6 +37,7 @@ ProcessorTasklet::ProcessorTasklet(std::string name, std::unique_ptr<Processor> 
     stream_queue_base_.push_back(base);
     base += s.queues.size();
   }
+  eligible_.reserve(base);
   if (context_.metric_tags.tasklet.empty()) context_.metric_tags.tasklet = name_;
   if (context_.metric_tags.vertex < 0) context_.metric_tags.vertex = context_.vertex_id;
   RegisterMetrics();
@@ -274,27 +275,23 @@ bool ProcessorTasklet::FillInbox() {
   if (best_priority == std::numeric_limits<int32_t>::max()) return false;
 
   // Enumerate eligible queues and rotate the starting point for fairness.
-  struct QueueRef {
-    size_t stream;
-    size_t queue;
-  };
-  std::vector<QueueRef> eligible;
+  eligible_.clear();
   for (size_t si = 0; si < inputs_.size(); ++si) {
     const auto& s = inputs_[si];
     if (s.priority != best_priority) continue;
     for (size_t qi = 0; qi < s.queues.size(); ++qi) {
       const auto& q = s.queues[qi];
-      if (!q.done && !q.blocked) eligible.push_back({si, qi});
+      if (!q.done && !q.blocked) eligible_.push_back({si, qi});
     }
   }
-  if (eligible.empty()) return false;
+  if (eligible_.empty()) return false;
 
-  for (size_t attempt = 0; attempt < eligible.size(); ++attempt) {
-    QueueRef ref = eligible[(fill_cursor_ + attempt) % eligible.size()];
+  for (size_t attempt = 0; attempt < eligible_.size(); ++attempt) {
+    QueueRef ref = eligible_[(fill_cursor_ + attempt) % eligible_.size()];
     InboundStream& stream = inputs_[ref.stream];
     InboundQueue& q = stream.queues[ref.queue];
     if (q.queue->Peek() == nullptr) continue;
-    fill_cursor_ = (fill_cursor_ + attempt + 1) % eligible.size();
+    fill_cursor_ = (fill_cursor_ + attempt + 1) % eligible_.size();
 
     bool got_data = false;
     int budget = context_.config.max_inbox_batch;
@@ -311,7 +308,7 @@ bool ProcessorTasklet::FillInbox() {
       if (budget <= 0) break;
       Item* front = q.queue->Peek();
       if (front == nullptr || front->IsData()) break;  // empty or budget hit
-      Item control = *front;
+      Item control = std::move(*front);
       q.queue->PopFront();
       --budget;
       MarkProgress();

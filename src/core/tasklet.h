@@ -252,6 +252,13 @@ class ProcessorTasklet final : public Tasklet {
   int32_t current_ordinal_ = 0;
   size_t fill_cursor_ = 0;  // round-robin over (stream, queue)
 
+  // FillInbox's list of the queues it may drain, kept to reuse its storage.
+  struct QueueRef {
+    size_t stream;
+    size_t queue;
+  };
+  std::vector<QueueRef> eligible_;
+
   // Pending control forwarding progress (per collector).
   Item pending_control_;
   size_t control_progress_ = 0;

@@ -115,9 +115,12 @@ class StreamStage {
   template <typename R>
   StreamStage<R> FlatMap(std::string name,
                          std::function<void(const T&, std::vector<R>*)> fn) {
+    // `results` is reused across calls. Each processor instance runs its
+    // own copy of the transform, so the buffer is never shared.
     return AddStateless<R>(
-        std::move(name), [fn](const core::Item& in, std::vector<core::Item>* out) {
-          std::vector<R> results;
+        std::move(name), [fn, results = std::vector<R>()](
+                             const core::Item& in, std::vector<core::Item>* out) mutable {
+          results.clear();
           fn(in.payload.As<T>(), &results);
           for (auto& r : results) {
             out->push_back(core::Item::Data<R>(std::move(r), in.timestamp, in.key_hash));

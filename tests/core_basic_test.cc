@@ -1,10 +1,15 @@
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
+#include "common/serde.h"
 #include "core/dag.h"
 #include "core/job.h"
 #include "core/processors_basic.h"
@@ -328,6 +333,150 @@ TEST(ExecutionTest, IsolatedEdgePreservesInstancePairs) {
   ASSERT_TRUE((*job)->Start().ok());
   ASSERT_TRUE((*job)->Join().ok());
   EXPECT_EQ(collector->Size(), static_cast<size_t>(kCount));
+}
+
+// ---------------------------------------------------------------------------
+// GeneratorSourceP emission order
+// ---------------------------------------------------------------------------
+
+// One item as a test sees it leave the source: a data item's sequence and
+// timestamp, or a watermark (seq -1) and its timestamp.
+struct Emitted {
+  int64_t seq;
+  Nanos ts;
+  bool operator==(const Emitted&) const = default;
+};
+
+// A restored replay cursor: shard, next round, event-time anchor, and the
+// watermark the snapshot recorded.
+struct Cursor {
+  int32_t vp;
+  int64_t next_round;
+  Nanos anchor;
+  Nanos wm;
+};
+
+StateEntry CursorEntry(const Cursor& c) {
+  StateEntry entry;
+  entry.key_hash = static_cast<uint64_t>(c.vp);
+  BytesWriter key;
+  key.WriteVarU64(static_cast<uint64_t>(c.vp));
+  entry.key = key.Take();
+  BytesWriter value;
+  value.WriteVarI64(c.next_round);
+  value.WriteI64(c.anchor);
+  value.WriteI64(c.wm);
+  entry.value = value.Take();
+  return entry;
+}
+
+TEST(GeneratorSourceTest, EmissionOrderMatchesLinearScanAfterRestore) {
+  using Options = GeneratorSourceP<int64_t>::Options;
+  constexpr int32_t kShards = 8;
+  constexpr int32_t kInstances = 2;
+  constexpr Nanos kPeriod = 10;
+  Options opt;
+  opt.events_per_second = 1e9 / kPeriod;
+  opt.duration = 2000;  // sequences [0, 200): 25 rounds per shard
+  opt.watermark_interval = 45;
+  opt.max_batch = 7;
+  opt.virtual_partitions = kShards;
+
+  // Every instance replays all entries, keeping the cursors of the shards it
+  // owns. Shards 0 and 2 are anchored 20 ns apart, so their events tie
+  // (1000 + 80r) and the lower shard index must win each tie. Shard 4's
+  // early anchor makes it run out of events first; shard 6 restores
+  // already exhausted. Shards 3 and 5 are not restored and take the
+  // earliest restored anchor (400).
+  const std::vector<Cursor> cursors = {{0, 3, 1000, 1200}, {2, 3, 980, 1210},
+                                       {4, 0, 400, 0},     {6, 30, 990, 0},
+                                       {1, 5, 1000, 0},    {7, 2, 1500, 900}};
+  Nanos restored_anchor = cursors.front().anchor;
+  Nanos restored_wm = 0;
+  for (const Cursor& c : cursors) {
+    restored_anchor = std::min(restored_anchor, c.anchor);
+    restored_wm = std::max(restored_wm, c.wm);
+  }
+
+  for (int32_t instance = 0; instance < kInstances; ++instance) {
+    SCOPED_TRACE(instance);
+    // Brute-force reference: scan every owned shard for the earliest next
+    // event, the lower shard index winning ties.
+    struct RefShard {
+      int32_t vp;
+      int64_t round;
+      Nanos anchor;
+      int64_t Seq() const { return round * kShards + vp; }
+      Nanos Time() const { return anchor + Seq() * kPeriod; }
+    };
+    std::vector<RefShard> ref;
+    for (int32_t vp = instance; vp < kShards; vp += kInstances) {
+      RefShard shard{vp, 0, restored_anchor};
+      for (const Cursor& c : cursors) {
+        if (c.vp == vp) shard = RefShard{vp, c.next_round, c.anchor};
+      }
+      ref.push_back(shard);
+    }
+    Nanos ref_last_emitted = kMinWatermark;
+    Nanos ref_last_wm = restored_wm;
+    auto reference_call = [&](Nanos now, std::vector<Emitted>* out) {
+      for (int32_t budget = opt.max_batch; budget-- > 0;) {
+        RefShard* next = nullptr;
+        for (RefShard& shard : ref) {
+          if (shard.Seq() * kPeriod >= opt.duration) continue;
+          if (next == nullptr || shard.Time() < next->Time()) next = &shard;
+        }
+        if (next == nullptr) {
+          out->push_back({-1, kMaxWatermark});
+          return true;
+        }
+        const Nanos time = next->Time();
+        if (time > now) return false;
+        out->push_back({next->Seq(), time});
+        ++next->round;
+        ref_last_emitted = std::max(ref_last_emitted, time);
+        if (ref_last_emitted - ref_last_wm >= opt.watermark_interval) {
+          out->push_back({-1, ref_last_emitted});
+          ref_last_wm = ref_last_emitted;
+        }
+      }
+      return false;
+    };
+
+    ManualClock clock(0);
+    Outbox outbox(1, 1024);
+    ProcessorContext ctx;
+    ctx.outbox = &outbox;
+    ctx.clock = &clock;
+    ctx.meta.global_index = instance;
+    ctx.meta.total_parallelism = kInstances;
+    GeneratorSourceP<int64_t> source(
+        [](int64_t seq) { return std::make_pair(seq, HashU64(static_cast<uint64_t>(seq))); },
+        opt);
+    ASSERT_TRUE(source.Init(&ctx).ok());
+    for (const Cursor& c : cursors) ASSERT_TRUE(source.RestoreFromSnapshot(CursorEntry(c)).ok());
+
+    bool done = false;
+    int64_t data_items = 0;
+    for (int call = 0; call < 10'000 && !done; ++call) {
+      clock.Advance(53);  // often lands between events: "not yet due"
+      std::vector<Emitted> expected;
+      const bool ref_done = reference_call(clock.Now(), &expected);
+      done = source.Complete();
+      std::vector<Emitted> got;
+      outbox.DrainBucket(0, [&got](Item& item) {
+        got.push_back(item.IsData() ? Emitted{item.payload.As<int64_t>(), item.timestamp}
+                                    : Emitted{-1, item.timestamp});
+        return true;
+      });
+      ASSERT_EQ(got, expected) << "call " << call;
+      ASSERT_EQ(done, ref_done) << "call " << call;
+      for (const Emitted& e : got) data_items += e.seq >= 0 ? 1 : 0;
+    }
+    ASSERT_TRUE(done);
+    EXPECT_EQ(data_items, source.events_emitted());
+    EXPECT_GT(data_items, 0);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,10 +87,11 @@ TEST(OutboxTest, OfferToAllMovesIntoLastBucketAndSharesTheRest) {
   // Regression for the deep-copy bug: broadcast used to copy the item into
   // every bucket and leave the source alive, i.e. n+1 payload references
   // for n buckets. The fixed path copies into the first n-1 buckets and
-  // *moves* into the last, consuming the source.
+  // *moves* into the last, consuming the source. A std::string is boxed, so
+  // the copies share one reference-counted payload.
   Outbox outbox(3, /*bucket_capacity=*/4);
-  Item item = Item::Data<int>(42, 7);
-  const int* original = &item.payload.As<int>();
+  Item item = Item::Data<std::string>("forty-two", 7);
+  const std::string* original = &item.payload.As<std::string>();
   ASSERT_EQ(item.payload.SharedCount(), 1);
 
   outbox.OfferToAll(std::move(item));
@@ -97,10 +99,31 @@ TEST(OutboxTest, OfferToAllMovesIntoLastBucketAndSharesTheRest) {
   // The three buckets share one payload: refcount is exactly n, and the
   // last bucket holds the original allocation (a move, not a copy).
   EXPECT_EQ(outbox.bucket(0).front().payload.SharedCount(), 3);
-  EXPECT_EQ(&outbox.bucket(2).front().payload.As<int>(), original);
+  EXPECT_EQ(&outbox.bucket(2).front().payload.As<std::string>(), original);
   for (int b = 0; b < 3; ++b) {
-    EXPECT_EQ(outbox.bucket(b).front().payload.As<int>(), 42);
+    EXPECT_EQ(outbox.bucket(b).front().payload.As<std::string>(), "forty-two");
   }
+}
+
+TEST(OutboxTest, OfferToAllCopiesAnInlinePayloadIntoEveryBucket) {
+  // An int is stored inline: every bucket gets its own copy of the bytes
+  // and the source is still consumed.
+  Outbox outbox(3, /*bucket_capacity=*/4);
+  Item item = Item::Data<int>(42, 7, 9);
+  ASSERT_TRUE(item.payload.IsInline());
+
+  outbox.OfferToAll(std::move(item));
+  EXPECT_TRUE(item.payload.Empty());
+  for (int b = 0; b < 3; ++b) {
+    const Item& copy = outbox.bucket(b).front();
+    EXPECT_TRUE(copy.payload.IsInline());
+    EXPECT_EQ(copy.payload.SharedCount(), 1);
+    EXPECT_EQ(copy.payload.As<int>(), 42);
+    EXPECT_EQ(copy.timestamp, 7);
+    EXPECT_EQ(copy.key_hash, 9u);
+  }
+  EXPECT_NE(&outbox.bucket(0).front().payload.As<int>(),
+            &outbox.bucket(1).front().payload.As<int>());
 }
 
 TEST(OutboxTest, SnapshotBucketIndependent) {
@@ -266,8 +289,18 @@ TEST(CollectorTest, ControlReachesEveryQueue) {
 // end-to-end across parallelism combinations.
 // ---------------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so the three
+// bytes after the one-byte RoutingPolicy are an explicit, zeroed member:
+// left as padding they would hold stack garbage and rename the case on
+// every test discovery.
 struct RoutingCase {
+  RoutingCase(RoutingPolicy r, int32_t producers, int32_t consumers)
+      : routing(r),
+        producer_parallelism(producers),
+        consumer_parallelism(consumers) {}
+
   RoutingPolicy routing;
+  uint8_t zero_padding[3] = {};
   int32_t producer_parallelism;
   int32_t consumer_parallelism;
 };

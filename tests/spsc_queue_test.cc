@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +125,86 @@ TEST(SpscQueueTest, SizeApproxNeverExceedsCapacityUnderConcurrency) {
   }
   producer.join();
   observer.join();
+}
+
+// Element type that tracks every live instance, so a test can prove the
+// queue constructs each slot exactly once per push and destroys it exactly
+// once per pop (or at queue destruction). No default constructor: the queue
+// must never build a slot it was not given.
+class Counted {
+ public:
+  explicit Counted(int value) : value_(value) { Born(); }
+  Counted(const Counted& other) : value_(other.value_) { Born(); }
+  Counted(Counted&& other) noexcept : value_(other.value_) { Born(); }
+  Counted& operator=(const Counted& other) = default;
+  Counted& operator=(Counted&& other) noexcept = default;
+  ~Counted() {
+    EXPECT_EQ(live().erase(this), 1u) << "destroyed twice or never constructed";
+    ++destructions();
+  }
+
+  int value() const { return value_; }
+
+  static int64_t& constructions() {
+    static int64_t n = 0;
+    return n;
+  }
+  static int64_t& destructions() {
+    static int64_t n = 0;
+    return n;
+  }
+  static std::set<const Counted*>& live() {
+    static std::set<const Counted*> s;
+    return s;
+  }
+
+ private:
+  void Born() {
+    EXPECT_TRUE(live().insert(this).second) << "constructed over a live object";
+    ++constructions();
+  }
+
+  int value_;
+};
+
+TEST(SpscQueueTest, SlotsAreBuiltOnPushAndDestroyedOnPopAcrossWraparound) {
+  {
+    SpscQueue<Counted> q(4);
+    EXPECT_EQ(Counted::constructions(), 0);  // no slot exists before a push
+    q.SeedIndexesForTest(std::numeric_limits<size_t>::max() - 1);
+    std::vector<int> got;
+
+    Counted a(1);
+    EXPECT_TRUE(q.TryPush(a));
+    EXPECT_TRUE(q.TryPush(Counted(2)));
+    std::vector<Counted> batch;
+    for (int v = 3; v <= 5; ++v) batch.emplace_back(v);
+    EXPECT_EQ(q.PushBatch(batch.begin(), batch.end()), 2u);  // full at 4
+    EXPECT_FALSE(q.TryPush(Counted(99)));
+
+    Counted out(0);
+    ASSERT_TRUE(q.TryPop(out));
+    got.push_back(out.value());
+    EXPECT_EQ(q.DrainTo([&got](Counted&& c) { got.push_back(c.value()); }, 1), 1u);
+    ASSERT_NE(q.Peek(), nullptr);
+    got.push_back(q.Peek()->value());
+    q.PopFront();
+    EXPECT_EQ(q.DrainTo([&got](Counted&& c) { got.push_back(c.value()); }, 10), 1u);
+    EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4}));
+
+    // The indices have wrapped past SIZE_MAX; refill and drain again.
+    for (int v = 6; v <= 8; ++v) EXPECT_TRUE(q.TryPush(Counted(v)));
+    EXPECT_EQ(q.DrainWhile([](const Counted& c) { return c.value() < 7; },
+                           [&got](Counted&& c) { got.push_back(c.value()); }, 10),
+              1u);
+    EXPECT_EQ(q.PushBatch(batch.begin() + 2, batch.end()), 1u);
+    EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 6}));
+    EXPECT_EQ(q.SizeApprox(), 3u);
+    // The queue goes out of scope still holding 7, 8 and 5.
+  }
+  EXPECT_GT(Counted::constructions(), 0);
+  EXPECT_EQ(Counted::constructions(), Counted::destructions());
+  EXPECT_TRUE(Counted::live().empty());
 }
 
 #if JETSIM_DEBUG_CHECKS
