@@ -47,8 +47,7 @@ struct HealthReport {
 /// per-link freshness matrix into a HealthReport and invokes `on_change`
 /// (from the monitor thread) whenever the report changes.
 ///
-/// This is the detection layer of the self-healing control plane: unlike
-/// HeartbeatFailureDetector (single observer, fires once per member), the
+/// This is the detection layer of the self-healing control plane: the
 /// mesh view distinguishes "process down" (stale to all peers) from "link
 /// down" (stale to some), which is what quorum decisions need. A member
 /// whose heartbeats return — e.g. after a partition heals — simply leaves

@@ -536,9 +536,9 @@ std::optional<std::vector<int32_t>> JetCluster::QuorumSubsetLocked(
     comp_set.erase(victim);
   }
   if (comp_set.empty()) return std::nullopt;
-  if (config_.supervisor.require_quorum && comp_set.size() * 2 <= total) {
-    return std::nullopt;
-  }
+  // Split-brain protection: a minority must not run (or promote backups)
+  // while the majority might be doing the same.
+  if (comp_set.size() * 2 <= total) return std::nullopt;
   return std::vector<int32_t>(comp_set.begin(), comp_set.end());
 }
 
@@ -566,7 +566,9 @@ bool JetCluster::AliveHealthyLocked() const {
 
 ClusterJob::ClusterJob(JetCluster* cluster, const core::Dag* dag,
                        core::JobConfig config, imdg::JobId job_id)
-    : cluster_(cluster), dag_(dag), config_(config), job_id_(job_id) {
+    : cluster_(cluster), dag_(dag), config_(config), job_id_(job_id),
+      snapshots_(&cluster->store_, job_id, config.snapshot_interval,
+                 config.snapshot_ack_timeout) {
   if (cluster_->config_.supervisor.enabled) {
     supervisor_ = std::make_unique<JobSupervisor>(static_cast<int64_t>(job_id_),
                                                   cluster_->config_.supervisor);
@@ -603,20 +605,7 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
   core::SnapshotControl* sc = nullptr;
   if (config_.guarantee != core::ProcessingGuarantee::kNone) {
     sc = &attempt->snapshot_control;
-    auto* store = &cluster_->store_;
-    imdg::JobId job_id = job_id_;
-    sc->write_entry = [store, job_id](int64_t snapshot_id, core::VertexId vertex,
-                                      int32_t writer_index, core::StateEntry&& entry) {
-      imdg::SnapshotStateEntry se;
-      se.vertex_id = vertex;
-      se.writer_index = writer_index;
-      se.key_hash = entry.key_hash;
-      se.key = std::move(entry.key);
-      se.value = std::move(entry.value);
-      Status s = store->WriteEntry(job_id, snapshot_id, se);
-      if (!s.ok()) JET_LOG(kError) << "snapshot write failed: " << s.ToString();
-      return s.ok();
-    };
+    sc->write_entry = core::StoreSnapshotWriter(&cluster_->store_, job_id_);
   }
 
   // One metrics registry + profiler per member, tagged with the member's
@@ -629,10 +618,7 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
     attempt->profilers.push_back(std::make_unique<obs::EventLoopProfiler>(
         attempt->registries.back().get(), clock));
   }
-  attempt->snapshots_gauge = attempt->registries[0]->GetGauge("job.snapshots_taken");
-  attempt->committed_gauge =
-      attempt->registries[0]->GetGauge("job.last_committed_snapshot");
-  attempt->aborted_counter = attempt->registries[0]->GetCounter("snapshot.aborted");
+  snapshots_.BindMetrics(attempt->registries[0].get());
 
   // Channels are tagged with physical member ids so testkit link faults
   // (partitions, drops, delay spikes) apply to this execution's traffic.
@@ -662,7 +648,6 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
       JET_RETURN_IF_ERROR(core::LoadSnapshotIntoPlan(plan.get(), &cluster_->store_,
                                                      job_id_, restore_snapshot));
     }
-    attempt->next_snapshot_id = restore_snapshot + 1;
   }
   // Uncommitted epochs of a previous attempt (or a watchdog-aborted one)
   // are garbage now; sweep them before the new attempt starts writing.
@@ -706,7 +691,21 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
 
   if (sc != nullptr) {
     Attempt* raw = attempt.get();
-    attempt->coordinator = std::thread([this, raw]() { CoordinatorLoop(raw); });
+    attempt->coordinator = std::thread([this, raw, restore_snapshot]() {
+      core::SnapshotParticipants participants;
+      for (const auto& plan : raw->plans) participants.Add(*plan);
+      for (const auto& node_tasklets : raw->net_tasklets) participants.Add(node_tasklets);
+      core::RunSnapshotLoop(
+          &snapshots_, std::max<int64_t>(restore_snapshot, 0) + 1, &raw->snapshot_control,
+          participants,
+          [raw]() {
+            return raw->coordinator_stop.load(std::memory_order_acquire) ||
+                   raw->AllComplete();
+          },
+          // Hand the incident to the control plane; the next epoch re-arms
+          // on schedule.
+          [this, raw]() { cluster_->NotifySnapshotTimeout(this, raw); });
+    });
   }
 
   attempt_count_.fetch_add(1, std::memory_order_acq_rel);
@@ -785,86 +784,6 @@ void ClusterJob::FailTerminally(Status error) {
   if (supervisor_ != nullptr) supervisor_->OnFailed();
 }
 
-void ClusterJob::CoordinatorLoop(Attempt* attempt) {
-  using std::chrono::nanoseconds;
-  const Nanos interval = config_.snapshot_interval;
-  const Nanos ack_timeout = config_.snapshot_ack_timeout;
-
-  // Commit is gated on every *participant* having persisted the epoch,
-  // tracked per tasklet rather than with a shared ack counter: after a
-  // watchdog abort, stragglers still acking the abandoned epoch must not
-  // count toward the next one.
-  std::vector<const core::ProcessorTasklet*> participants;
-  for (const auto& plan : attempt->plans) {
-    for (const auto& info : plan->tasklet_infos()) {
-      if (info.tasklet->ParticipatesInSnapshots()) {
-        participants.push_back(info.tasklet);
-      }
-    }
-  }
-  for (const auto& node_tasklets : attempt->net_tasklets) {
-    for (const auto& t : node_tasklets) {
-      if (t->ParticipatesInSnapshots()) participants.push_back(t.get());
-    }
-  }
-
-  while (!attempt->coordinator_stop.load(std::memory_order_acquire)) {
-    Nanos slept = 0;
-    while (slept < interval &&
-           !attempt->coordinator_stop.load(std::memory_order_acquire)) {
-      Nanos step = std::min<Nanos>(interval - slept, kNanosPerMilli);
-      std::this_thread::sleep_for(nanoseconds(step));
-      slept += step;
-    }
-    if (attempt->coordinator_stop.load(std::memory_order_acquire) ||
-        attempt->AllComplete()) {
-      break;
-    }
-    int64_t id = attempt->next_snapshot_id++;
-    attempt->snapshot_control.acks.store(0, std::memory_order_release);
-    attempt->snapshot_control.requested.store(id, std::memory_order_release);
-    auto all_completed = [&participants, id]() {
-      for (const core::ProcessorTasklet* t : participants) {
-        if (t->completed_snapshot_id() < id) return false;
-      }
-      return true;
-    };
-    const auto deadline = std::chrono::steady_clock::now() + nanoseconds(ack_timeout);
-    bool aborted = false;
-    while (!all_completed()) {
-      if (attempt->coordinator_stop.load(std::memory_order_acquire) ||
-          attempt->AllComplete()) {
-        return;  // attempt winding down mid-snapshot: leave uncommitted
-      }
-      if (ack_timeout > 0 && std::chrono::steady_clock::now() >= deadline) {
-        // Watchdog: a dead or cut-off participant will never persist this
-        // epoch. Abandon it, GC its partial state, and hand the incident
-        // to the control plane — the next epoch re-arms on schedule.
-        cluster_->store_.Abort(job_id_, id);
-        attempt->snapshot_control.aborted.store(id, std::memory_order_release);
-        snapshots_aborted_.fetch_add(1, std::memory_order_acq_rel);
-        attempt->aborted_counter.Add(1);
-        cluster_->NotifySnapshotTimeout(this, attempt);
-        aborted = true;
-        break;
-      }
-      std::this_thread::sleep_for(nanoseconds(100 * kNanosPerMicro));
-    }
-    if (aborted) continue;
-    Status s = cluster_->store_.Commit(job_id_, id);
-    if (!s.ok()) {
-      JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
-      continue;
-    }
-    attempt->snapshot_control.committed.store(id, std::memory_order_release);
-    last_committed_.store(id, std::memory_order_release);
-    int64_t taken = snapshots_taken_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    // The coordinator thread is the sole writer of the job gauges.
-    attempt->snapshots_gauge.Set(taken);
-    attempt->committed_gauge.Set(id);
-  }
-}
-
 std::vector<obs::MetricSnapshot> ClusterJob::MetricSnapshots() const {
   std::shared_ptr<Attempt> attempt;
   {
@@ -890,8 +809,8 @@ std::vector<obs::MetricSnapshot> ClusterJob::MetricSnapshots() const {
 core::JobMetrics ClusterJob::Metrics() const {
   core::JobMetrics m = core::JobMetricsFromSnapshot(MetricSnapshots());
   m.job_id = job_id_;
-  m.snapshots_taken = snapshots_taken_.load(std::memory_order_acquire);
-  m.last_committed_snapshot = last_committed_.load(std::memory_order_acquire);
+  m.snapshots_taken = snapshots_.taken();
+  m.last_committed_snapshot = snapshots_.last_committed();
   m.attempt = attempt_count_.load(std::memory_order_acquire);
   return m;
 }

@@ -203,9 +203,7 @@ class ClusterJob {
   void Cancel();
 
   /// Id of the last committed snapshot (0 = none).
-  int64_t last_committed_snapshot() const {
-    return last_committed_.load(std::memory_order_acquire);
-  }
+  int64_t last_committed_snapshot() const { return snapshots_.last_committed(); }
 
   /// Number of attempts started (1 = no recoveries).
   int32_t attempts_started() const { return attempt_count_.load(std::memory_order_acquire); }
@@ -223,10 +221,8 @@ class ClusterJob {
   /// Supervisor state machine, or nullptr for unsupervised jobs.
   JobSupervisor* supervisor() const { return supervisor_.get(); }
 
-  /// Snapshots abandoned by the coordinator's watchdog, across attempts.
-  int64_t snapshots_aborted() const {
-    return snapshots_aborted_.load(std::memory_order_acquire);
-  }
+  /// Snapshots aborted (watchdog or failed commit), across attempts.
+  int64_t snapshots_aborted() const { return snapshots_.aborted(); }
 
   /// Partitions currently claimed by this job's processors (current
   /// attempt; 0 between attempts). Safe from any thread.
@@ -257,9 +253,6 @@ class ClusterJob {
     std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
     std::vector<std::unique_ptr<obs::EventLoopProfiler>> profilers;
     std::vector<std::unique_ptr<obs::MetricsCollectorTasklet>> collectors;
-    obs::Gauge snapshots_gauge;  // written by the coordinator thread only
-    obs::Gauge committed_gauge;
-    obs::Counter aborted_counter;  // snapshot.aborted, coordinator only
     std::unique_ptr<net::ExchangeRegistry> registry;
     std::vector<std::unique_ptr<net::NetworkEdgeFactory>> factories;
     std::vector<std::unique_ptr<core::ExecutionPlan>> plans;
@@ -267,7 +260,6 @@ class ClusterJob {
     std::vector<std::unique_ptr<core::ExecutionService>> services;
     std::thread coordinator;
     std::atomic<bool> coordinator_stop{false};
-    int64_t next_snapshot_id = 1;
 
     bool AllComplete() const;
     void StopAll();
@@ -308,12 +300,13 @@ class ClusterJob {
   // Join(). Caller holds cluster mutex.
   void FailTerminally(Status error);
 
-  void CoordinatorLoop(Attempt* attempt);
-
   JetCluster* cluster_;
   const core::Dag* dag_;
   core::JobConfig config_;
   imdg::JobId job_id_;
+  // Epoch policy across attempts; driven by the current attempt's
+  // coordinator thread only.
+  core::SnapshotCoordinator snapshots_;
 
   // mutable: MetricSnapshots() is logically const but must lock to read
   // attempt_ (previously expressed with a const_cast).
@@ -322,8 +315,6 @@ class ClusterJob {
   std::shared_ptr<Attempt> attempt_ JET_GUARDED_BY(job_mutex_);
   // Last stopped attempt, kept for post-run Metrics().
   std::shared_ptr<Attempt> completed_attempt_ JET_GUARDED_BY(job_mutex_);
-  std::atomic<int64_t> last_committed_{0};
-  std::atomic<int64_t> snapshots_taken_{0};
   std::atomic<int32_t> attempt_count_{0};
   std::atomic<bool> job_cancelled_{false};
   std::atomic<bool> failed_{false};
@@ -331,7 +322,6 @@ class ClusterJob {
   // tears the attempt down right after — the control loop would otherwise
   // race a ~1ms window to observe AllComplete on the live attempt.
   std::atomic<bool> completed_naturally_{false};
-  std::atomic<int64_t> snapshots_aborted_{0};
   // Ownership transfers folded in from stopped attempts (the live
   // attempt's registry is added on read).
   std::atomic<int64_t> ownership_transfers_base_{0};

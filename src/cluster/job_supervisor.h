@@ -81,12 +81,6 @@ struct SupervisorOptions {
   /// Default JobConfig::snapshot_ack_timeout applied to supervised jobs
   /// that did not set one.
   Nanos snapshot_ack_timeout = 250 * kNanosPerMilli;
-
-  /// Operate only with a strict majority of the current membership
-  /// reachable; a minority partition suspends jobs instead of
-  /// double-processing (split-brain protection). When false, the largest
-  /// connected component keeps running.
-  bool require_quorum = true;
 };
 
 /// Per-job restart policy and state machine of the self-healing control

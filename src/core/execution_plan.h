@@ -81,16 +81,6 @@ class ExecutionPlan {
   /// Number of tasklets.
   int64_t tasklet_count() const { return static_cast<int64_t>(tasklets_.size()); }
 
-  /// Number of tasklets that acknowledge snapshot barriers (the snapshot
-  /// coordinator waits for this many acks per node).
-  int64_t snapshot_participant_count() const {
-    int64_t n = 0;
-    for (const auto& t : tasklets_) {
-      if (t->ParticipatesInSnapshots()) ++n;
-    }
-    return n;
-  }
-
  private:
   ExecutionPlan() = default;
 

@@ -6,35 +6,47 @@
 
 namespace jet::core {
 
-Status LoadSnapshotIntoPlan(ExecutionPlan* plan, imdg::SnapshotStore* store,
-                            imdg::JobId job, int64_t snapshot_id) {
-  // Group tasklets by vertex so each vertex's snapshot data is scanned once.
-  std::unordered_map<VertexId, std::vector<const TaskletInfo*>> by_vertex;
-  for (const TaskletInfo& info : plan->tasklet_infos()) {
-    by_vertex[info.vertex].push_back(&info);
-  }
-  for (auto& [vertex, infos] : by_vertex) {
-    int32_t total = infos.front()->total_parallelism;
-    std::vector<std::vector<StateEntry>> per_instance(static_cast<size_t>(total));
-    for (int32_t p = 0; p < imdg::kDefaultPartitionCount; ++p) {
-      Status s = store->ReadEntries(
-          job, snapshot_id, vertex, p,
-          [&per_instance, total](imdg::SnapshotStateEntry e) {
-            auto owner = static_cast<size_t>(e.key_hash % static_cast<uint64_t>(total));
-            StateEntry entry;
-            entry.key_hash = e.key_hash;
-            entry.key = std::move(e.key);
-            entry.value = std::move(e.value);
-            per_instance[owner].push_back(std::move(entry));
-          });
-      JET_RETURN_IF_ERROR(s);
+void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
+                     SnapshotControl* control, const SnapshotParticipants& participants,
+                     const std::function<bool()>& stop,
+                     const std::function<void()>& on_watchdog_abort) {
+  using std::chrono::nanoseconds;
+  const Clock& clock = WallClock::Global();
+  coordinator->StartAttempt(first_id, clock.Now());
+  while (!stop()) {
+    const Nanos now = clock.Now();
+    const int64_t id = coordinator->in_flight();
+    if (id == 0) {
+      const int64_t begun = coordinator->MaybeBegin(now);
+      if (begun != 0) {
+        control->requested.store(begun, std::memory_order_release);
+      } else {
+        // Sleep toward the next epoch in small steps so a stop is prompt.
+        std::this_thread::sleep_for(
+            nanoseconds(std::min<Nanos>(coordinator->next_begin() - now, kNanosPerMilli)));
+      }
+      continue;
     }
-    for (const TaskletInfo* info : infos) {
-      info->tasklet->SetRestoreEntries(
-          std::move(per_instance[static_cast<size_t>(info->global_index)]));
+    if (participants.AllCompleted(id)) {
+      Status s = coordinator->Commit(now);
+      if (s.ok()) {
+        control->committed.store(id, std::memory_order_release);
+      } else {
+        JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
+        control->aborted.store(id, std::memory_order_release);
+      }
+      continue;
     }
+    if (coordinator->Overdue(now)) {
+      // Watchdog: a participant is stuck (or dead); drop the epoch and
+      // re-arm the next one instead of stalling this thread forever.
+      coordinator->Abort(now);
+      control->aborted.store(id, std::memory_order_release);
+      if (on_watchdog_abort) on_watchdog_abort();
+      continue;
+    }
+    std::this_thread::sleep_for(nanoseconds(100 * kNanosPerMicro));
   }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
@@ -53,28 +65,13 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
     if (threads <= 0) threads = 1;
   }
 
-  // Bind the snapshot writer to the store.
   if (params.snapshot_store != nullptr) {
-    auto* store = params.snapshot_store;
-    imdg::JobId job_id = params.job_id;
-    job->snapshot_control_.write_entry = [store, job_id](int64_t snapshot_id,
-                                                         VertexId vertex,
-                                                         int32_t writer_index,
-                                                         StateEntry&& entry) {
-      imdg::SnapshotStateEntry se;
-      se.vertex_id = vertex;
-      se.writer_index = writer_index;
-      se.key_hash = entry.key_hash;
-      se.key = std::move(entry.key);
-      se.value = std::move(entry.value);
-      Status s = store->WriteEntry(job_id, snapshot_id, se);
-      if (!s.ok()) {
-        JET_LOG(kError) << "snapshot write failed: " << s.ToString();
-        return false;
-      }
-      return true;
-    };
+    job->snapshot_control_.write_entry =
+        StoreSnapshotWriter(params.snapshot_store, params.job_id);
   }
+  job->snapshots_ = std::make_unique<SnapshotCoordinator>(
+      params.snapshot_store, params.job_id, params.config.snapshot_interval,
+      params.config.snapshot_ack_timeout);
 
   // Member-wide observability: one registry per (job, member), profiled
   // execution service, instruments tagged {job, member} by default.
@@ -84,9 +81,7 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
   job->registry_ = std::make_unique<obs::MetricsRegistry>(member_tags);
   job->profiler_ =
       std::make_unique<obs::EventLoopProfiler>(job->registry_.get(), job->params_.clock);
-  job->snapshots_gauge_ = job->registry_->GetGauge("job.snapshots_taken");
-  job->committed_gauge_ = job->registry_->GetGauge("job.last_committed_snapshot");
-  job->aborted_counter_ = job->registry_->GetCounter("snapshot.aborted");
+  job->snapshots_->BindMetrics(job->registry_.get());
 
   NodeInfo node;  // single-node
   auto plan = ExecutionPlan::Build(
@@ -105,17 +100,14 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
       std::make_unique<ExecutionService>(threads, job->profiler_.get(), service_options);
 
   if (params.restore_snapshot_id.has_value()) {
-    JET_RETURN_IF_ERROR(job->LoadRestoreEntries(*params.restore_snapshot_id));
-    job->next_snapshot_id_ = *params.restore_snapshot_id + 1;
+    if (params.snapshot_store == nullptr) {
+      return InvalidArgumentError("restore requires a snapshot store");
+    }
+    JET_RETURN_IF_ERROR(LoadSnapshotIntoPlan(job->plan_.get(), params.snapshot_store,
+                                             params.job_id, *params.restore_snapshot_id));
     params.snapshot_store->ClearInFlight(params.job_id);
   }
   return job;
-}
-
-Status Job::LoadRestoreEntries(int64_t snapshot_id) {
-  auto* store = params_.snapshot_store;
-  if (store == nullptr) return InvalidArgumentError("restore requires a snapshot store");
-  return LoadSnapshotIntoPlan(plan_.get(), store, params_.job_id, snapshot_id);
 }
 
 Status Job::Start() {
@@ -137,83 +129,27 @@ Status Job::Start() {
   }
   JET_RETURN_IF_ERROR(service_->Start(std::move(tasklets)));
   if (params_.config.guarantee != ProcessingGuarantee::kNone) {
-    coordinator_ = std::thread([this]() { SnapshotCoordinatorLoop(); });
+    coordinator_ = std::thread([this]() {
+      SnapshotParticipants participants;
+      participants.Add(*plan_);
+      RunSnapshotLoop(
+          snapshots_.get(), params_.restore_snapshot_id.value_or(0) + 1,
+          &snapshot_control_, participants,
+          [this]() {
+            return coordinator_stop_.load(std::memory_order_acquire) ||
+                   service_->IsComplete();
+          },
+          nullptr);
+    });
   }
   return Status::OK();
-}
-
-void Job::SnapshotCoordinatorLoop() {
-  using std::chrono::nanoseconds;
-  using std::chrono::steady_clock;
-  const Nanos interval = params_.config.snapshot_interval;
-  const Nanos ack_timeout = params_.config.snapshot_ack_timeout;
-  // Commit condition: every snapshot participant has completed the epoch.
-  // Polling per-tasklet completed ids (rather than a shared ack counter)
-  // keeps a straggler acking an aborted epoch from being miscounted toward
-  // the next one.
-  std::vector<const ProcessorTasklet*> participants;
-  for (const TaskletInfo& info : plan_->tasklet_infos()) {
-    if (info.tasklet->ParticipatesInSnapshots()) participants.push_back(info.tasklet);
-  }
-  while (!coordinator_stop_.load(std::memory_order_acquire)) {
-    // Sleep through the interval in small steps so cancellation is prompt.
-    Nanos slept = 0;
-    while (slept < interval && !coordinator_stop_.load(std::memory_order_acquire)) {
-      Nanos step = std::min<Nanos>(interval - slept, kNanosPerMilli);
-      std::this_thread::sleep_for(nanoseconds(step));
-      slept += step;
-    }
-    if (coordinator_stop_.load(std::memory_order_acquire) || service_->IsComplete()) {
-      break;
-    }
-    // Trigger snapshot N and wait for every participant to complete it.
-    int64_t id = next_snapshot_id_++;
-    snapshot_control_.acks.store(0, std::memory_order_release);
-    snapshot_control_.requested.store(id, std::memory_order_release);
-    const auto deadline = steady_clock::now() + nanoseconds(ack_timeout);
-    bool aborted = false;
-    auto all_completed = [&participants, id]() {
-      for (const ProcessorTasklet* t : participants) {
-        if (t->completed_snapshot_id() < id) return false;
-      }
-      return true;
-    };
-    while (!all_completed()) {
-      if (coordinator_stop_.load(std::memory_order_acquire) || service_->IsComplete()) {
-        return;  // winding down mid-snapshot: leave it uncommitted
-      }
-      if (ack_timeout > 0 && steady_clock::now() >= deadline) {
-        // Watchdog: a participant is stuck (or dead); drop the epoch and
-        // re-arm the next one instead of stalling this thread forever.
-        params_.snapshot_store->Abort(params_.job_id, id);
-        snapshot_control_.aborted.store(id, std::memory_order_release);
-        snapshots_aborted_.fetch_add(1, std::memory_order_acq_rel);
-        aborted_counter_.Add(1);
-        aborted = true;
-        break;
-      }
-      std::this_thread::sleep_for(nanoseconds(100 * kNanosPerMicro));
-    }
-    if (aborted) continue;
-    Status s = params_.snapshot_store->Commit(params_.job_id, id);
-    if (!s.ok()) {
-      JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
-      continue;
-    }
-    snapshot_control_.committed.store(id, std::memory_order_release);
-    last_committed_snapshot_.store(id, std::memory_order_release);
-    snapshots_taken_.fetch_add(1, std::memory_order_acq_rel);
-    // The coordinator thread is the sole writer of the job gauges.
-    snapshots_gauge_.Set(snapshots_taken_.load(std::memory_order_relaxed));
-    committed_gauge_.Set(id);
-  }
 }
 
 JobMetrics Job::Metrics() const {
   JobMetrics m = JobMetricsFromSnapshot(registry_->Snapshot());
   m.job_id = params_.job_id;
-  m.snapshots_taken = snapshots_taken_.load(std::memory_order_acquire);
-  m.last_committed_snapshot = last_committed_snapshot_.load(std::memory_order_acquire);
+  m.snapshots_taken = snapshots_->taken();
+  m.last_committed_snapshot = snapshots_->last_committed();
   return m;
 }
 

@@ -2,6 +2,7 @@
 #define JETSIM_CORE_JOB_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "core/execution_plan.h"
 #include "core/execution_service.h"
 #include "core/metrics.h"
+#include "core/snapshot_coordinator.h"
 #include "imdg/snapshot_store.h"
 #include "obs/collector_tasklet.h"
 #include "obs/event_loop_profiler.h"
@@ -18,13 +20,16 @@
 
 namespace jet::core {
 
-/// Loads the committed snapshot `snapshot_id` of `job` from `store` and
-/// distributes the state entries to the plan's tasklets: each entry goes to
-/// the instance owning its key (`key_hash % total_parallelism`). Call after
-/// ExecutionPlan::Build and before starting execution. Multi-node
-/// executions call this once per node's plan.
-Status LoadSnapshotIntoPlan(ExecutionPlan* plan, imdg::SnapshotStore* store,
-                            imdg::JobId job, int64_t snapshot_id);
+/// The snapshot loop of core::Job and cluster::ClusterJob: starts an
+/// attempt of `coordinator` numbered from `first_id` and drives it on the
+/// calling thread until `stop()` — 1 ms sleeps while idle, 100 µs polls
+/// while an epoch is in flight, which commits once every participant
+/// completed it. `on_watchdog_abort` (may be null) runs after a watchdog
+/// abort. An epoch still in flight at `stop()` stays uncommitted.
+void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
+                     SnapshotControl* control, const SnapshotParticipants& participants,
+                     const std::function<bool()>& stop,
+                     const std::function<void()>& on_watchdog_abort);
 
 /// Parameters for a single-node job execution.
 struct JobParams {
@@ -76,18 +81,14 @@ class Job {
   bool IsComplete() const { return service_ != nullptr && service_->IsComplete(); }
 
   /// Id of the last snapshot committed by the coordinator (0 = none).
-  int64_t last_committed_snapshot() const {
-    return last_committed_snapshot_.load(std::memory_order_acquire);
-  }
+  int64_t last_committed_snapshot() const { return snapshots_->last_committed(); }
 
   /// Number of snapshots committed during this execution.
-  int64_t snapshots_taken() const { return snapshots_taken_.load(std::memory_order_acquire); }
+  int64_t snapshots_taken() const { return snapshots_->taken(); }
 
-  /// Number of in-flight snapshots the watchdog abandoned (see
-  /// JobConfig::snapshot_ack_timeout).
-  int64_t snapshots_aborted() const {
-    return snapshots_aborted_.load(std::memory_order_acquire);
-  }
+  /// Number of in-flight snapshots aborted: abandoned by the watchdog (see
+  /// JobConfig::snapshot_ack_timeout) or failed to commit.
+  int64_t snapshots_aborted() const { return snapshots_->aborted(); }
 
   /// Tasklet metadata (tests).
   const std::vector<TaskletInfo>& tasklet_infos() const { return plan_->tasklet_infos(); }
@@ -114,9 +115,6 @@ class Job {
  private:
   Job() = default;
 
-  Status LoadRestoreEntries(int64_t snapshot_id);
-  void SnapshotCoordinatorLoop();
-
   JobParams params_;
   SnapshotControl snapshot_control_;
   std::atomic<bool> cancelled_{false};
@@ -125,17 +123,11 @@ class Job {
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::EventLoopProfiler> profiler_;
   std::unique_ptr<obs::MetricsCollectorTasklet> collector_;
-  obs::Gauge snapshots_gauge_;   // written by the coordinator thread only
-  obs::Gauge committed_gauge_;
-  obs::Counter aborted_counter_;  // coordinator thread only
   std::unique_ptr<ExecutionPlan> plan_;
   std::unique_ptr<ExecutionService> service_;
   std::thread coordinator_;
   std::atomic<bool> coordinator_stop_{false};
-  std::atomic<int64_t> last_committed_snapshot_{0};
-  std::atomic<int64_t> snapshots_taken_{0};
-  std::atomic<int64_t> snapshots_aborted_{0};
-  int64_t next_snapshot_id_ = 1;
+  std::unique_ptr<SnapshotCoordinator> snapshots_;  // coordinator thread drives it
 };
 
 }  // namespace jet::core

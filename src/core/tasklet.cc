@@ -462,15 +462,12 @@ void ProcessorTasklet::DoSnapshotBarrier() {
   }
   if (!processor_->OnSnapshotCompleted(pending_snapshot_id_)) return;
   control_armed_ = false;
-  // jet-verify: allow(single-writer) — worker-written progress marker; the
-  // coordinator's read side orders via the snapshot-control mutex
-  completed_snapshot_id_.store(pending_snapshot_id_, std::memory_order_relaxed);
+  // Release: publishes the epoch's state writes to the commit gate's
+  // acquire load (SnapshotParticipants::AllCompleted).
+  completed_snapshot_id_.store(pending_snapshot_id_, std::memory_order_release);
   completed_snapshot_gauge_.Set(pending_snapshot_id_);
   pending_snapshot_id_ = -1;
   FinishSnapshot();
-  if (snapshot_control_ != nullptr) {
-    snapshot_control_->acks.fetch_add(1, std::memory_order_acq_rel);
-  }
   state_ = resume_state_after_snapshot_;
   MarkProgress();
 }

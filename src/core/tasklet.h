@@ -73,9 +73,8 @@ using SnapshotWriterFn = std::function<bool(int64_t snapshot_id, VertexId vertex
 /// coordinator and its tasklets.
 struct SnapshotControl {
   /// Snapshot id the coordinator wants taken (monotonic; 0 = none yet).
+  /// Completion is reported per tasklet (completed_snapshot_id()).
   std::atomic<int64_t> requested{0};
-  /// Number of tasklets that completed their part of `requested`.
-  std::atomic<int64_t> acks{0};
   /// Highest snapshot id the coordinator has committed to the store.
   /// Acknowledging sources and transactional sinks poll this to release
   /// their pending work (§4.5).
@@ -150,9 +149,11 @@ class ProcessorTasklet final : public Tasklet {
   /// True once the tasklet reached its terminal state. Safe from any thread.
   bool IsDone() const { return done_flag_.load(std::memory_order_acquire); }
 
-  /// Last snapshot id this tasklet completed.
+  /// Last snapshot id this tasklet completed. The acquire load pairs with
+  /// the worker's release store: a coordinator that sees id N also sees
+  /// every state entry the tasklet wrote for N.
   int64_t completed_snapshot_id() const {
-    return completed_snapshot_id_.load(std::memory_order_relaxed);
+    return completed_snapshot_id_.load(std::memory_order_acquire);
   }
 
   /// Whether this tasklet acknowledges snapshots: tasklets with inputs do
@@ -245,7 +246,7 @@ class ProcessorTasklet final : public Tasklet {
 
   // Snapshot machinery.
   int64_t pending_snapshot_id_ = -1;  // armed snapshot to take
-  std::atomic<int64_t> completed_snapshot_id_{0};  // polled by metrics
+  std::atomic<int64_t> completed_snapshot_id_{0};  // polled by the commit gate
   State resume_state_after_snapshot_ = State::kProcess;
 
   // Which input stream the inbox was filled from.

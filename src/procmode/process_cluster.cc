@@ -55,6 +55,9 @@ ProcessCluster::ProcessCluster(Options options)
     : options_(std::move(options)),
       grid_(/*backup_count=*/0),
       store_(&grid_),
+      write_entry_(core::StoreSnapshotWriter(&store_, options_.job_id)),
+      snapshots_(&store_, options_.job_id, options_.snapshot_interval,
+                 options_.snapshot_ack_timeout),
       registry_(TagsFor(options_.job_id)) {
   // The coordinator is the grid's only member: snapshot durability in
   // process mode means "reached the coordinator's store" — and, with
@@ -71,6 +74,8 @@ ProcessCluster::ProcessCluster(Options options)
   suspected_gauge_ = registry_.GetGauge("proc.suspected_members");
   live_members_gauge_ = registry_.GetGauge("proc.live_members");
   budget_gauge_.Set(options_.respawn.backoff.retry_budget);
+  jet::MutexLock lock(mu_);
+  snapshots_.BindMetrics(&registry_);
 }
 
 ProcessCluster::~ProcessCluster() { Shutdown(); }
@@ -146,8 +151,8 @@ Status ProcessCluster::Start() {
 Status ProcessCluster::SpawnMember(int32_t index) {
   const std::string control_path = options_.work_dir + "/control.sock";
   const std::string index_str = std::to_string(index);
-  const Nanos hb = options_.liveness.enabled ? options_.liveness.heartbeat_interval : 0;
-  const std::string hb_ms_str = std::to_string(hb / kNanosPerMilli);
+  const std::string hb_ms_str =
+      std::to_string(options_.liveness.heartbeat_interval / kNanosPerMilli);
   const pid_t pid = ::fork();
   if (pid < 0) return InternalError("fork failed");
   if (pid == 0) {
@@ -189,7 +194,7 @@ Status ProcessCluster::WaitForCommittedSnapshot(int64_t min_snapshot_id, Nanos t
   const Nanos deadline = Now() + timeout;
   jet::MutexLock lock(mu_);
   for (;;) {
-    if (last_committed_ >= min_snapshot_id) return Status::OK();
+    if (snapshots_.last_committed() >= min_snapshot_id) return Status::OK();
     if (phase_ == Phase::kFailed) return InternalError("cluster failed: " + failure_);
     if (phase_ == Phase::kDone) {
       return FailedPreconditionError("job finished before the snapshot committed");
@@ -342,7 +347,7 @@ int64_t ProcessCluster::attempts() const {
 
 int64_t ProcessCluster::last_committed_snapshot() const {
   jet::MutexLock lock(mu_);
-  return last_committed_;
+  return snapshots_.last_committed();
 }
 
 int32_t ProcessCluster::live_member_count() const {
@@ -510,11 +515,7 @@ void ProcessCluster::HandleEvent(Event e) {
       const int32_t index = MemberIndexOf(e.conn);
       if (index < 0) return;
       members_[static_cast<size_t>(index)].ready = true;
-      bool all = true;
-      for (const Member& m : members_) {
-        if (m.alive && m.node_id >= 0 && !m.ready) all = false;
-      }
-      if (!all) return;
+      if (!AllParticipants(&Member::ready)) return;
       // Every member's epoch-N exchange registry is installed before any
       // epoch-N frame can flow — the Ready/Go barrier.
       ProcMsg go;
@@ -522,7 +523,7 @@ void ProcessCluster::HandleEvent(Event e) {
       go.epoch = epoch_;
       Broadcast(go);
       phase_ = Phase::kRunning;
-      last_snapshot_done_ = Now();
+      snapshots_.StartAttempt(snapshots_.next_id(), Now());
       return;
     }
     case ProcMsgType::kSnapshotEntry: {
@@ -530,17 +531,11 @@ void ProcessCluster::HandleEvent(Event e) {
       // to an uncommitted snapshot that ClearInFlight sweeps after all
       // survivors reported stopped — and that sweep is ordered after every
       // straggler by the control sockets' FIFO ordering.
-      imdg::SnapshotStateEntry entry;
-      entry.vertex_id = msg.vertex_id;
-      entry.writer_index = msg.writer_index;
-      entry.key_hash = msg.key_hash;
-      entry.key = msg.key;
-      entry.value = msg.value;
-      Status s = store_.WriteEntry(options_.job_id, msg.snapshot_id, entry);
-      if (!s.ok()) JET_LOG(kError) << "snapshot entry write failed: " << s.ToString();
+      write_entry_(msg.snapshot_id, msg.vertex_id, msg.writer_index,
+                   {msg.key_hash, msg.key, msg.value});
       // Mirror in-flight entries to the replica member. FIFO on the replica's
       // control socket orders every entry before the seal that counts them.
-      if (msg.snapshot_id == in_flight_snapshot_ && replica_member_ >= 0 &&
+      if (msg.snapshot_id == snapshots_.in_flight() && replica_member_ >= 0 &&
           !replica_seal_sent_) {
         Member& r = members_[static_cast<size_t>(replica_member_)];
         if (r.alive && r.conn != nullptr) {
@@ -555,15 +550,11 @@ void ProcessCluster::HandleEvent(Event e) {
       return;
     }
     case ProcMsgType::kSnapshotAck: {
-      if (msg.epoch != epoch_ || msg.snapshot_id != in_flight_snapshot_) return;
+      if (msg.epoch != epoch_ || msg.snapshot_id != snapshots_.in_flight()) return;
       const int32_t index = MemberIndexOf(e.conn);
       if (index < 0) return;
       members_[static_cast<size_t>(index)].acked = true;
-      bool all = true;
-      for (const Member& m : members_) {
-        if (m.alive && m.node_id >= 0 && !m.acked) all = false;
-      }
-      if (!all) return;
+      if (!AllParticipants(&Member::acked)) return;
       // Every participant acked; the FIFO ordering guarantees all their
       // state entries already hit the store (proc_proto.h). With
       // replication on, commit additionally waits for the replica's ack.
@@ -573,7 +564,7 @@ void ProcessCluster::HandleEvent(Event e) {
           ProcMsg seal;
           seal.type = ProcMsgType::kSnapshotReplicaSeal;
           seal.epoch = epoch_;
-          seal.snapshot_id = in_flight_snapshot_;
+          seal.snapshot_id = snapshots_.in_flight();
           seal.entry_count = replica_entries_sent_;
           if (corrupt_next_seal_) {
             corrupt_next_seal_ = false;
@@ -587,38 +578,32 @@ void ProcessCluster::HandleEvent(Event e) {
         // recovery. Fall through only if it is somehow still counted live.
         replica_member_ = -1;
       }
-      CommitInFlight();
+      EndInFlightSnapshot(/*commit=*/true);
       return;
     }
-    case ProcMsgType::kSnapshotReplicaAck: {
-      if (msg.epoch != epoch_ || msg.snapshot_id != in_flight_snapshot_ ||
+    case ProcMsgType::kSnapshotReplicaAck:
+    case ProcMsgType::kSnapshotReplicaReject: {
+      if (msg.epoch != epoch_ || msg.snapshot_id != snapshots_.in_flight() ||
           !replica_seal_sent_) {
         return;
       }
       const int32_t index = MemberIndexOf(e.conn);
       if (index != replica_member_) return;
-      CommitInFlight();
-      return;
-    }
-    case ProcMsgType::kSnapshotReplicaReject: {
+      if (msg.type == ProcMsgType::kSnapshotReplicaAck) {
+        EndInFlightSnapshot(/*commit=*/true);
+        return;
+      }
       // Explicit negative ack: the replica's entry count disagreed with the
       // seal. Abort right now — without this message the only way to learn
       // of the hole is the ack-timeout watchdog, which burns seconds on a
       // condition the replica detected instantly.
-      if (msg.epoch != epoch_ || msg.snapshot_id != in_flight_snapshot_ ||
-          !replica_seal_sent_) {
-        return;
-      }
-      const int32_t index = MemberIndexOf(e.conn);
-      if (index != replica_member_) return;
       JET_LOG(kWarn) << "replica member " << index << " rejected snapshot "
                      << msg.snapshot_id << " (has " << msg.entry_count
                      << " entries, expected " << replica_entries_sent_
                      << "); aborting";
       ++replica_rejects_;
       replica_rejects_counter_.Add(1);
-      AbortInFlightSnapshot();
-      last_snapshot_done_ = Now();
+      EndInFlightSnapshot(/*commit=*/false);
       return;
     }
     case ProcMsgType::kSinkResult: {
@@ -639,11 +624,7 @@ void ProcessCluster::HandleEvent(Event e) {
       const int32_t index = MemberIndexOf(e.conn);
       if (index < 0) return;
       members_[static_cast<size_t>(index)].done = true;
-      bool all = true;
-      for (const Member& m : members_) {
-        if (m.alive && m.node_id >= 0 && !m.done) all = false;
-      }
-      if (all) {
+      if (AllParticipants(&Member::done)) {
         phase_ = Phase::kDone;
         cv_.NotifyAll();
       }
@@ -668,16 +649,11 @@ void ProcessCluster::TimerPass() {
   if (shutting_down_) return;
   const Nanos now = Now();
   ReapScan();
-  if (phase_ == Phase::kRunning && in_flight_snapshot_ == 0 &&
-      now - last_snapshot_done_ >= options_.snapshot_interval) {
-    in_flight_snapshot_ = next_snapshot_id_++;
-    snapshot_request_time_ = now;
+  const int64_t begun = phase_ == Phase::kRunning ? snapshots_.MaybeBegin(now) : 0;
+  if (begun != 0) {
     for (Member& m : members_) m.acked = false;
     // Pick the replica holder for this snapshot: rotate over the
     // participants so replica load (and chaos coverage) spreads out.
-    replica_member_ = -1;
-    replica_entries_sent_ = 0;
-    replica_seal_sent_ = false;
     if (options_.snapshot_replicas > 0) {
       std::vector<int32_t> participants;
       for (const Member& m : members_) {
@@ -687,20 +663,18 @@ void ProcessCluster::TimerPass() {
       }
       if (!participants.empty()) {
         replica_member_ = participants[static_cast<size_t>(
-            in_flight_snapshot_ % static_cast<int64_t>(participants.size()))];
+            begun % static_cast<int64_t>(participants.size()))];
       }
     }
     ProcMsg req;
     req.type = ProcMsgType::kSnapshotRequest;
     req.epoch = epoch_;
-    req.snapshot_id = in_flight_snapshot_;
+    req.snapshot_id = begun;
     Broadcast(req);
   }
-  if (in_flight_snapshot_ != 0 &&
-      now - snapshot_request_time_ > options_.snapshot_ack_timeout) {
-    JET_LOG(kWarn) << "snapshot " << in_flight_snapshot_ << " timed out; aborting";
-    AbortInFlightSnapshot();
-    last_snapshot_done_ = now;
+  if (snapshots_.Overdue(now)) {
+    JET_LOG(kWarn) << "snapshot " << snapshots_.in_flight() << " timed out; aborting";
+    EndInFlightSnapshot(/*commit=*/false);
   }
   LivenessPass(now);
   RespawnPass(now);
@@ -725,7 +699,6 @@ void ProcessCluster::ReapScan() {
 }
 
 void ProcessCluster::LivenessPass(Nanos now) {
-  if (!options_.liveness.enabled) return;
   int32_t suspected = 0;
   for (Member& m : members_) {
     if (!m.alive || !m.hello || m.liveness_killed) continue;
@@ -785,39 +758,24 @@ void ProcessCluster::RespawnPass(Nanos now) {
   }
 }
 
-void ProcessCluster::AbortInFlightSnapshot() {
-  if (in_flight_snapshot_ == 0) return;
-  store_.Abort(options_.job_id, in_flight_snapshot_);
-  ProcMsg aborted;
-  aborted.type = ProcMsgType::kSnapshotAborted;
-  aborted.epoch = epoch_;
-  aborted.snapshot_id = in_flight_snapshot_;
-  Broadcast(aborted);
-  in_flight_snapshot_ = 0;
-  replica_member_ = -1;
-  replica_entries_sent_ = 0;
-  replica_seal_sent_ = false;
-}
-
-void ProcessCluster::CommitInFlight() {
-  Status s = store_.Commit(options_.job_id, in_flight_snapshot_);
-  if (!s.ok()) {
-    JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
-    store_.Abort(options_.job_id, in_flight_snapshot_);
-  } else {
-    last_committed_ = in_flight_snapshot_;
+void ProcessCluster::EndInFlightSnapshot(bool commit) {
+  ProcMsg outcome;
+  outcome.type = ProcMsgType::kSnapshotAborted;
+  outcome.epoch = epoch_;
+  outcome.snapshot_id = snapshots_.in_flight();
+  if (outcome.snapshot_id == 0) return;
+  if (!commit) {
+    snapshots_.Abort(Now());
+  } else if (Status s = snapshots_.Commit(Now()); s.ok()) {
+    outcome.type = ProcMsgType::kSnapshotCommitted;
     last_replica_holder_ = replica_member_;
-    ProcMsg committed;
-    committed.type = ProcMsgType::kSnapshotCommitted;
-    committed.epoch = epoch_;
-    committed.snapshot_id = in_flight_snapshot_;
-    Broadcast(committed);
+  } else {
+    JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
   }
-  in_flight_snapshot_ = 0;
+  Broadcast(outcome);
   replica_member_ = -1;
   replica_entries_sent_ = 0;
   replica_seal_sent_ = false;
-  last_snapshot_done_ = Now();
   cv_.NotifyAll();
 }
 
@@ -919,7 +877,7 @@ void ProcessCluster::OnMemberDied(int32_t index) {
   // barrier drains everything the old attempt ever put on the wire. With
   // respawn enabled the restart additionally waits for every pending
   // rejoin, so the new attempt runs at full DOP.
-  AbortInFlightSnapshot();
+  EndInFlightSnapshot(/*commit=*/false);
   phase_ = Phase::kRecovering;
   for (Member& m : members_) m.stopped = false;
   ProcMsg stop;
@@ -929,10 +887,15 @@ void ProcessCluster::OnMemberDied(int32_t index) {
   if (survivors == 0) MaybeFinishRecovery();
 }
 
-void ProcessCluster::MaybeFinishRecovery() {
+bool ProcessCluster::AllParticipants(bool Member::*flag) const {
   for (const Member& m : members_) {
-    if (m.alive && m.node_id >= 0 && !m.stopped) return;
+    if (m.alive && m.node_id >= 0 && !(m.*flag)) return false;
   }
+  return true;
+}
+
+void ProcessCluster::MaybeFinishRecovery() {
+  if (!AllParticipants(&Member::stopped)) return;
   if (options_.respawn.enabled) {
     // Full-DOP restart: hold the recovery until every scheduled respawn
     // has forked *and* said Hello. Liveness guards the wait — a respawn
@@ -1029,10 +992,6 @@ void ProcessCluster::StartAttempt(std::optional<imdg::SnapshotId> restore_snapsh
       (void)m->conn->SendFrame(EncodeControlMessage(entry));
     }
   }
-  in_flight_snapshot_ = 0;
-  replica_member_ = -1;
-  replica_entries_sent_ = 0;
-  replica_seal_sent_ = false;
   phase_ = Phase::kStarting;
 }
 

@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "core/snapshot_coordinator.h"
 #include "imdg/grid.h"
 #include "imdg/snapshot_store.h"
 #include "net/socket_transport.h"
@@ -75,7 +76,6 @@ class ProcessCluster {
   /// Control-plane failure detection beyond EOF: heartbeats with a
   /// suspect -> down escalation, catching hung (SIGSTOP'd) members.
   struct LivenessOptions {
-    bool enabled = true;
     /// Cadence members heartbeat at (shipped to jet_member via argv).
     Nanos heartbeat_interval = 25 * kNanosPerMilli;
     /// Silence before a member is marked suspected (gauge only).
@@ -195,7 +195,7 @@ class ProcessCluster {
 
   /// Renders the coordinator's `proc.*` metrics (respawns, backoff,
   /// budget, suspected members, live members, heartbeats, replica
-  /// entries) in both exporter formats.
+  /// entries) and the shared snapshot metrics in both exporter formats.
   Diagnostics DiagnosticsDump() const;
 
  private:
@@ -256,14 +256,16 @@ class ProcessCluster {
   /// into an already-pending respawn's due time during a storm). Fails the
   /// cluster on budget exhaustion.
   void ScheduleRespawn(Member& m, Nanos now) JET_REQUIRES(mu_);
+  /// True when every live participant of the attempt has `flag` set.
+  bool AllParticipants(bool Member::*flag) const JET_REQUIRES(mu_);
   void MaybeFinishRecovery() JET_REQUIRES(mu_);
   /// Starts attempt `epoch_` on all live members, restoring from
   /// `restore_snapshot` when set.
   void StartAttempt(std::optional<imdg::SnapshotId> restore_snapshot) JET_REQUIRES(mu_);
-  void AbortInFlightSnapshot() JET_REQUIRES(mu_);
-  /// Commits the in-flight snapshot (all member acks + replica ack, when
-  /// replication is on) and broadcasts SnapshotCommitted.
-  void CommitInFlight() JET_REQUIRES(mu_);
+  /// Commits (all member acks + replica ack, when replication is on) or
+  /// aborts the in-flight snapshot, broadcasts the outcome and clears its
+  /// replication state. A failed commit aborts.
+  void EndInFlightSnapshot(bool commit) JET_REQUIRES(mu_);
   void Broadcast(const ProcMsg& msg) JET_REQUIRES(mu_);
   void Fail(const std::string& why) JET_REQUIRES(mu_);
   int32_t MemberIndexOf(const net::SocketConnection* conn) JET_REQUIRES(mu_);
@@ -278,6 +280,7 @@ class ProcessCluster {
 
   imdg::DataGrid grid_;
   imdg::SnapshotStore store_;
+  const core::SnapshotWriterFn write_entry_;  // members' entries into store_
 
   std::unique_ptr<net::SocketServer> control_server_;
   std::thread supervisor_;
@@ -293,13 +296,10 @@ class ProcessCluster {
   Phase phase_ JET_GUARDED_BY(mu_) = Phase::kInit;
   std::string failure_ JET_GUARDED_BY(mu_);
   int64_t epoch_ JET_GUARDED_BY(mu_) = 0;  // == attempts started
-  /// Monotonic across attempts — a snapshot id can never be ambiguous
-  /// between the attempt that started it and the one that restored it.
-  imdg::SnapshotId next_snapshot_id_ JET_GUARDED_BY(mu_) = 1;
-  imdg::SnapshotId in_flight_snapshot_ JET_GUARDED_BY(mu_) = 0;  // 0 = none
-  Nanos snapshot_request_time_ JET_GUARDED_BY(mu_) = 0;
-  Nanos last_snapshot_done_ JET_GUARDED_BY(mu_) = 0;
-  imdg::SnapshotId last_committed_ JET_GUARDED_BY(mu_) = 0;
+  /// Ids are monotonic across attempts — a snapshot id can never be
+  /// ambiguous between the attempt that started it and the one that
+  /// restored it.
+  core::SnapshotCoordinator snapshots_ JET_GUARDED_BY(mu_);
   /// Replication state of the in-flight snapshot.
   int32_t replica_member_ JET_GUARDED_BY(mu_) = -1;
   int64_t replica_entries_sent_ JET_GUARDED_BY(mu_) = 0;

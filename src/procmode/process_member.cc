@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -164,33 +163,23 @@ void ProcessMember::HandleControlFrame(Bytes frame) {
   // tasklets poll, and they must not wait behind a structural message the
   // Run() thread is busy with.
   switch (msg->type) {
-    case ProcMsgType::kSnapshotRequest: {
-      auto attempt = current_attempt();
-      if (attempt != nullptr && attempt->epoch == msg->epoch) {
-        attempt->snapshot_control.acks.store(0, std::memory_order_release);
-        attempt->snapshot_control.requested.store(msg->snapshot_id,
-                                                  std::memory_order_release);
-      }
-      return;
-    }
-    case ProcMsgType::kSnapshotCommitted: {
+    case ProcMsgType::kSnapshotRequest:
+    case ProcMsgType::kSnapshotCommitted:
+    case ProcMsgType::kSnapshotAborted: {
       // Replica promotion is attempt-agnostic: snapshot ids are monotonic
       // across attempts and the replica's copy outlives the attempt.
-      replica_store_.OnCommitted(msg->snapshot_id);
-      auto attempt = current_attempt();
-      if (attempt != nullptr && attempt->epoch == msg->epoch) {
-        attempt->snapshot_control.committed.store(msg->snapshot_id,
-                                                  std::memory_order_release);
+      if (msg->type == ProcMsgType::kSnapshotCommitted) {
+        replica_store_.OnCommitted(msg->snapshot_id);
+      } else if (msg->type == ProcMsgType::kSnapshotAborted) {
+        replica_store_.OnAborted(msg->snapshot_id);
       }
-      return;
-    }
-    case ProcMsgType::kSnapshotAborted: {
-      replica_store_.OnAborted(msg->snapshot_id);
       auto attempt = current_attempt();
-      if (attempt != nullptr && attempt->epoch == msg->epoch) {
-        attempt->snapshot_control.aborted.store(msg->snapshot_id,
-                                                std::memory_order_release);
-      }
+      if (attempt == nullptr || attempt->epoch != msg->epoch) return;
+      core::SnapshotControl& control = attempt->snapshot_control;
+      std::atomic<int64_t>* cell = &control.aborted;
+      if (msg->type == ProcMsgType::kSnapshotRequest) cell = &control.requested;
+      if (msg->type == ProcMsgType::kSnapshotCommitted) cell = &control.committed;
+      cell->store(msg->snapshot_id, std::memory_order_release);
       return;
     }
     case ProcMsgType::kSnapshotReplicaEntry: {
@@ -341,6 +330,9 @@ Status ProcessMember::HandleStartJob(ProcMsg msg) {
   JET_RETURN_IF_ERROR(plan.status());
   attempt->plan = std::move(plan.value());
   attempt->net_tasklets = attempt->factory->TakeTasklets();
+  if (attempt->restore_remaining > 0) {
+    attempt->restore = std::make_unique<core::RestoreRouter>(*attempt->plan);
+  }
 
   core::ExecutionService::Options service_options;
   attempt->service =
@@ -359,10 +351,11 @@ Status ProcessMember::HandleStartJob(ProcMsg msg) {
 
 Status ProcessMember::HandleRestoreEntry(ProcMsg msg) {
   auto attempt = current_attempt();
-  if (attempt == nullptr || attempt->epoch != msg.epoch || attempt->running) {
+  if (attempt == nullptr || attempt->epoch != msg.epoch || attempt->restore == nullptr) {
     return Status::OK();  // straggler of a superseded attempt
   }
-  attempt->restore_entries.push_back(std::move(msg));
+  attempt->restore->Route(msg.vertex_id, core::StateEntry{msg.key_hash, std::move(msg.key),
+                                                          std::move(msg.value)});
   if (--attempt->restore_remaining == 0) return FinishBringUp();
   return Status::OK();
 }
@@ -370,41 +363,14 @@ Status ProcessMember::HandleRestoreEntry(ProcMsg msg) {
 Status ProcessMember::FinishBringUp() {
   auto attempt = current_attempt();
   if (attempt == nullptr) return InternalError("no attempt to bring up");
-  ApplyRestoreEntries(attempt.get());
+  if (attempt->restore != nullptr) {
+    attempt->restore->Apply();
+    attempt->restore.reset();
+  }
   ProcMsg ready;
   ready.type = ProcMsgType::kReady;
   ready.epoch = attempt->epoch;
   return SendControl(ready);
-}
-
-void ProcessMember::ApplyRestoreEntries(Attempt* attempt) {
-  // Group instances by vertex, then route each entry to the instance
-  // owning its key — the same distribution LoadSnapshotIntoPlan applies
-  // when the store is local. Exchange tasklets hold no restorable state.
-  std::unordered_map<core::VertexId, std::vector<const core::TaskletInfo*>> by_vertex;
-  for (const core::TaskletInfo& info : attempt->plan->tasklet_infos()) {
-    by_vertex[info.vertex].push_back(&info);
-  }
-  std::unordered_map<const core::TaskletInfo*, std::vector<core::StateEntry>> routed;
-  for (ProcMsg& msg : attempt->restore_entries) {
-    auto it = by_vertex.find(msg.vertex_id);
-    if (it == by_vertex.end()) continue;  // vertex has no instance here
-    const auto total = static_cast<uint64_t>(it->second.front()->total_parallelism);
-    const auto owner = static_cast<int32_t>(msg.key_hash % total);
-    for (const core::TaskletInfo* info : it->second) {
-      if (info->global_index != owner) continue;
-      core::StateEntry entry;
-      entry.key_hash = msg.key_hash;
-      entry.key = std::move(msg.key);
-      entry.value = std::move(msg.value);
-      routed[info].push_back(std::move(entry));
-      break;
-    }
-  }
-  for (auto& [info, entries] : routed) {
-    info->tasklet->SetRestoreEntries(std::move(entries));
-  }
-  attempt->restore_entries.clear();
 }
 
 Status ProcessMember::HandleGo() {
@@ -418,38 +384,23 @@ Status ProcessMember::HandleGo() {
   JET_RETURN_IF_ERROR(attempt->service->Start(std::move(tasklets)));
 
   // Snapshot pump: acks a requested snapshot once every local participant
-  // has persisted it. The per-tasklet completed ids (not a shared counter)
-  // keep stragglers of a watchdog-aborted epoch from counting toward the
-  // next one — same rule as the in-process coordinator.
-  std::vector<const core::ProcessorTasklet*> participants;
-  for (const core::TaskletInfo& info : attempt->plan->tasklet_infos()) {
-    if (info.tasklet->ParticipatesInSnapshots()) participants.push_back(info.tasklet);
-  }
-  for (const auto& t : attempt->net_tasklets) {
-    if (t->ParticipatesInSnapshots()) participants.push_back(t.get());
-  }
+  // has persisted it — the in-process coordinator's commit gate.
+  core::SnapshotParticipants participants;
+  participants.Add(*attempt->plan);
+  participants.Add(attempt->net_tasklets);
   Attempt* raw = attempt.get();
   auto control = control_;
   attempt->snapshot_pump = std::thread([raw, control, participants]() {
     int64_t last_acked = 0;
     while (!raw->stopping.load(std::memory_order_acquire)) {
       const int64_t id = raw->snapshot_control.requested.load(std::memory_order_acquire);
-      if (id > last_acked) {
-        bool all_done = true;
-        for (const core::ProcessorTasklet* t : participants) {
-          if (t->completed_snapshot_id() < id) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) {
-          ProcMsg ack;
-          ack.type = ProcMsgType::kSnapshotAck;
-          ack.epoch = raw->epoch;
-          ack.snapshot_id = id;
-          (void)control->SendFrame(EncodeControlMessage(ack));
-          last_acked = id;
-        }
+      if (id > last_acked && participants.AllCompleted(id)) {
+        ProcMsg ack;
+        ack.type = ProcMsgType::kSnapshotAck;
+        ack.epoch = raw->epoch;
+        ack.snapshot_id = id;
+        (void)control->SendFrame(EncodeControlMessage(ack));
+        last_acked = id;
       }
       std::this_thread::sleep_for(microseconds(kPumpPollInterval / kNanosPerMicro));
     }

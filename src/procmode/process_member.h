@@ -16,6 +16,7 @@
 #include "core/dag.h"
 #include "core/execution_plan.h"
 #include "core/execution_service.h"
+#include "core/snapshot_coordinator.h"
 #include "core/tasklet.h"
 #include "net/exchange.h"
 #include "net/network.h"
@@ -102,7 +103,9 @@ class ProcessMember {
     std::atomic<bool> cancelled{false};
     std::atomic<bool> stopping{false};
     int64_t restore_remaining = 0;
-    std::vector<ProcMsg> restore_entries;
+    /// Routes the restore entries the coordinator ships (it owns the
+    /// store) as they arrive; null when the attempt restores nothing.
+    std::unique_ptr<core::RestoreRouter> restore;
     bool running = false;  // Go received, service started
     std::thread snapshot_pump;
     std::thread done_monitor;
@@ -123,11 +126,6 @@ class ProcessMember {
   Status FinishBringUp();  // restore applied -> Ready
   Status HandleGo();
   void TeardownAttempt();
-
-  /// Applies buffered restore entries to the plan: LoadSnapshotIntoPlan's
-  /// routing (key_hash % total_parallelism -> global_index), minus the
-  /// store read — the coordinator owns the store and shipped the entries.
-  void ApplyRestoreEntries(Attempt* attempt);
 
   // Data-plane: inbound frames from peer members.
   void DispatchDataFrame(Bytes frame);

@@ -1,0 +1,185 @@
+// ClusterHealthMonitor driven directly: heartbeat pumps over an in-process
+// network, link faults from the network's fault injection, and the folded
+// HealthReport read through Snapshot(). SupervisorTest covers detection
+// driving recovery end to end.
+
+#include <atomic>
+#include <chrono>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "cluster/health_monitor.h"
+#include "net/network.h"
+#include "testkit/wait.h"
+
+namespace jet::cluster {
+namespace {
+
+using testkit::HeldFalseFor;
+using testkit::WaitUntil;
+
+constexpr Nanos kWait = 5 * kNanosPerSecond;
+
+// Thresholds wide enough that a loaded host's scheduling hiccups do not
+// read as silence.
+ClusterHealthMonitor::Options TestOptions() {
+  ClusterHealthMonitor::Options options;
+  options.heartbeat_interval = 10 * kNanosPerMilli;
+  options.suspect_after = 150 * kNanosPerMilli;
+  options.suspicion_timeout = 400 * kNanosPerMilli;
+  return options;
+}
+
+std::vector<int32_t> Down(const ClusterHealthMonitor& monitor) {
+  return monitor.Snapshot().down;
+}
+
+TEST(HealthMonitorTest, HealthyMeshReportsNothing) {
+  net::Network network;
+  std::atomic<int> changes{0};
+  ClusterHealthMonitor monitor(&network, TestOptions(),
+                               [&changes](const HealthReport&) { changes.fetch_add(1); });
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+  EXPECT_TRUE(HeldFalseFor([&monitor]() { return monitor.Snapshot() != HealthReport{}; },
+                           300 * kNanosPerMilli));
+  monitor.Stop();
+  EXPECT_EQ(changes.load(), 0);
+  EXPECT_EQ(monitor.refutation_count(), 0);
+  network.Shutdown();
+}
+
+TEST(HealthMonitorTest, StoppedMemberGoesDownAndStaysDown) {
+  net::Network network;
+  ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+  monitor.StopHeartbeats(1);
+  const std::vector<int32_t> expected{1};
+  ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
+  // A dead process never refutes: nothing is latched, but nothing heals it.
+  EXPECT_TRUE(HeldFalseFor([&]() { return Down(monitor) != expected; },
+                           300 * kNanosPerMilli));
+  EXPECT_TRUE(monitor.Snapshot().broken_links.empty());
+  monitor.Stop();
+  network.Shutdown();
+}
+
+// Two-phase detection: a partitioned link makes both ends suspected; a
+// heartbeat that gets through after the heal, before the suspicion
+// timeout, withdraws the suspicion and counts as a refutation.
+TEST(HealthMonitorTest, LateHeartbeatRefutesSuspicion) {
+  net::Network network;
+  auto options = TestOptions();
+  options.suspect_after = 50 * kNanosPerMilli;
+  options.suspicion_timeout = 5 * kNanosPerSecond;  // far away: suspicion only
+  ClusterHealthMonitor monitor(&network, options, nullptr);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+
+  network.Partition(1, 0);
+  ASSERT_TRUE(WaitUntil(
+      [&monitor]() { return monitor.SuspectedMembers() == std::vector<int32_t>{0, 1}; },
+      kWait));
+  EXPECT_TRUE(monitor.Snapshot().down.empty());
+
+  network.Heal(1, 0);
+  ASSERT_TRUE(WaitUntil([&monitor]() { return monitor.refutation_count() >= 1; }, kWait));
+  ASSERT_TRUE(WaitUntil([&monitor]() { return monitor.SuspectedMembers().empty(); }, kWait));
+  EXPECT_EQ(monitor.Snapshot(), HealthReport{});
+  monitor.Stop();
+  network.Shutdown();
+}
+
+TEST(HealthMonitorTest, TwoSilencedMembersAreBothDown) {
+  net::Network network;
+  ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
+  for (int32_t m : {0, 1, 2, 3}) monitor.AddMember(m);
+  monitor.Start();
+  monitor.StopHeartbeats(1);
+  monitor.StopHeartbeats(2);
+  const std::vector<int32_t> expected{1, 2};
+  ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
+  EXPECT_TRUE(monitor.Snapshot().broken_links.empty());
+  monitor.Stop();
+  network.Shutdown();
+}
+
+// A partition between two members who both still hear a third is a link
+// fault, not a death: neither end is down, the pair is a broken link.
+TEST(HealthMonitorTest, TwoWayPartitionIsABrokenLinkNotADeath) {
+  net::Network network;
+  ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+  const int64_t dropped_before = network.dropped_count();
+  network.Partition(0, 1);
+  const std::vector<std::pair<int32_t, int32_t>> expected{{0, 1}};
+  ASSERT_TRUE(WaitUntil(
+      [&monitor, &expected]() { return monitor.Snapshot().broken_links == expected; },
+      kWait));
+  EXPECT_TRUE(monitor.Snapshot().down.empty());
+  EXPECT_GT(network.dropped_count(), dropped_before);  // heartbeats were eaten
+  monitor.Stop();
+  network.Shutdown();
+}
+
+// Rejoin: re-adding a member whose heartbeats stopped restarts its pump
+// with fresh links, and a second death is reported again.
+TEST(HealthMonitorTest, RejoinedMemberComesBackAndCanGoDownAgain) {
+  net::Network network;
+  ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+  const std::vector<int32_t> expected{1};
+  monitor.StopHeartbeats(1);
+  ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
+
+  monitor.AddMember(1);
+  ASSERT_TRUE(WaitUntil([&]() { return Down(monitor).empty(); }, kWait));
+  EXPECT_TRUE(HeldFalseFor([&]() { return !Down(monitor).empty(); }, 200 * kNanosPerMilli));
+
+  monitor.StopHeartbeats(1);
+  ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
+  monitor.Stop();
+  network.Shutdown();
+}
+
+// Snapshot() and the other accessors are polled from a thread other than
+// the monitor's while pumps stop and restart (run under the tsan preset).
+TEST(HealthMonitorTest, SnapshotCanBePolledFromAnotherThread) {
+  net::Network network;
+  ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  monitor.Start();
+
+  std::atomic<bool> saw_down{false};
+  std::atomic<bool> stop_polling{false};
+  std::thread poller([&]() {
+    while (!stop_polling.load(std::memory_order_acquire)) {
+      HealthReport report = monitor.Snapshot();
+      (void)monitor.SuspectedMembers();
+      (void)monitor.refutation_count();
+      if (report.down == std::vector<int32_t>{2}) {
+        saw_down.store(true, std::memory_order_release);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  monitor.StopHeartbeats(2);
+  EXPECT_TRUE(
+      WaitUntil([&saw_down]() { return saw_down.load(std::memory_order_acquire); }, kWait));
+  monitor.AddMember(2);
+  EXPECT_TRUE(WaitUntil([&]() { return Down(monitor).empty(); }, kWait));
+  stop_polling.store(true, std::memory_order_release);
+  poller.join();
+  monitor.Stop();
+  network.Shutdown();
+}
+
+}  // namespace
+}  // namespace jet::cluster

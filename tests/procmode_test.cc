@@ -10,10 +10,13 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/exporters.h"
 #include "procmode/process_cluster.h"
 
 namespace jet::procmode {
@@ -86,6 +89,21 @@ TEST(ProcMode, SnapshotsCommitAcrossProcesses) {
     EXPECT_GE(cluster.last_committed_snapshot(), 2);
     EXPECT_TRUE(cluster.VerifyExactlyOnce().ok())
         << cluster.VerifyExactlyOnce().ToString();
+    // The coordinator exports the snapshot metrics under the names the
+    // in-process runtimes use.
+    std::vector<obs::PrometheusSample> samples;
+    ASSERT_TRUE(obs::ParsePrometheusText(cluster.DiagnosticsDump().prometheus, &samples));
+    std::map<std::string, double> values;
+    for (const auto& sample : samples) values[sample.name] = sample.value;
+    ASSERT_EQ(values.count("jet_job_snapshots_taken"), 1u);
+    ASSERT_EQ(values.count("jet_job_last_committed_snapshot"), 1u);
+    ASSERT_EQ(values.count("jet_snapshot_aborted"), 1u);
+    EXPECT_GE(values["jet_job_snapshots_taken"], 2);
+    EXPECT_EQ(values["jet_job_last_committed_snapshot"],
+              static_cast<double>(cluster.last_committed_snapshot()));
+    EXPECT_EQ(values["jet_snapshot_aborted"], 0);
+    EXPECT_NE(cluster.DiagnosticsDump().json.find("\"job.snapshots_taken\""),
+              std::string::npos);
     cluster.Shutdown();
   }
   RemoveWorkDir(options.work_dir);
