@@ -11,7 +11,8 @@
 //
 // Exits non-zero unless the verification passed — CI runs this as the
 // process-mode smoke and greps the printed diagnostics dump for the
-// proc.* self-healing gauges. Pass --no-kill for the happy path only.
+// proc.* and job.* self-healing gauges. Pass --no-kill for the happy path
+// only.
 //
 // The jet_member binary path is baked in at compile time
 // (JETSIM_MEMBER_BIN) so the demo runs from any build directory.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 
 namespace jet::cluster {
 
@@ -25,8 +26,86 @@ std::string HealthReport::ToString() const {
   return s + "]";
 }
 
+std::optional<std::vector<int32_t>> QuorumSubset(const std::vector<int32_t>& members,
+                                                 const HealthReport& report) {
+  std::set<int32_t> up(members.begin(), members.end());
+  for (int32_t m : report.down) up.erase(m);
+  std::vector<std::pair<int32_t, int32_t>> broken;
+  for (const auto& [a, b] : report.broken_links) {
+    if (up.count(a) != 0 && up.count(b) != 0) broken.emplace_back(a, b);
+  }
+  auto linked = [&broken](int32_t a, int32_t b) {
+    for (const auto& [x, y] : broken) {
+      if ((x == a && y == b) || (x == b && y == a)) return false;
+    }
+    return true;
+  };
+  // Largest connected component over healthy links.
+  std::set<int32_t> unvisited = up;
+  std::vector<int32_t> best;
+  while (!unvisited.empty()) {
+    std::vector<int32_t> comp{*unvisited.begin()};
+    unvisited.erase(unvisited.begin());
+    for (size_t i = 0; i < comp.size(); ++i) {
+      for (auto it = unvisited.begin(); it != unvisited.end();) {
+        if (linked(comp[i], *it)) {
+          comp.push_back(*it);
+          it = unvisited.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    if (comp.size() > best.size()) best = comp;
+  }
+  // The component may still contain broken pairs (a and b both hear c but
+  // not each other); no barrier can cross such a pair, so greedily drop the
+  // endpoint with the most broken links (tie: higher id) until clean.
+  std::set<int32_t> comp_set(best.begin(), best.end());
+  while (true) {
+    std::map<int32_t, int32_t> degree;
+    for (const auto& [a, b] : broken) {
+      if (comp_set.count(a) != 0 && comp_set.count(b) != 0) {
+        ++degree[a];
+        ++degree[b];
+      }
+    }
+    if (degree.empty()) break;
+    int32_t victim = degree.begin()->first;
+    int32_t worst = 0;
+    for (const auto& [m, d] : degree) {
+      if (d > worst || (d == worst && m > victim)) {
+        victim = m;
+        worst = d;
+      }
+    }
+    comp_set.erase(victim);
+  }
+  if (comp_set.empty()) return std::nullopt;
+  // Split-brain protection: a minority must not run (or promote backups)
+  // while the majority might be doing the same.
+  if (comp_set.size() * 2 <= members.size()) return std::nullopt;
+  return std::vector<int32_t>(comp_set.begin(), comp_set.end());
+}
+
+bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report) {
+  std::set<int32_t> in(members.begin(), members.end());
+  // A suspected member blocks too: it is either about to be refuted (wait a
+  // beat) or about to be declared down (restarting onto it would resurrect
+  // a crashed member's workers for a doomed attempt).
+  for (const auto* set : {&report.down, &report.suspected}) {
+    for (int32_t m : *set) {
+      if (in.count(m) != 0) return false;
+    }
+  }
+  for (const auto& [a, b] : report.broken_links) {
+    if (in.count(a) != 0 && in.count(b) != 0) return false;
+  }
+  return true;
+}
+
 ClusterHealthMonitor::ClusterHealthMonitor(
-    net::Network* network, Options options,
+    net::Network* network, core::LivenessOptions options,
     std::function<void(const HealthReport&)> on_change)
     : network_(network), options_(options), on_change_(std::move(on_change)) {}
 
@@ -128,32 +207,32 @@ HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
   HealthReport r;
   std::vector<int32_t> ids;
   for (const auto& [id, state] : members_) ids.push_back(id);
-  auto age = [this, now](int32_t from, int32_t to) -> Nanos {
+  auto judge = [this, now](int32_t from, int32_t to) {
     auto it = links_.find({from, to});
-    if (it == links_.end()) return 0;
-    return now - it->second.last_rx->load(std::memory_order_acquire);
+    if (it == links_.end()) return core::Liveness::kFresh;
+    return core::JudgeHeartbeat(now - it->second.last_rx->load(std::memory_order_acquire),
+                                options_);
   };
   std::set<int32_t> down;
   for (int32_t m : ids) {
     bool has_peer = false;
-    bool any_fresh = false;
+    bool any_alive = false;
     for (int32_t o : ids) {
       if (o == m) continue;
       has_peer = true;
-      if (age(m, o) <= options_.suspicion_timeout) {
-        any_fresh = true;
+      if (judge(m, o) != core::Liveness::kDead) {
+        any_alive = true;
         break;
       }
     }
-    if (has_peer && !any_fresh) down.insert(m);
+    if (has_peer && !any_alive) down.insert(m);
   }
   r.down.assign(down.begin(), down.end());
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t j = i + 1; j < ids.size(); ++j) {
       int32_t a = ids[i], b = ids[j];
       if (down.count(a) != 0 || down.count(b) != 0) continue;
-      if (age(a, b) > options_.suspicion_timeout ||
-          age(b, a) > options_.suspicion_timeout) {
+      if (judge(a, b) == core::Liveness::kDead || judge(b, a) == core::Liveness::kDead) {
         r.broken_links.emplace_back(a, b);
       }
     }
@@ -161,9 +240,7 @@ HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
   for (int32_t m : ids) {
     if (down.count(m) != 0) continue;
     for (int32_t o : ids) {
-      if (o == m) continue;
-      Nanos a = age(m, o);
-      if (a > options_.suspect_after && a <= options_.suspicion_timeout) {
+      if (o != m && judge(m, o) == core::Liveness::kSuspect) {
         r.suspected.push_back(m);
         break;
       }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "common/clock.h"
 #include "common/thread_annotations.h"
+#include "core/restart_policy.h"
 #include "net/network.h"
 
 namespace jet::cluster {
@@ -22,12 +24,11 @@ struct HealthReport {
   /// Members whose heartbeats are stale to *every* peer: either the process
   /// died or the member is cut off from the whole cluster.
   std::vector<int32_t> down;
-  /// Members with a heartbeat stale to some peer (past suspect_after) but
-  /// not yet past the suspicion timeout anywhere. A fresh heartbeat refutes
-  /// the suspicion.
+  /// Members with a heartbeat suspect to some peer (core::JudgeHeartbeat)
+  /// and not down. A fresh heartbeat refutes the suspicion.
   std::vector<int32_t> suspected;
   /// Unordered pairs (a < b) of non-down members that cannot hear each
-  /// other (heartbeats past the suspicion timeout in either direction):
+  /// other (heartbeats dead in either direction):
   /// the signature of a link partition rather than a process death.
   std::vector<std::pair<int32_t, int32_t>> broken_links;
 
@@ -39,6 +40,18 @@ struct HealthReport {
 
   std::string ToString() const;
 };
+
+/// The quorum rule over `members` (the current membership): the largest
+/// connected component of up members over unbroken links, with
+/// broken-link endpoints greedily dropped (most broken links first, ties
+/// to the higher id) until no broken pair is left; it is a quorum only as
+/// a strict majority of `members`. nullopt = no quorum.
+std::optional<std::vector<int32_t>> QuorumSubset(const std::vector<int32_t>& members,
+                                                 const HealthReport& report);
+
+/// The restart gate: no member of `members` is down or suspected, and no
+/// link between two of them is broken.
+bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report);
 
 /// Full-mesh heartbeat health monitor: every registered member runs a pump
 /// thread that periodically heartbeats every *other* member over a channel
@@ -54,17 +67,10 @@ struct HealthReport {
 /// the `down` set; nothing is latched.
 class ClusterHealthMonitor {
  public:
-  struct Options {
-    Nanos heartbeat_interval = 15 * kNanosPerMilli;
-    /// Heartbeat age after which a link observation is *suspect*.
-    Nanos suspect_after = 45 * kNanosPerMilli;
-    /// Heartbeat age after which a link observation is *dead*.
-    Nanos suspicion_timeout = 120 * kNanosPerMilli;
-  };
-
-  /// `on_change(report)` runs on the monitor thread whenever the folded
-  /// report changes; it must not destroy the monitor. May be null.
-  ClusterHealthMonitor(net::Network* network, Options options,
+  /// Each link's heartbeat age is judged by core::JudgeHeartbeat against
+  /// `options`. `on_change(report)` runs on the monitor thread whenever the
+  /// folded report changes; it must not destroy the monitor. May be null.
+  ClusterHealthMonitor(net::Network* network, core::LivenessOptions options,
                        std::function<void(const HealthReport&)> on_change);
   ~ClusterHealthMonitor();
 
@@ -121,7 +127,7 @@ class ClusterHealthMonitor {
   HealthReport Evaluate(Nanos now) const JET_REQUIRES(mutex_);
 
   net::Network* network_;
-  Options options_;
+  core::LivenessOptions options_;
   std::function<void(const HealthReport&)> on_change_;
   WallClock clock_;
 

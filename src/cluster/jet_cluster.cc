@@ -4,11 +4,20 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
-#include <map>
 
 #include "common/logging.h"
 
 namespace jet::cluster {
+
+namespace {
+
+obs::MetricTags JobTags(imdg::JobId job_id) {
+  obs::MetricTags tags;
+  tags.job = static_cast<int64_t>(job_id);
+  return tags;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // JetCluster
@@ -26,12 +35,8 @@ JetCluster::JetCluster(ClusterConfig config)
     alive_nodes_.push_back(id);
   }
   if (config_.supervisor.enabled) {
-    ClusterHealthMonitor::Options mopts;
-    mopts.heartbeat_interval = config_.supervisor.heartbeat_interval;
-    mopts.suspect_after = config_.supervisor.suspect_after;
-    mopts.suspicion_timeout = config_.supervisor.suspicion_timeout;
     monitor_ = std::make_unique<ClusterHealthMonitor>(
-        &network_, mopts, [this](const HealthReport& report) {
+        &network_, config_.supervisor.liveness, [this](const HealthReport& report) {
           jet::MutexLock lock(control_mutex_);
           ControlEvent e;
           e.report = report;
@@ -92,15 +97,7 @@ Status JetCluster::KillNode(int32_t node_id) {
 
   // Fail-stop the member's workers immediately (its in-memory replicas and
   // execution state are gone).
-  for (auto& job : jobs_) {
-    jet::MutexLock job_lock(job->job_mutex_);
-    if (job->attempt_ == nullptr) continue;
-    auto& nodes = job->attempt_->nodes;
-    auto idx = std::find(nodes.begin(), nodes.end(), node_id);
-    if (idx != nodes.end()) {
-      job->attempt_->services[static_cast<size_t>(idx - nodes.begin())]->Cancel();
-    }
-  }
+  ForEachService(node_id, [](core::ExecutionService* s) { s->Cancel(); });
   if (monitor_ != nullptr) monitor_->StopHeartbeats(node_id);
   // The failure detector needs time to declare the member dead before the
   // cluster reacts (heartbeat timeout).
@@ -131,15 +128,7 @@ Status JetCluster::CrashNode(int32_t node_id) {
   // Halt the member's workers and silence its heartbeats — and that is
   // all. Eviction, backup promotion and job restarts are the control
   // plane's problem, driven by heartbeat staleness like a real death.
-  for (auto& job : jobs_) {
-    jet::MutexLock job_lock(job->job_mutex_);
-    if (job->attempt_ == nullptr) continue;
-    auto& nodes = job->attempt_->nodes;
-    auto idx = std::find(nodes.begin(), nodes.end(), node_id);
-    if (idx != nodes.end()) {
-      job->attempt_->services[static_cast<size_t>(idx - nodes.begin())]->Cancel();
-    }
-  }
+  ForEachService(node_id, [](core::ExecutionService* s) { s->Cancel(); });
   monitor_->StopHeartbeats(node_id);
   return Status::OK();
 }
@@ -165,17 +154,22 @@ Status JetCluster::StallNode(int32_t node_id, Nanos duration) {
       alive_nodes_.end()) {
     return NotFoundError("node not alive");
   }
+  ForEachService(node_id,
+                 [duration](core::ExecutionService* s) { s->InjectStall(duration); });
+  return Status::OK();
+}
+
+void JetCluster::ForEachService(int32_t node_id,
+                                const std::function<void(core::ExecutionService*)>& fn) {
   for (auto& job : jobs_) {
     jet::MutexLock job_lock(job->job_mutex_);
     if (job->attempt_ == nullptr) continue;
-    auto& nodes = job->attempt_->nodes;
+    const auto& nodes = job->attempt_->nodes;
     auto idx = std::find(nodes.begin(), nodes.end(), node_id);
     if (idx != nodes.end()) {
-      job->attempt_->services[static_cast<size_t>(idx - nodes.begin())]->InjectStall(
-          duration);
+      fn(job->attempt_->services[static_cast<size_t>(idx - nodes.begin())].get());
     }
   }
-  return Status::OK();
 }
 
 Result<int32_t> JetCluster::AddNode() {
@@ -191,9 +185,7 @@ Result<int32_t> JetCluster::AddNode() {
     // healthy. The control thread's tick picks it up.
     Nanos now = clock_.Now();
     for (auto& job : jobs_) {
-      JobSupervisor* sup = job->supervisor();
-      if (sup == nullptr) continue;
-      if (job->StopForRecovery()) sup->ScheduleFreeRestart(now);
+      if (job->StopForRecovery()) job->supervisor()->OnFreeRestart(now);
     }
   } else {
     for (auto& job : jobs_) {
@@ -210,6 +202,13 @@ std::vector<int32_t> JetCluster::AliveNodes() const {
 
 JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
   std::vector<obs::MetricSnapshot> all;
+  auto add = [&all](const char* name, obs::MetricKind kind, int64_t value) {
+    obs::MetricSnapshot s;
+    s.id.name = name;
+    s.kind = kind;
+    s.value = value;
+    all.push_back(std::move(s));
+  };
   int64_t owned_partitions = 0;
   int64_t ownership_migrations = 0;
   {
@@ -221,32 +220,15 @@ JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
       owned_partitions += job->owned_partitions();
       ownership_migrations += job->ownership_transfers();
     }
-    obs::MetricSnapshot alive;
-    alive.id.name = "cluster.alive_members";
-    alive.kind = obs::MetricKind::kGauge;
-    alive.value = static_cast<int64_t>(alive_nodes_.size());
-    all.push_back(std::move(alive));
+    add("cluster.alive_members", obs::MetricKind::kGauge,
+        static_cast<int64_t>(alive_nodes_.size()));
     if (monitor_ != nullptr) {
-      obs::MetricSnapshot suspected;
-      suspected.id.name = "cluster.suspected_members";
-      suspected.kind = obs::MetricKind::kGauge;
-      suspected.value = static_cast<int64_t>(monitor_->SuspectedMembers().size());
-      all.push_back(std::move(suspected));
-      obs::MetricSnapshot quorum;
-      quorum.id.name = "cluster.has_quorum";
-      quorum.kind = obs::MetricKind::kGauge;
-      quorum.value = QuorumSubsetLocked(last_report_).has_value() ? 1 : 0;
-      all.push_back(std::move(quorum));
+      add("cluster.suspected_members", obs::MetricKind::kGauge,
+          static_cast<int64_t>(monitor_->SuspectedMembers().size()));
+      add("cluster.has_quorum", obs::MetricKind::kGauge,
+          QuorumSubset(alive_nodes_, last_report_).has_value() ? 1 : 0);
     }
   }
-
-  auto add = [&all](const char* name, obs::MetricKind kind, int64_t value) {
-    obs::MetricSnapshot s;
-    s.id.name = name;
-    s.kind = kind;
-    s.value = value;
-    all.push_back(std::move(s));
-  };
   imdg::GridStats gs = grid_.stats();
   add("imdg.partition_count", obs::MetricKind::kGauge, grid_.partition_count());
   add("imdg.puts", obs::MetricKind::kCounter, gs.puts);
@@ -363,7 +345,7 @@ void JetCluster::HandleHealthReport(const HealthReport& report) {
     readmitted = true;
   }
 
-  auto subset = QuorumSubsetLocked(report);
+  auto subset = QuorumSubset(alive_nodes_, report);
   // JETSIM_DEBUG_CONTROL=1 traces every membership decision on stderr —
   // the first thing to reach for when a chaos seed leaves a job parked.
   if (std::getenv("JETSIM_DEBUG_CONTROL") != nullptr) {
@@ -382,10 +364,9 @@ void JetCluster::HandleHealthReport(const HealthReport& report) {
     // mutation — a minority must not promote backups or keep processing
     // while the majority might be doing the same (split-brain protection).
     for (auto& job : jobs_) {
-      JobSupervisor* sup = job->supervisor();
-      if (sup == nullptr) continue;
-      if (job->StopForRecovery() || sup->state() == JobState::kRestarting) {
-        sup->OnSuspend();
+      core::RestartPolicy* policy = job->supervisor();
+      if (job->StopForRecovery() || policy->state() == core::JobState::kRestarting) {
+        policy->OnSuspend();
       }
     }
     return;
@@ -406,158 +387,69 @@ void JetCluster::HandleHealthReport(const HealthReport& report) {
   }
   if (!to_evict.empty()) {
     for (auto& job : jobs_) {
-      JobSupervisor* sup = job->supervisor();
-      if (sup == nullptr) continue;
-      if (!job->StopForRecovery()) continue;  // finished, cancelled, or parked
-      auto delay = sup->OnFailure(now);
-      if (!delay.has_value() && sup->state() == JobState::kFailed) {
-        job->FailTerminally(UnavailableError(
-            "retry budget exhausted recovering from member failure"));
-      }
+      // Finished, cancelled or parked jobs have nothing to restart.
+      if (job->StopForRecovery()) ChargeFailure(job.get(), now, "member failure");
     }
   }
 
   // Resume parked jobs now that quorum holds; fold rejoins in as free
   // restarts (no budget charge — nothing failed, the membership grew).
   for (auto& job : jobs_) {
-    JobSupervisor* sup = job->supervisor();
-    if (sup == nullptr) continue;
-    JobState s = sup->state();
-    if (s == JobState::kSuspended) {
-      sup->ScheduleFreeRestart(now);
+    core::RestartPolicy* policy = job->supervisor();
+    core::JobState s = policy->state();
+    if (s == core::JobState::kSuspended) {
+      policy->OnFreeRestart(now);
       if (std::getenv("JETSIM_DEBUG_CONTROL") != nullptr)
-        fprintf(stderr, "[ctl] resume job -> %s\n", JobStateName(sup->state()));
-    } else if (readmitted && s == JobState::kRunning) {
-      if (job->StopForRecovery()) sup->ScheduleFreeRestart(now);
+        fprintf(stderr, "[ctl] resume job -> %s\n", core::JobStateName(policy->state()));
+    } else if (readmitted && s == core::JobState::kRunning) {
+      if (job->StopForRecovery()) policy->OnFreeRestart(now);
     }
   }
 }
 
 void JetCluster::HandleSnapshotTimeout(ClusterJob* job, const void* attempt) {
-  JobSupervisor* sup = job->supervisor();
-  if (sup == nullptr) return;
   {
     jet::MutexLock job_lock(job->job_mutex_);
     if (job->attempt_.get() != attempt) return;  // stale: attempt replaced
   }
-  if (!job->StopForRecovery()) return;
-  auto delay = sup->OnFailure(clock_.Now());
-  if (!delay.has_value() && sup->state() == JobState::kFailed) {
-    job->FailTerminally(UnavailableError(
-        "retry budget exhausted recovering from snapshot watchdog timeouts"));
+  if (job->StopForRecovery()) ChargeFailure(job, clock_.Now(), "snapshot watchdog timeouts");
+}
+
+void JetCluster::ChargeFailure(ClusterJob* job, Nanos now, const char* what) {
+  core::RestartPolicy* policy = job->supervisor();
+  if (!policy->OnFailure(now).has_value() && policy->state() == core::JobState::kFailed) {
+    job->FailTerminally(
+        UnavailableError(std::string("retry budget exhausted recovering from ") + what));
   }
 }
 
 void JetCluster::ReconcileJobs(Nanos now) {
   for (auto& job : jobs_) {
-    JobSupervisor* sup = job->supervisor();
-    if (sup == nullptr) continue;
-    if (sup->state() == JobState::kRunning) {
+    core::RestartPolicy* policy = job->supervisor();
+    if (policy->state() == core::JobState::kRunning) {
       jet::MutexLock job_lock(job->job_mutex_);
       if (job->completed_naturally_.load(std::memory_order_acquire) ||
           (job->attempt_ != nullptr && job->attempt_->AllComplete() &&
            !job->attempt_->cancelled.load(std::memory_order_acquire))) {
-        sup->OnCompleted();
+        policy->OnCompleted();
       }
       continue;
     }
-    if (!sup->RestartDue(now)) continue;
     // Launch only into a healthy membership: restarting while a member is
-    // down or a link is broken would burn the budget on a doomed attempt
+    // down, suspected or cut off would burn the budget on a doomed attempt
     // (and the health event that reported it will reshape the membership
     // first anyway).
-    if (!AliveHealthyLocked()) continue;
+    if (!policy->RestartDue(now) || !AllHealthy(alive_nodes_, last_report_)) continue;
     Status st = job->RestartFromLastSnapshot();
     if (std::getenv("JETSIM_DEBUG_CONTROL") != nullptr)
       fprintf(stderr, "[ctl] restart launch: %s\n", st.ToString().c_str());
     if (st.ok()) {
-      sup->OnRestartStarted(now);
+      policy->OnRestartLaunched(now);
     } else {
       JET_LOG(kError) << "supervised restart failed: " << st.ToString();
       job->FailTerminally(st);
     }
   }
-}
-
-std::optional<std::vector<int32_t>> JetCluster::QuorumSubsetLocked(
-    const HealthReport& report) const {
-  const size_t total = alive_nodes_.size();
-  std::set<int32_t> up(alive_nodes_.begin(), alive_nodes_.end());
-  for (int32_t m : report.down) up.erase(m);
-  std::vector<std::pair<int32_t, int32_t>> broken;
-  for (const auto& [a, b] : report.broken_links) {
-    if (up.count(a) != 0 && up.count(b) != 0) broken.emplace_back(a, b);
-  }
-  auto linked = [&broken](int32_t a, int32_t b) {
-    for (const auto& [x, y] : broken) {
-      if ((x == a && y == b) || (x == b && y == a)) return false;
-    }
-    return true;
-  };
-  // Largest connected component over healthy links.
-  std::set<int32_t> unvisited = up;
-  std::vector<int32_t> best;
-  while (!unvisited.empty()) {
-    std::vector<int32_t> comp{*unvisited.begin()};
-    unvisited.erase(unvisited.begin());
-    for (size_t i = 0; i < comp.size(); ++i) {
-      for (auto it = unvisited.begin(); it != unvisited.end();) {
-        if (linked(comp[i], *it)) {
-          comp.push_back(*it);
-          it = unvisited.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (comp.size() > best.size()) best = comp;
-  }
-  // The component may still contain broken pairs (a and b both hear c but
-  // not each other); no barrier can cross such a pair, so greedily drop the
-  // endpoint with the most broken links (tie: higher id) until clean.
-  std::set<int32_t> comp_set(best.begin(), best.end());
-  while (true) {
-    std::map<int32_t, int32_t> degree;
-    for (const auto& [a, b] : broken) {
-      if (comp_set.count(a) != 0 && comp_set.count(b) != 0) {
-        ++degree[a];
-        ++degree[b];
-      }
-    }
-    if (degree.empty()) break;
-    int32_t victim = degree.begin()->first;
-    int32_t worst = 0;
-    for (const auto& [m, d] : degree) {
-      if (d > worst || (d == worst && m > victim)) {
-        victim = m;
-        worst = d;
-      }
-    }
-    comp_set.erase(victim);
-  }
-  if (comp_set.empty()) return std::nullopt;
-  // Split-brain protection: a minority must not run (or promote backups)
-  // while the majority might be doing the same.
-  if (comp_set.size() * 2 <= total) return std::nullopt;
-  return std::vector<int32_t>(comp_set.begin(), comp_set.end());
-}
-
-bool JetCluster::AliveHealthyLocked() const {
-  if (monitor_ == nullptr) return true;
-  std::set<int32_t> alive(alive_nodes_.begin(), alive_nodes_.end());
-  for (int32_t m : last_report_.down) {
-    if (alive.count(m) != 0) return false;
-  }
-  // A suspected member blocks restarts too: it is either about to be
-  // refuted (wait a beat) or about to be declared down (restarting onto it
-  // would resurrect a crashed member's workers for a doomed attempt).
-  for (int32_t m : last_report_.suspected) {
-    if (alive.count(m) != 0) return false;
-  }
-  for (const auto& [a, b] : last_report_.broken_links) {
-    if (alive.count(a) != 0 && alive.count(b) != 0) return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -568,10 +460,12 @@ ClusterJob::ClusterJob(JetCluster* cluster, const core::Dag* dag,
                        core::JobConfig config, imdg::JobId job_id)
     : cluster_(cluster), dag_(dag), config_(config), job_id_(job_id),
       snapshots_(&cluster->store_, job_id, config.snapshot_interval,
-                 config.snapshot_ack_timeout) {
+                 config.snapshot_ack_timeout),
+      supervisor_metrics_(JobTags(job_id)) {
   if (cluster_->config_.supervisor.enabled) {
-    supervisor_ = std::make_unique<JobSupervisor>(static_cast<int64_t>(job_id_),
-                                                  cluster_->config_.supervisor);
+    supervisor_ = std::make_unique<core::RestartPolicy>(
+        cluster_->config_.supervisor.restart, job_id_, cluster_->clock_.Now());
+    supervisor_->BindMetrics(&supervisor_metrics_);
   }
 }
 
@@ -798,11 +692,9 @@ std::vector<obs::MetricSnapshot> ClusterJob::MetricSnapshots() const {
                  std::make_move_iterator(snap.end()));
     }
   }
-  if (supervisor_ != nullptr) {
-    auto snap = supervisor_->MetricSnapshots();
-    out.insert(out.end(), std::make_move_iterator(snap.begin()),
-               std::make_move_iterator(snap.end()));
-  }
+  auto snap = supervisor_metrics_.Snapshot();
+  out.insert(out.end(), std::make_move_iterator(snap.begin()),
+             std::make_move_iterator(snap.end()));
   return out;
 }
 

@@ -3,20 +3,20 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "cluster/health_monitor.h"
 #include "common/thread_annotations.h"
-#include "cluster/job_supervisor.h"
 #include "core/dag.h"
 #include "core/execution_plan.h"
 #include "core/execution_service.h"
 #include "core/job.h"
 #include "core/metrics.h"
+#include "core/restart_policy.h"
 #include "imdg/grid.h"
 #include "imdg/snapshot_store.h"
 #include "net/exchange.h"
@@ -27,6 +27,19 @@
 #include "obs/metrics_registry.h"
 
 namespace jet::cluster {
+
+/// Knobs of the self-healing control plane. Disabled by default so scripted
+/// (test-driven) recovery keeps working unchanged.
+struct SupervisorOptions {
+  bool enabled = false;
+  /// ClusterHealthMonitor thresholds.
+  core::LivenessOptions liveness;
+  /// Per-job restart policy.
+  core::RestartOptions restart;
+  /// Default JobConfig::snapshot_ack_timeout applied to supervised jobs
+  /// that did not set one.
+  Nanos snapshot_ack_timeout = 250 * kNanosPerMilli;
+};
 
 /// Configuration of an in-process Jet cluster.
 struct ClusterConfig {
@@ -44,7 +57,7 @@ struct ClusterConfig {
   Nanos failure_detection_delay = 0;
   /// Self-healing control plane (§4.4's autonomous recovery): when
   /// enabled, a mesh heartbeat monitor detects member death and link
-  /// partitions, and per-job supervisors restart jobs from the last
+  /// partitions, and per-job restart policies restart jobs from the last
   /// committed snapshot with backoff + retry budget — no test-driven
   /// KillNode/RecoverAfterFault calls needed. See CrashNode.
   SupervisorOptions supervisor;
@@ -142,19 +155,21 @@ class JetCluster {
   void NotifySnapshotTimeout(ClusterJob* job, const void* attempt)
       JET_EXCLUDES(control_mutex_);
 
+  // Applies `fn` to `node_id`'s execution service in every job's current
+  // attempt.
+  void ForEachService(int32_t node_id,
+                      const std::function<void(core::ExecutionService*)>& fn)
+      JET_REQUIRES(mutex_);
+
   void ControlLoop() JET_EXCLUDES(mutex_, control_mutex_);
   void HandleHealthReport(const HealthReport& report) JET_REQUIRES(mutex_);
   void HandleSnapshotTimeout(ClusterJob* job, const void* attempt)
       JET_REQUIRES(mutex_);
   void ReconcileJobs(Nanos now) JET_REQUIRES(mutex_);
-  // Quorum rule: connected component of healthy links holding a strict
-  // majority of the current membership, with broken-link endpoints greedily
-  // dropped until the subset is clean. nullopt = no quorum.
-  std::optional<std::vector<int32_t>> QuorumSubsetLocked(
-      const HealthReport& report) const JET_REQUIRES(mutex_);
-  // True when the latest health report shows every alive member up and
-  // every alive-alive link healthy (the gate for launching a restart).
-  bool AliveHealthyLocked() const JET_REQUIRES(mutex_);
+  // Feeds a failure-class incident to the job's policy; fails the job when
+  // the retry budget is exhausted.
+  void ChargeFailure(ClusterJob* job, Nanos now, const char* what)
+      JET_REQUIRES(mutex_);
 
   ClusterConfig config_;
   imdg::DataGrid grid_;
@@ -214,12 +229,13 @@ class ClusterJob {
   core::JobMetrics Metrics() const;
 
   /// Concatenated registry snapshots of every member of the current (or
-  /// last completed) attempt, plus the supervisor's job-lifecycle metrics
-  /// when supervised. Safe from any thread.
+  /// last completed) attempt, plus the restart policy's job-lifecycle
+  /// metrics when supervised. Safe from any thread.
   std::vector<obs::MetricSnapshot> MetricSnapshots() const;
 
-  /// Supervisor state machine, or nullptr for unsupervised jobs.
-  JobSupervisor* supervisor() const { return supervisor_.get(); }
+  /// Restart policy; set exactly when the cluster is supervised, so the
+  /// control thread's handlers never see nullptr.
+  core::RestartPolicy* supervisor() const { return supervisor_.get(); }
 
   /// Snapshots aborted (watchdog or failed commit), across attempts.
   int64_t snapshots_aborted() const { return snapshots_.aborted(); }
@@ -325,7 +341,10 @@ class ClusterJob {
   // Ownership transfers folded in from stopped attempts (the live
   // attempt's registry is added on read).
   std::atomic<int64_t> ownership_transfers_base_{0};
-  std::unique_ptr<JobSupervisor> supervisor_;
+  // Supervised only. Driven by the control thread; its metrics live in
+  // their own registry so they survive attempt churn.
+  std::unique_ptr<core::RestartPolicy> supervisor_;
+  obs::MetricsRegistry supervisor_metrics_;
   Status first_error_;
 };
 

@@ -12,9 +12,9 @@ namespace jet {
 
 /// Knobs of a retry ladder: a bounded budget of retries, exponential
 /// backoff between them, and seeded jitter to spread simultaneous retries.
-/// Extracted from the PR 4 job supervisor so every self-healing layer
-/// (job restarts, member respawns, socket reconnects) shares one policy
-/// vocabulary and one deterministic jitter implementation.
+/// Shared by every self-healing layer (core::RestartPolicy's job restarts
+/// and member respawns, socket reconnects): one policy vocabulary and one
+/// deterministic jitter implementation.
 struct BackoffOptions {
   /// Retries allowed before the protected operation is declared failed.
   int32_t retry_budget = 8;
@@ -29,8 +29,8 @@ struct BackoffOptions {
 };
 
 /// Deterministic retry/backoff ladder with a budget. Not thread-safe: the
-/// owner serializes calls (the supervisor control thread, the procmode
-/// coordinator's supervisor loop, or a single connecting thread).
+/// owner serializes calls (a RestartPolicy's driving thread or a single
+/// connecting thread).
 class RetryBackoff {
  public:
   /// `stream_id` decorrelates jitter between instances sharing a seed
@@ -60,16 +60,6 @@ class RetryBackoff {
     ++consecutive_failures_;
     last_delay_ = delay;
     return delay;
-  }
-
-  /// Charges one retry WITHOUT advancing the ladder or drawing jitter.
-  /// Storm coalescing: a second casualty of one incident shares the
-  /// already-scheduled backoff step but still costs budget. Returns false
-  /// when the budget is exhausted.
-  bool Charge() {
-    if (budget_remaining_ <= 0) return false;
-    --budget_remaining_;
-    return true;
   }
 
   /// Resets the exponent ladder (stability-window damping: after a long

@@ -58,24 +58,21 @@ ProcessCluster::ProcessCluster(Options options)
       write_entry_(core::StoreSnapshotWriter(&store_, options_.job_id)),
       snapshots_(&store_, options_.job_id, options_.snapshot_interval,
                  options_.snapshot_ack_timeout),
+      restart_policy_(options_.respawn.restart, options_.job_id, Now()),
       registry_(TagsFor(options_.job_id)) {
   // The coordinator is the grid's only member: snapshot durability in
   // process mode means "reached the coordinator's store" — and, with
   // replication on, "mirrored in one member process too".
   JET_DCHECK_OK(grid_.AddMember(0).status());
-  respawn_backoff_ = std::make_unique<RetryBackoff>(
-      options_.respawn.backoff, static_cast<uint64_t>(options_.job_id));
   respawns_counter_ = registry_.GetCounter("proc.respawns");
   heartbeats_counter_ = registry_.GetCounter("proc.heartbeats");
   replica_entries_counter_ = registry_.GetCounter("proc.replica_entries");
   replica_rejects_counter_ = registry_.GetCounter("proc.replica_rejects");
-  backoff_gauge_ = registry_.GetGauge("proc.backoff_nanos");
-  budget_gauge_ = registry_.GetGauge("proc.retry_budget_remaining");
   suspected_gauge_ = registry_.GetGauge("proc.suspected_members");
   live_members_gauge_ = registry_.GetGauge("proc.live_members");
-  budget_gauge_.Set(options_.respawn.backoff.retry_budget);
   jet::MutexLock lock(mu_);
   snapshots_.BindMetrics(&registry_);
+  restart_policy_.BindMetrics(&registry_);
 }
 
 ProcessCluster::~ProcessCluster() { Shutdown(); }
@@ -176,7 +173,6 @@ Status ProcessCluster::SpawnMember(int32_t index) {
   m.suspected = false;
   m.liveness_killed = false;
   m.reaped = false;
-  m.respawn_pending = false;
   m.spawn_time = Now();
   m.last_heartbeat = m.spawn_time;
   return Status::OK();
@@ -384,7 +380,7 @@ int32_t ProcessCluster::suspected_member_count() const {
 
 int32_t ProcessCluster::retry_budget_remaining() const {
   jet::MutexLock lock(mu_);
-  return respawn_backoff_->budget_remaining();
+  return restart_policy_.budget_remaining();
 }
 
 int32_t ProcessCluster::snapshot_replica_member() const {
@@ -626,6 +622,7 @@ void ProcessCluster::HandleEvent(Event e) {
       members_[static_cast<size_t>(index)].done = true;
       if (AllParticipants(&Member::done)) {
         phase_ = Phase::kDone;
+        restart_policy_.OnCompleted();
         cv_.NotifyAll();
       }
       return;
@@ -703,23 +700,26 @@ void ProcessCluster::LivenessPass(Nanos now) {
   for (Member& m : members_) {
     if (!m.alive || !m.hello || m.liveness_killed) continue;
     const Nanos silence = now - m.last_heartbeat;
-    if (silence > options_.liveness.down_after) {
-      JET_LOG(kWarn) << "member " << m.index << " silent for "
-                     << silence / kNanosPerMilli << " ms; declaring it down";
-      // A SIGSTOP'd process ignores everything but SIGKILL/SIGCONT; the
-      // kill turns the hang into a death the EOF/reap paths handle.
-      if (m.pid > 0) (void)::kill(m.pid, SIGKILL);
-      m.liveness_killed = true;
-      m.suspected = false;
-      continue;
-    }
-    if (silence > options_.liveness.suspect_after) {
-      if (!m.suspected) {
-        JET_LOG(kWarn) << "member " << m.index << " suspected (silent "
-                       << silence / kNanosPerMilli << " ms)";
-        m.suspected = true;
-      }
-      ++suspected;
+    switch (core::JudgeHeartbeat(silence, options_.liveness)) {
+      case core::Liveness::kDead:
+        JET_LOG(kWarn) << "member " << m.index << " silent for "
+                       << silence / kNanosPerMilli << " ms; declaring it down";
+        // A SIGSTOP'd process ignores everything but SIGKILL/SIGCONT; the
+        // kill turns the hang into a death the EOF/reap paths handle.
+        if (m.pid > 0) (void)::kill(m.pid, SIGKILL);
+        m.liveness_killed = true;
+        m.suspected = false;
+        break;
+      case core::Liveness::kSuspect:
+        if (!m.suspected) {
+          JET_LOG(kWarn) << "member " << m.index << " suspected (silent "
+                         << silence / kNanosPerMilli << " ms)";
+          m.suspected = true;
+        }
+        ++suspected;
+        break;
+      case core::Liveness::kFresh:
+        break;
     }
   }
   suspected_gauge_.Set(suspected);
@@ -727,26 +727,24 @@ void ProcessCluster::LivenessPass(Nanos now) {
 
 void ProcessCluster::RespawnPass(Nanos now) {
   if (!options_.respawn.enabled) return;
-  if (phase_ == Phase::kDone || phase_ == Phase::kFailed) {
-    for (Member& m : members_) m.respawn_pending = false;
-    return;
-  }
-  for (Member& m : members_) {
-    if (m.respawn_pending && now >= m.respawn_due) {
-      m.respawn_pending = false;
+  if (restart_policy_.RestartDue(now)) {
+    // One launch re-forks every casualty of the incident.
+    restart_policy_.OnRestartLaunched(now);
+    for (Member& m : members_) {
+      if (m.alive) continue;
       JET_LOG(kWarn) << "respawning member " << m.index;
-      Status s = SpawnMember(m.index);
-      if (!s.ok()) {
-        JET_LOG(kError) << "respawn of member " << m.index
-                        << " failed: " << s.ToString();
-        ScheduleRespawn(m, now);  // charge again; Fail()s on exhaustion
+      if (Status s = SpawnMember(m.index); !s.ok()) {
+        JET_LOG(kError) << "respawn of member " << m.index << " failed: " << s.ToString();
+        if (!ChargeDeath(m.index, now)) return;
         continue;
       }
       ++respawns_;
       respawns_counter_.Add(1);
     }
-    // A respawned (or freshly spawned) process that never says Hello is as
-    // dead as a crash: kill it so the reap scan charges the next retry.
+  }
+  // A respawned (or freshly spawned) process that never says Hello is as
+  // dead as a crash: kill it so the reap scan charges the next incident.
+  for (Member& m : members_) {
     if (m.alive && !m.hello && !m.liveness_killed && m.spawn_time > 0 &&
         now - m.spawn_time > options_.respawn.rejoin_timeout) {
       JET_LOG(kWarn) << "member " << m.index << " did not rejoin within "
@@ -779,46 +777,11 @@ void ProcessCluster::EndInFlightSnapshot(bool commit) {
   cv_.NotifyAll();
 }
 
-void ProcessCluster::ScheduleRespawn(Member& m, Nanos now) {
-  if (!options_.respawn.enabled || shutting_down_) return;
-  // Storm coalescing: a second death from the same incident shares the
-  // already-scheduled due time — it costs budget but does not advance the
-  // ladder or push the restart further out.
-  Nanos pending_due = 0;
-  bool storm = false;
-  for (const Member& o : members_) {
-    if (o.respawn_pending) {
-      storm = true;
-      pending_due = std::max(pending_due, o.respawn_due);
-    }
-  }
-  if (storm) {
-    if (!respawn_backoff_->Charge()) {
-      Fail("respawn budget exhausted (member " + std::to_string(m.index) +
-           " died during a restart storm)");
-      return;
-    }
-    m.respawn_pending = true;
-    m.respawn_due = pending_due;
-  } else {
-    // Flap damping: a quiet stretch since the previous death restarts the
-    // ladder from initial_backoff.
-    if (last_death_time_ > 0 &&
-        now - last_death_time_ >= options_.respawn.stability_period) {
-      respawn_backoff_->ResetLadder();
-    }
-    std::optional<Nanos> delay = respawn_backoff_->NextDelay();
-    if (!delay.has_value()) {
-      Fail("respawn budget exhausted (member " + std::to_string(m.index) +
-           " died with no retries left)");
-      return;
-    }
-    m.respawn_pending = true;
-    m.respawn_due = now + *delay;
-    backoff_gauge_.Set(*delay);
-  }
-  last_death_time_ = now;
-  budget_gauge_.Set(respawn_backoff_->budget_remaining());
+bool ProcessCluster::ChargeDeath(int32_t index, Nanos now) {
+  if (restart_policy_.OnFailure(now).has_value()) return true;
+  Fail("respawn budget exhausted (member " + std::to_string(index) +
+       " died with no retries left)");
+  return false;
 }
 
 void ProcessCluster::OnMemberDied(int32_t index) {
@@ -837,12 +800,9 @@ void ProcessCluster::OnMemberDied(int32_t index) {
   }
   if (shutting_down_ || phase_ == Phase::kDone || phase_ == Phase::kFailed) return;
 
-  const Nanos now = Now();
   const bool was_participant = dead.node_id >= 0;
   dead.node_id = -1;
-
-  ScheduleRespawn(dead, now);
-  if (phase_ == Phase::kFailed) return;  // budget exhausted
+  if (options_.respawn.enabled && !ChargeDeath(index, Now())) return;
 
   if (phase_ == Phase::kInit || phase_ == Phase::kIdle) {
     // Bring-up (or between-jobs) death. With respawn on, the pending
@@ -897,13 +857,12 @@ bool ProcessCluster::AllParticipants(bool Member::*flag) const {
 void ProcessCluster::MaybeFinishRecovery() {
   if (!AllParticipants(&Member::stopped)) return;
   if (options_.respawn.enabled) {
-    // Full-DOP restart: hold the recovery until every scheduled respawn
-    // has forked *and* said Hello. Liveness guards the wait — a respawn
+    // Full-DOP restart: hold the recovery until every dead member has been
+    // re-forked *and* said Hello. Liveness guards the wait — a respawn
     // that never rejoins is killed, charged, and retried (or the budget
     // runs out and the cluster fails), so this cannot hang forever.
     for (const Member& m : members_) {
-      if (m.respawn_pending) return;
-      if (m.alive && !m.hello) return;
+      if (!m.alive || !m.hello) return;
     }
   }
   store_.ClearInFlight(options_.job_id);
@@ -1006,6 +965,7 @@ void ProcessCluster::Fail(const std::string& why) {
   JET_LOG(kError) << "process cluster failed: " << why;
   phase_ = Phase::kFailed;
   failure_ = why;
+  restart_policy_.OnFailed();
   cv_.NotifyAll();
 }
 

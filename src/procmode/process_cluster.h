@@ -13,10 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "core/restart_policy.h"
 #include "core/snapshot_coordinator.h"
 #include "imdg/grid.h"
 #include "imdg/snapshot_store.h"
@@ -35,21 +35,22 @@ namespace jet::procmode {
 /// sink results.
 ///
 /// Self-healing (§4.4's continuous-operation story):
-///  - **Respawn.** A dead member is re-forked under the shared RetryBackoff
-///    policy (retry budget, exponential backoff with seeded jitter,
-///    stability-window ladder reset, restart-storm coalescing — the same
-///    vocabulary as the in-process JobSupervisor). The new process rejoins
-///    via Hello, and recovery restarts the job at full DOP from the last
-///    committed snapshot. Budget exhaustion is a clean terminal FAILED.
+///  - **Respawn.** A dead member is re-forked under core::RestartPolicy,
+///    the in-process cluster's restart policy (retry budget, jittered
+///    backoff, storm coalescing, stability reset); a restart launch is the
+///    fork of every dead member. The new process rejoins via Hello, and
+///    recovery restarts the job at full DOP from the last committed
+///    snapshot. Budget exhaustion is a clean terminal FAILED.
 ///  - **Replicated snapshots.** With snapshot_replicas > 0 the coordinator
 ///    mirrors each in-flight snapshot's entries to one member process and
 ///    commits only after that replica seals and acks — every committed
 ///    epoch lives in >= 2 processes, so no single process loss (including
 ///    the replica holder) can lose a committed epoch.
 ///  - **Liveness.** Members heartbeat on the control socket; a silent
-///    member is suspected after `suspect_after` and SIGKILLed after
-///    `down_after`, so a SIGSTOP'd (hung, not dead) member is detected and
-///    replaced exactly like a crash.
+///    member is judged by core::JudgeHeartbeat, suspected past
+///    `suspect_after` and SIGKILLed past `dead_after`, so a SIGSTOP'd
+///    (hung, not dead) member is detected and replaced exactly like a
+///    crash.
 ///
 /// Death is otherwise detected as control-connection EOF. Recovery walk:
 /// abort the in-flight snapshot, broadcast StopAttempt, await
@@ -59,29 +60,15 @@ namespace jet::procmode {
 /// data frames of the dead epoch are dropped by the members' epoch filters.
 class ProcessCluster {
  public:
-  /// Member-respawn policy — the PR 4 supervisor vocabulary applied to OS
-  /// processes.
+  /// Member respawn.
   struct RespawnOptions {
     bool enabled = true;
-    /// Retry budget + backoff ladder shared across all members' deaths
-    /// (one incident stream per cluster).
-    BackoffOptions backoff;
+    /// One policy for the whole cluster: every member death is an incident
+    /// of the one job. Default backoff, stability_period 2 s.
+    core::RestartOptions restart{BackoffOptions{}, 2 * kNanosPerSecond};
     /// A respawned process must Hello within this long or it is killed and
-    /// the failure charged again.
+    /// its death charged as a new incident.
     Nanos rejoin_timeout = 10 * kNanosPerSecond;
-    /// No deaths for this long resets the backoff ladder (flap damping).
-    Nanos stability_period = 2 * kNanosPerSecond;
-  };
-
-  /// Control-plane failure detection beyond EOF: heartbeats with a
-  /// suspect -> down escalation, catching hung (SIGSTOP'd) members.
-  struct LivenessOptions {
-    /// Cadence members heartbeat at (shipped to jet_member via argv).
-    Nanos heartbeat_interval = 25 * kNanosPerMilli;
-    /// Silence before a member is marked suspected (gauge only).
-    Nanos suspect_after = 500 * kNanosPerMilli;
-    /// Silence before a member is SIGKILLed and treated as dead.
-    Nanos down_after = 3 * kNanosPerSecond;
   };
 
   struct Options {
@@ -106,7 +93,12 @@ class ProcessCluster {
     /// Shutdown() escalates to SIGKILL after this graceful window.
     Nanos graceful_exit_timeout = 10 * kNanosPerSecond;
     RespawnOptions respawn;
-    LivenessOptions liveness;
+    /// Failure detection beyond EOF, catching hung (SIGSTOP'd) members.
+    /// The heartbeat cadence is shipped to jet_member via argv; a suspected
+    /// member only shows in a gauge, a dead one is SIGKILLed. Defaults:
+    /// heartbeat every 25 ms, suspect after 500 ms, dead after 3 s.
+    core::LivenessOptions liveness{25 * kNanosPerMilli, 500 * kNanosPerMilli,
+                                   3 * kNanosPerSecond};
     imdg::JobId job_id = 1;
   };
 
@@ -143,7 +135,7 @@ class ProcessCluster {
   Status StallMember(int32_t member_index);
 
   /// SIGCONTs a stalled member (refuting the suspicion if it wakes before
-  /// `down_after`).
+  /// `dead_after`).
   Status ResumeMember(int32_t member_index);
 
   /// Blocks until every member slot is alive and has said Hello — i.e.
@@ -193,9 +185,10 @@ class ProcessCluster {
   /// Terminal failure reason (empty unless FAILED).
   std::string failure_message() const;
 
-  /// Renders the coordinator's `proc.*` metrics (respawns, backoff,
-  /// budget, suspected members, live members, heartbeats, replica
-  /// entries) and the shared snapshot metrics in both exporter formats.
+  /// Renders the coordinator's `proc.*` metrics (respawns, suspected
+  /// members, live members, heartbeats, replica entries), the restart
+  /// policy's `job.*` metrics and the shared snapshot metrics in both
+  /// exporter formats.
   Diagnostics DiagnosticsDump() const;
 
  private:
@@ -214,12 +207,10 @@ class ProcessCluster {
     bool stopped = false;  // recovery: AttemptStopped received
     // -- liveness --
     Nanos last_heartbeat = 0;     // any control traffic counts
-    bool suspected = false;       // heartbeat silence > suspect_after
-    bool liveness_killed = false; // SIGKILL already sent (down / no rejoin)
+    bool suspected = false;       // heartbeat silence is suspect
+    bool liveness_killed = false; // SIGKILL already sent (dead / no rejoin)
     // -- respawn --
     bool reaped = false;          // child already waited on
-    bool respawn_pending = false; // scheduled, waiting for backoff due time
-    Nanos respawn_due = 0;
     Nanos spawn_time = 0;         // fork time of the current process
   };
 
@@ -246,16 +237,15 @@ class ProcessCluster {
   /// Reaps members whose process exited without (or before) a control EOF
   /// — e.g. died before ever connecting, where no EOF will fire.
   void ReapScan() JET_REQUIRES(mu_);
-  /// Suspect/down escalation on heartbeat silence.
+  /// Suspect/dead escalation on heartbeat silence.
   void LivenessPass(Nanos now) JET_REQUIRES(mu_);
-  /// Re-forks members whose respawn backoff elapsed; kills members that
-  /// failed to rejoin within rejoin_timeout.
+  /// Re-forks every dead member once the policy's restart is due; kills
+  /// members that failed to rejoin within rejoin_timeout.
   void RespawnPass(Nanos now) JET_REQUIRES(mu_);
   void OnMemberDied(int32_t index) JET_REQUIRES(mu_);
-  /// Charges the respawn budget and schedules `m`'s re-fork (coalescing
-  /// into an already-pending respawn's due time during a storm). Fails the
-  /// cluster on budget exhaustion.
-  void ScheduleRespawn(Member& m, Nanos now) JET_REQUIRES(mu_);
+  /// Charges a member death to the restart policy; Fail()s the cluster and
+  /// returns false when the budget is exhausted.
+  bool ChargeDeath(int32_t index, Nanos now) JET_REQUIRES(mu_);
   /// True when every live participant of the attempt has `flag` set.
   bool AllParticipants(bool Member::*flag) const JET_REQUIRES(mu_);
   void MaybeFinishRecovery() JET_REQUIRES(mu_);
@@ -310,9 +300,7 @@ class ProcessCluster {
   int64_t replica_rejects_ JET_GUARDED_BY(mu_) = 0;
   /// Test hook (CorruptNextReplicaSeal): off-by-one the next seal's count.
   bool corrupt_next_seal_ JET_GUARDED_BY(mu_) = false;
-  /// Respawn policy state (one incident stream for the whole cluster).
-  std::unique_ptr<RetryBackoff> respawn_backoff_ JET_GUARDED_BY(mu_);
-  Nanos last_death_time_ JET_GUARDED_BY(mu_) = 0;
+  core::RestartPolicy restart_policy_ JET_GUARDED_BY(mu_);
   int64_t respawns_ JET_GUARDED_BY(mu_) = 0;
   /// Distinct sink results: (key, window_end) -> count. Two attempts
   /// emitting the same window must agree — the exactly-once check.
@@ -328,8 +316,6 @@ class ProcessCluster {
   obs::Counter heartbeats_counter_;      // proc.heartbeats
   obs::Counter replica_entries_counter_; // proc.replica_entries
   obs::Counter replica_rejects_counter_; // proc.replica_rejects
-  obs::Gauge backoff_gauge_;             // proc.backoff_nanos (last delay)
-  obs::Gauge budget_gauge_;              // proc.retry_budget_remaining
   obs::Gauge suspected_gauge_;           // proc.suspected_members
   obs::Gauge live_members_gauge_;        // proc.live_members
 };

@@ -112,7 +112,7 @@ void RunUnattendedChaos(uint64_t seed) {
   // COMPLETED is recorded by the control loop's next reconcile tick.
   EXPECT_TRUE(WaitUntil(
       [&fixture]() {
-        return fixture.job()->supervisor()->state() == cluster::JobState::kCompleted;
+        return fixture.job()->supervisor()->state() == core::JobState::kCompleted;
       },
       5 * kNanosPerSecond))
       << applied;

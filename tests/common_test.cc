@@ -554,8 +554,7 @@ TEST(IdleStrategyTest, EscalatesToParkingAndResets) {
 }
 
 // ---------------------------------------------------------------------------
-// RetryBackoff (shared by JobSupervisor restarts, procmode respawns and
-// socket connect retries)
+// RetryBackoff (shared by core::RestartPolicy and socket connect retries)
 // ---------------------------------------------------------------------------
 
 TEST(RetryBackoffTest, LadderIsDeterministicPerSeedAndStream) {
@@ -592,7 +591,7 @@ TEST(RetryBackoffTest, LadderIsDeterministicPerSeedAndStream) {
   EXPECT_TRUE(any_stream_difference);
 }
 
-TEST(RetryBackoffTest, BudgetExhaustsAndChargeCountsAgainstIt) {
+TEST(RetryBackoffTest, BudgetExhausts) {
   BackoffOptions options;
   options.retry_budget = 3;
   options.initial_backoff = 10;
@@ -602,14 +601,12 @@ TEST(RetryBackoffTest, BudgetExhaustsAndChargeCountsAgainstIt) {
   EXPECT_EQ(backoff.budget_remaining(), 3);
   EXPECT_TRUE(backoff.NextDelay().has_value());
   EXPECT_EQ(backoff.budget_remaining(), 2);
-  // Charge consumes budget without producing a delay (storm coalescing).
-  EXPECT_TRUE(backoff.Charge());
+  EXPECT_TRUE(backoff.NextDelay().has_value());
   EXPECT_EQ(backoff.budget_remaining(), 1);
   EXPECT_TRUE(backoff.NextDelay().has_value());
   EXPECT_EQ(backoff.budget_remaining(), 0);
-  // Dry: both forms refuse.
+  // Dry: refuses.
   EXPECT_FALSE(backoff.NextDelay().has_value());
-  EXPECT_FALSE(backoff.Charge());
   EXPECT_EQ(backoff.budget_remaining(), 0);
 }
 

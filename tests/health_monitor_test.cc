@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,11 +26,11 @@ constexpr Nanos kWait = 5 * kNanosPerSecond;
 
 // Thresholds wide enough that a loaded host's scheduling hiccups do not
 // read as silence.
-ClusterHealthMonitor::Options TestOptions() {
-  ClusterHealthMonitor::Options options;
+core::LivenessOptions TestOptions() {
+  core::LivenessOptions options;
   options.heartbeat_interval = 10 * kNanosPerMilli;
   options.suspect_after = 150 * kNanosPerMilli;
-  options.suspicion_timeout = 400 * kNanosPerMilli;
+  options.dead_after = 400 * kNanosPerMilli;
   return options;
 }
 
@@ -75,7 +76,7 @@ TEST(HealthMonitorTest, LateHeartbeatRefutesSuspicion) {
   net::Network network;
   auto options = TestOptions();
   options.suspect_after = 50 * kNanosPerMilli;
-  options.suspicion_timeout = 5 * kNanosPerSecond;  // far away: suspicion only
+  options.dead_after = 5 * kNanosPerSecond;  // far away: suspicion only
   ClusterHealthMonitor monitor(&network, options, nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
   monitor.Start();
@@ -179,6 +180,52 @@ TEST(HealthMonitorTest, SnapshotCanBePolledFromAnotherThread) {
   poller.join();
   monitor.Stop();
   network.Shutdown();
+}
+
+// The quorum rule and the restart gate are pure functions of the
+// membership and a report: table tests, no monitor.
+struct QuorumCase {
+  const char* name;
+  std::vector<int32_t> members;
+  HealthReport report;
+  std::optional<std::vector<int32_t>> quorum;
+};
+
+TEST(QuorumRuleTest, QuorumSubsetTable) {
+  const std::vector<QuorumCase> cases = {
+      {"healthy mesh", {0, 1, 2}, {}, std::vector<int32_t>{0, 1, 2}},
+      {"2-2 split", {0, 1, 2, 3},
+       HealthReport{{}, {}, {{0, 2}, {0, 3}, {1, 2}, {1, 3}}}, std::nullopt},
+      {"3 of 4, one broken link", {0, 1, 2, 3}, HealthReport{{}, {}, {{2, 3}}},
+       std::vector<int32_t>{0, 1, 2}},
+      {"3 of 4, one down", {0, 1, 2, 3}, HealthReport{{3}, {}, {}},
+       std::vector<int32_t>{0, 1, 2}},
+      {"one down, one broken link: 2 of 4", {0, 1, 2, 3}, HealthReport{{3}, {}, {{1, 2}}},
+       std::nullopt},
+      // a and b both hear c but not each other: the higher id goes.
+      {"triangle", {0, 1, 2}, HealthReport{{}, {}, {{0, 1}}},
+       std::vector<int32_t>{0, 2}},
+      // A suspected member is still up: suspicion alone moves no quorum.
+      {"suspect stays in", {0, 1, 2}, HealthReport{{}, {1}, {}},
+       std::vector<int32_t>{0, 1, 2}},
+      // Reports may name members outside the membership (already evicted).
+      {"evicted member's link ignored", {0, 1, 2}, HealthReport{{}, {}, {{2, 5}}},
+       std::vector<int32_t>{0, 1, 2}},
+      {"lone survivor of two", {0, 1}, HealthReport{{1}, {}, {}}, std::nullopt},
+  };
+  for (const QuorumCase& c : cases) {
+    EXPECT_EQ(QuorumSubset(c.members, c.report), c.quorum) << c.name;
+  }
+}
+
+TEST(QuorumRuleTest, RestartGateNeedsEveryMemberHealthy) {
+  const std::vector<int32_t> members = {0, 1, 2};
+  EXPECT_TRUE(AllHealthy(members, HealthReport{}));
+  EXPECT_FALSE(AllHealthy(members, HealthReport{{}, {1}, {}})) << "suspected member";
+  EXPECT_FALSE(AllHealthy(members, HealthReport{{2}, {}, {}})) << "down member";
+  EXPECT_FALSE(AllHealthy(members, HealthReport{{}, {}, {{0, 2}}})) << "broken link";
+  // Members outside the membership do not hold the gate.
+  EXPECT_TRUE(AllHealthy(members, HealthReport{{4}, {5}, {{2, 5}}}));
 }
 
 }  // namespace

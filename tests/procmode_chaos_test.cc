@@ -105,10 +105,10 @@ TEST(ProcChaos, SeededKillLoopHealsToFullDop) {
 
   auto options = BaseOptions("loop");
   options.job_params.duration = kKillLoopJobDuration;
-  options.respawn.backoff.retry_budget = 64;
-  options.respawn.backoff.initial_backoff = 10 * kNanosPerMilli;
-  options.respawn.backoff.max_backoff = 100 * kNanosPerMilli;
-  options.respawn.stability_period = 200 * kNanosPerMilli;
+  options.respawn.restart.backoff.retry_budget = 64;
+  options.respawn.restart.backoff.initial_backoff = 10 * kNanosPerMilli;
+  options.respawn.restart.backoff.max_backoff = 100 * kNanosPerMilli;
+  options.respawn.restart.stability_period = 200 * kNanosPerMilli;
   {
     ProcessCluster cluster(options);
     ASSERT_TRUE(cluster.Start().ok());
@@ -188,7 +188,7 @@ TEST(ProcChaos, StalledMemberIsDetectedAndReplaced) {
   auto options = BaseOptions("stall");
   options.liveness.heartbeat_interval = 10 * kNanosPerMilli;
   options.liveness.suspect_after = 100 * kNanosPerMilli;
-  options.liveness.down_after = 400 * kNanosPerMilli;
+  options.liveness.dead_after = 400 * kNanosPerMilli;
   options.job_params.duration = 2000 * kNanosPerMilli;
   {
     ProcessCluster cluster(options);
@@ -231,7 +231,7 @@ TEST(ProcChaos, StallSuspicionClearsAfterSigcont) {
   auto options = BaseOptions("gcstall");
   options.liveness.heartbeat_interval = 10 * kNanosPerMilli;
   options.liveness.suspect_after = 100 * kNanosPerMilli;
-  options.liveness.down_after = 20 * kNanosPerSecond;  // never reached here
+  options.liveness.dead_after = 20 * kNanosPerSecond;  // never reached here
   options.job_params.duration = 2000 * kNanosPerMilli;
   {
     ProcessCluster cluster(options);
@@ -270,8 +270,8 @@ TEST(ProcChaos, StallSuspicionClearsAfterSigcont) {
 // member. Budget of one: the first kill is healed, the second is fatal.
 TEST(ProcChaos, RespawnBudgetExhaustionFailsCleanly) {
   auto options = BaseOptions("budget");
-  options.respawn.backoff.retry_budget = 1;
-  options.respawn.stability_period = 60 * kNanosPerSecond;  // never resets
+  options.respawn.restart.backoff.retry_budget = 1;
+  options.respawn.restart.stability_period = 60 * kNanosPerSecond;  // never resets
   options.job_params.duration = 20 * kNanosPerSecond;  // outlives the test
   {
     ProcessCluster cluster(options);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/jet_cluster.h"
-#include "cluster/job_supervisor.h"
+#include "core/restart_policy.h"
 #include "testkit/chaos.h"
 #include "testkit/wait.h"
 
@@ -31,13 +31,13 @@ TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
   FixtureOptions options;
   options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 120 * kNanosPerMilli;
-  options.supervisor.suspicion_timeout = 400 * kNanosPerMilli;
+  options.supervisor.liveness.dead_after = 400 * kNanosPerMilli;
   options.source_duration = 2 * kNanosPerSecond;
   ClusterFixture fixture(options);
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(2, kWait));
 
-  JobSupervisor* sup = fixture.job()->supervisor();
+  core::RestartPolicy* sup = fixture.job()->supervisor();
   ASSERT_NE(sup, nullptr);
   ASSERT_TRUE(fixture.cluster().CrashNode(2).ok());
 
@@ -50,7 +50,7 @@ TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
                 return fixture.cluster().AliveNodes().size() == 2;
               }, kWait));
   ASSERT_TRUE(WaitUntil([sup]() {
-                return sup->state() == JobState::kRunning && sup->restarts() >= 1;
+                return sup->state() == core::JobState::kRunning && sup->restarts() >= 1;
               }, kWait));
 
   // The whole story is visible to an operator in the diagnostics dump.
@@ -64,7 +64,7 @@ TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
   ASSERT_TRUE(fixture.JoinJob().ok());
   // COMPLETED is recorded by the control loop's next reconcile tick.
   EXPECT_TRUE(WaitUntil(
-      [sup]() { return sup->state() == JobState::kCompleted; }, kWait));
+      [sup]() { return sup->state() == core::JobState::kCompleted; }, kWait));
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
   Status invariants = fixture.VerifyClusterInvariants();
@@ -80,7 +80,7 @@ TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
   FixtureOptions options;
   options.initial_nodes = 5;
   options.supervisor.enabled = true;
-  options.supervisor.retry_budget = 1;
+  options.supervisor.restart.backoff.retry_budget = 1;
   // Keep the watchdog out of the way so only member deaths are charged.
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
   options.source_duration = 30 * kNanosPerSecond;  // never finishes naturally
@@ -88,24 +88,24 @@ TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
-  JobSupervisor* sup = fixture.job()->supervisor();
+  core::RestartPolicy* sup = fixture.job()->supervisor();
   ASSERT_NE(sup, nullptr);
   EXPECT_EQ(sup->budget_remaining(), 1);
 
   ASSERT_TRUE(fixture.cluster().CrashNode(4).ok());
   ASSERT_TRUE(WaitUntil([sup]() {
-                return sup->state() == JobState::kRunning && sup->restarts() >= 1;
+                return sup->state() == core::JobState::kRunning && sup->restarts() >= 1;
               }, kWait));
   EXPECT_EQ(sup->budget_remaining(), 0);
 
   ASSERT_TRUE(fixture.cluster().CrashNode(3).ok());
-  ASSERT_TRUE(WaitUntil([sup]() { return sup->state() == JobState::kFailed; }, kWait));
+  ASSERT_TRUE(WaitUntil([sup]() { return sup->state() == core::JobState::kFailed; }, kWait));
 
   Status join = fixture.JoinJob();
   EXPECT_FALSE(join.ok());
   EXPECT_NE(join.ToString().find("retry budget exhausted"), std::string::npos)
       << join.ToString();
-  EXPECT_EQ(sup->state(), JobState::kFailed);
+  EXPECT_EQ(sup->state(), core::JobState::kFailed);
 }
 
 // Quorum-aware degradation: a 2-2 partition leaves no majority, so the
@@ -117,11 +117,14 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   options.initial_nodes = 4;
   options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
+  // The job must outlive the partition: its first commit and the
+  // suspension may each take up to kWait.
+  options.source_duration = 2 * kWait;
   ClusterFixture fixture(options);
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
-  JobSupervisor* sup = fixture.job()->supervisor();
+  core::RestartPolicy* sup = fixture.job()->supervisor();
   ASSERT_NE(sup, nullptr);
 
   // Split {0,1} from {2,3}: both halves are minorities.
@@ -132,7 +135,7 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   network.Partition(1, 3);
 
   ASSERT_TRUE(
-      WaitUntil([sup]() { return sup->state() == JobState::kSuspended; }, kWait));
+      WaitUntil([sup]() { return sup->state() == core::JobState::kSuspended; }, kWait));
   // No membership change happened: suspension is graceful degradation, not
   // eviction.
   EXPECT_EQ(fixture.cluster().AliveNodes().size(), 4u);
@@ -143,7 +146,7 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   network.Heal(1, 3);
 
   ASSERT_TRUE(
-      WaitUntil([sup]() { return sup->state() == JobState::kRunning; }, kWait));
+      WaitUntil([sup]() { return sup->state() == core::JobState::kRunning; }, kWait));
   ASSERT_TRUE(fixture.JoinJob().ok());
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
@@ -162,7 +165,7 @@ TEST(SupervisorTest, FlappingSuspicionIsRefutedWithoutRestart) {
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
-  JobSupervisor* sup = fixture.job()->supervisor();
+  core::RestartPolicy* sup = fixture.job()->supervisor();
   ClusterHealthMonitor* monitor = fixture.cluster().health_monitor();
   ASSERT_NE(sup, nullptr);
   ASSERT_NE(monitor, nullptr);
@@ -184,7 +187,7 @@ TEST(SupervisorTest, FlappingSuspicionIsRefutedWithoutRestart) {
 
   ASSERT_TRUE(fixture.JoinJob().ok());
   EXPECT_EQ(sup->restarts(), 0) << "suspicion alone must not trigger a restart";
-  EXPECT_EQ(sup->budget_remaining(), fixture.cluster().config().supervisor.retry_budget);
+  EXPECT_EQ(sup->budget_remaining(), fixture.cluster().config().supervisor.restart.backoff.retry_budget);
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
 }
@@ -200,14 +203,14 @@ TEST(SupervisorTest, ScaleOutIsAFreeRestart) {
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
-  JobSupervisor* sup = fixture.job()->supervisor();
+  core::RestartPolicy* sup = fixture.job()->supervisor();
   ASSERT_NE(sup, nullptr);
   auto added = fixture.cluster().AddNode();
   ASSERT_TRUE(added.ok());
   ASSERT_TRUE(WaitUntil([sup]() {
-                return sup->state() == JobState::kRunning && sup->restarts() >= 1;
+                return sup->state() == core::JobState::kRunning && sup->restarts() >= 1;
               }, kWait));
-  EXPECT_EQ(sup->budget_remaining(), fixture.cluster().config().supervisor.retry_budget);
+  EXPECT_EQ(sup->budget_remaining(), fixture.cluster().config().supervisor.restart.backoff.retry_budget);
 
   ASSERT_TRUE(fixture.JoinJob().ok());
   EXPECT_EQ(fixture.cluster().AliveNodes().size(), 4u);
@@ -224,74 +227,6 @@ TEST(SupervisorTest, CrashNodeRequiresSupervisor) {
   JetCluster cluster(config);
   Status s = cluster.CrashNode(0);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
-}
-
-// The backoff ladder: deterministic per seed, exponential until capped,
-// jittered within its configured fraction, and reset by a stable stretch.
-TEST(JobSupervisorTest, BackoffIsExponentialJitteredAndSeeded) {
-  SupervisorOptions options;
-  options.enabled = true;
-  options.retry_budget = 100;
-  options.initial_backoff = 10 * kNanosPerMilli;
-  options.backoff_multiplier = 2.0;
-  options.max_backoff = 100 * kNanosPerMilli;
-  options.jitter_fraction = 0.5;
-  options.stability_period = kNanosPerSecond;
-
-  auto ladder = [&options](int64_t job_id) {
-    JobSupervisor sup(job_id, options);
-    std::vector<Nanos> delays;
-    Nanos now = 0;
-    for (int i = 0; i < 6; ++i) {
-      auto d = sup.OnFailure(now);
-      EXPECT_TRUE(d.has_value());
-      delays.push_back(*d);
-      now += *d + 1;
-      sup.OnRestartStarted(now);  // quick relapse: no stability reset
-    }
-    return delays;
-  };
-
-  auto a = ladder(7);
-  auto b = ladder(7);
-  EXPECT_EQ(a, b) << "same seed + job id must give the same jitter stream";
-  EXPECT_NE(a, ladder(8)) << "different job ids must de-synchronize";
-
-  for (size_t i = 0; i < a.size(); ++i) {
-    Nanos base = std::min<Nanos>(
-        static_cast<Nanos>(10 * kNanosPerMilli * (1LL << i)), 100 * kNanosPerMilli);
-    EXPECT_GE(a[i], base) << "step " << i;
-    EXPECT_LE(a[i], base + base / 2) << "step " << i << " exceeds jitter bound";
-  }
-
-  // A long stable RUNNING stretch resets the exponent back to the bottom.
-  JobSupervisor sup(7, options);
-  Nanos now = 0;
-  for (int i = 0; i < 4; ++i) {
-    auto d = sup.OnFailure(now);
-    ASSERT_TRUE(d.has_value());
-    now += *d + 1;
-    sup.OnRestartStarted(now);
-  }
-  now += 2 * options.stability_period;
-  auto after_stable = sup.OnFailure(now);
-  ASSERT_TRUE(after_stable.has_value());
-  EXPECT_LE(*after_stable, options.initial_backoff + options.initial_backoff / 2);
-}
-
-// Incidents arriving while a restart is already pending coalesce into it:
-// one root cause, one restart, one budget charge.
-TEST(JobSupervisorTest, ConcurrentIncidentsCoalesceIntoOneRestart) {
-  SupervisorOptions options;
-  options.enabled = true;
-  options.retry_budget = 5;
-  JobSupervisor sup(1, options);
-  ASSERT_TRUE(sup.OnFailure(0).has_value());
-  EXPECT_EQ(sup.budget_remaining(), 4);
-  // Second symptom of the same incident: folded, not charged.
-  ASSERT_TRUE(sup.OnFailure(1).has_value());
-  EXPECT_EQ(sup.budget_remaining(), 4);
-  EXPECT_EQ(sup.state(), JobState::kRestarting);
 }
 
 }  // namespace
