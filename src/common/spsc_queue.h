@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <utility>
@@ -70,20 +71,24 @@ class SpscQueue {
   bool TryPush(T&& item) { return TryPush(item); }
 
   /// Producer: enqueues items from [first, last) until the queue fills up.
-  /// Returns the number of items enqueued. Enqueued items are moved-from.
+  /// Returns the number of items enqueued, always a prefix of the range.
+  /// Enqueued items are moved-from. However many items go in, the head
+  /// index is published once; the consumer's tail is re-read only when the
+  /// cached view has too little room for the whole range.
   template <typename It>
   size_t PushBatch(It first, It last) {
     JET_DCHECK_SINGLE_THREAD(producer_guard_, "SpscQueue producer (PushBatch)");
+    const auto wanted = static_cast<size_t>(std::distance(first, last));
     const size_t head = head_.load(std::memory_order_relaxed);
     size_t free_slots = capacity_ - (head - cached_tail_);
-    if (free_slots == 0) {
+    if (free_slots < wanted) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       free_slots = capacity_ - (head - cached_tail_);
-      if (free_slots == 0) return 0;
     }
-    size_t n = 0;
-    for (It it = first; it != last && n < free_slots; ++it, ++n) {
-      std::construct_at(&slots_[(head + n) & mask_], std::move(*it));
+    const size_t n = wanted < free_slots ? wanted : free_slots;
+    if (n == 0) return 0;
+    for (size_t i = 0; i < n; ++i, ++first) {
+      std::construct_at(&slots_[(head + i) & mask_], std::move(*first));
     }
     head_.store(head + n, std::memory_order_release);
     return n;

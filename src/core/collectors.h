@@ -82,23 +82,24 @@ class OutboundCollector {
     return false;
   }
 
-  /// Move-aware variant of OfferData for single-target routes: the item is
-  /// moved into the destination SPSC queue instead of refcount-copied. On
-  /// success `item` is left moved-from; on failure it is untouched so the
-  /// caller can retry. Broadcast still copies (every target needs its own
-  /// reference); remote sinks copy at the network boundary.
-  bool OfferDataMove(Item& item) {
-    switch (routing_) {
-      case RoutingPolicy::kUnicast:
-        return OfferUnicast(item, &item);
-      case RoutingPolicy::kPartitioned:
-        return OfferPartitioned(item, &item);
-      case RoutingPolicy::kBroadcast:
-        return OfferEverywhere(item);
-      case RoutingPolicy::kIsolated:
-        return TryLocal(static_cast<size_t>(isolated_index_), item, &item);
+  /// Routes a run of data items [first, last), oldest first, and returns
+  /// how many were delivered. They are always a prefix of the run, left
+  /// moved-from; the caller keeps the rest, in order, for a later pass.
+  /// An isolated edge, or a unicast edge with only local queues, moves the
+  /// run into SPSC queues with one index publish per queue; unicast
+  /// round-robin advances once per run, and a full queue falls through to
+  /// the next one. Partitioned, broadcast and remote routes offer item by
+  /// item.
+  size_t OfferRun(Item* first, Item* last) {
+    if (routing_ == RoutingPolicy::kIsolated) {
+      return queues_[static_cast<size_t>(isolated_index_)]->PushBatch(first, last);
     }
-    return false;
+    if (routing_ == RoutingPolicy::kUnicast && remotes_.empty()) {
+      return OfferUnicastRun(first, last);
+    }
+    size_t n = 0;
+    while (first + n != last && OfferDataMove(first[n])) ++n;
+    return n;
   }
 
   /// Delivers a control item to every local queue and every remote node.
@@ -119,6 +120,41 @@ class OutboundCollector {
   int32_t total_parallelism() const { return total_parallelism_; }
 
  private:
+  // Move-aware OfferData for single-target routes: the item is moved into
+  // the destination SPSC queue instead of copied. On success `item` is left
+  // moved-from; on failure it is untouched so the caller can retry.
+  // Broadcast still copies (every target needs its own copy); remote sinks
+  // copy at the network boundary.
+  bool OfferDataMove(Item& item) {
+    switch (routing_) {
+      case RoutingPolicy::kUnicast:
+        return OfferUnicast(item, &item);
+      case RoutingPolicy::kPartitioned:
+        return OfferPartitioned(item, &item);
+      case RoutingPolicy::kBroadcast:
+        return OfferEverywhere(item);
+      case RoutingPolicy::kIsolated:
+        return TryLocal(static_cast<size_t>(isolated_index_), item, &item);
+    }
+    return false;
+  }
+
+  // Unicast run into local queues only: as much of the run as fits goes
+  // into the round-robin queue, the rest falls through to the next ones.
+  size_t OfferUnicastRun(Item* first, Item* last) {
+    const size_t n = queues_.size();
+    const size_t start = cursor_;
+    Item* next = first;
+    for (size_t attempt = 0; attempt < n && next != last; ++attempt) {
+      const size_t idx = (start + attempt) % n;
+      const size_t pushed = queues_[idx]->PushBatch(next, last);
+      if (pushed == 0) continue;
+      next += pushed;
+      cursor_ = (idx + 1) % n;
+    }
+    return static_cast<size_t>(next - first);
+  }
+
   // Delivers to local queue `index`; moves from `move_from` when non-null
   // (SpscQueue::TryPush(T&) only consumes on success), else pushes a copy.
   bool TryLocal(size_t index, const Item& item, Item* move_from) {

@@ -267,8 +267,15 @@ void ExecutionService::CooperativeWorkerLoop(int32_t worker_index,
       round.erase(std::remove_if(round.begin(), round.end(),
                                  [](const RunEntry& e) { return e.tasklet == nullptr; }),
                   round.end());
-      live_cooperative_.fetch_sub(static_cast<int32_t>(done_count),
-                                  std::memory_order_acq_rel);
+      const auto finished = static_cast<int32_t>(done_count);
+      if (live_cooperative_.fetch_sub(finished, std::memory_order_acq_rel) == finished) {
+        // The last cooperative tasklet is done: wake the rebalance thread
+        // now rather than at its next interval, so joining it does not
+        // wait out the interval. Notifying under its mutex means the
+        // wakeup cannot fall between its check and its wait.
+        jet::MutexLock lock(rebalance_cv_mutex_);
+        rebalance_cv_.NotifyAll();
+      }
     }
     if (lb_armed_) {
       ExecuteMigrationOrders(worker_index, &round);

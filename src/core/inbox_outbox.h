@@ -133,7 +133,9 @@ struct StateEntry {
 ///
 /// Each bucket is a flat vector drained through a head cursor (as in
 /// Inbox): delivery costs O(items delivered), and a processor's offers
-/// during one call append at the tail.
+/// during one call append at the tail. An edge bucket is delivered a run
+/// of consecutive data items at a time (DrainRuns), so a local queue can
+/// take a whole run with a single index publish.
 ///
 /// Not thread-safe: offers and drains must all come from the owning
 /// tasklet's worker thread (checked under JETSIM_DEBUG_CHECKS).
@@ -195,20 +197,54 @@ class Outbox {
   }
 
   /// Tasklet side: hands the undelivered items of edge bucket `ordinal`,
-  /// oldest first, to `deliver(Item&)` until it returns false or
-  /// `bucket_capacity` items went out. Returns the number delivered.
-  template <typename Deliver>
-  size_t DrainBucket(int ordinal, Deliver&& deliver) {
-    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (DrainBucket)");
+  /// oldest first, to `collector` (an OutboundCollector or anything with
+  /// its OfferRun/OfferControl). Each contiguous run of data items goes to
+  /// `OfferRun(first, last)`, which returns how long a prefix it took; a
+  /// control item goes to `OfferControl` only once the whole run ahead of
+  /// it is delivered. Stops at the first run not taken whole, the first
+  /// control item refused, or after `bucket_capacity` items. Returns the
+  /// number delivered.
+  template <typename Collector>
+  size_t DrainRuns(int ordinal, Collector& collector) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (DrainRuns)");
     const auto o = static_cast<size_t>(ordinal);
-    return DrainFront(&buckets_[o], &heads_[o], deliver);
+    std::vector<Item>& items = buckets_[o];
+    size_t& head = heads_[o];
+    size_t delivered = 0;
+    while (delivered < capacity_ && head < items.size()) {
+      Item* first = items.data() + head;
+      if (!first->IsData()) {
+        if (!collector.OfferControl(*first)) break;
+        ++head;
+        ++delivered;
+        continue;
+      }
+      const size_t limit = std::min(items.size() - head, capacity_ - delivered);
+      size_t run = 1;
+      while (run < limit && first[run].IsData()) ++run;
+      const size_t taken = collector.OfferRun(first, first + run);
+      head += taken;
+      delivered += taken;
+      if (taken < run) break;
+    }
+    CompactFront(&items, &head);
+    return delivered;
   }
 
-  /// Tasklet side: DrainBucket for the snapshot bucket.
+  /// Tasklet side: hands the undelivered state entries, oldest first, to
+  /// `deliver(StateEntry&)` until it returns false or `bucket_capacity`
+  /// entries went out. Returns the number delivered.
   template <typename Deliver>
   size_t DrainSnapshot(Deliver&& deliver) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (DrainSnapshot)");
-    return DrainFront(&snapshot_bucket_, &snapshot_head_, deliver);
+    size_t delivered = 0;
+    while (delivered < capacity_ && snapshot_head_ < snapshot_bucket_.size() &&
+           deliver(snapshot_bucket_[snapshot_head_])) {
+      ++snapshot_head_;
+      ++delivered;
+    }
+    CompactFront(&snapshot_bucket_, &snapshot_head_);
+    return delivered;
   }
 
   /// Raw storage of one edge bucket. Items before the drain cursor were
@@ -222,24 +258,19 @@ class Outbox {
   void ReleaseOwner() { owner_guard_.Release(); }
 
  private:
-  template <typename T, typename Deliver>
-  size_t DrainFront(std::vector<T>* items, size_t* head, Deliver& deliver) {
-    size_t delivered = 0;
-    while (delivered < capacity_ && *head < items->size() && deliver((*items)[*head])) {
-      ++*head;
-      ++delivered;
-    }
+  // Resets a drained bucket, or drops its delivered prefix once that
+  // outweighs what is left: moving the rest down then costs at most what
+  // was delivered since the cursor last reset.
+  template <typename T>
+  static void CompactFront(std::vector<T>* items, size_t* head) {
     const size_t left = items->size() - *head;
     if (left == 0) {
       items->clear();
       *head = 0;
     } else if (*head >= left) {
-      // The delivered prefix outweighs what is left: moving the rest down
-      // costs at most what was delivered since the cursor last reset.
       items->erase(items->begin(), items->begin() + static_cast<std::ptrdiff_t>(*head));
       *head = 0;
     }
-    return delivered;
   }
 
   std::vector<std::vector<Item>> buckets_;

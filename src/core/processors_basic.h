@@ -155,12 +155,12 @@ class GeneratorSourceP final : public Processor {
   bool Complete() override {
     if (ctx()->IsCancelled()) return true;
     if (shards_.empty()) return true;
-    if (!heap_built_) BuildHeap();
+    if (!ring_built_) BuildRing();
     const Nanos now = ctx()->clock->Now();
     const auto vp_count = static_cast<int64_t>(options_.virtual_partitions);
     int32_t budget = options_.max_batch;
     while (budget-- > 0 && ctx()->outbox->HasRoom()) {
-      if (heap_.empty()) {
+      if (ring_.empty()) {
         // All shards exhausted: emit a final watermark so downstream
         // windows flush, then finish.
         ctx()->outbox->OfferToAll(Item::WatermarkAt(kMaxWatermark));
@@ -168,7 +168,7 @@ class GeneratorSourceP final : public Processor {
       }
       // The next event overall is the unexhausted shard with the earliest
       // next event time, the lowest shard index breaking ties.
-      const auto [event_time, index] = heap_.front();
+      const auto [event_time, index] = ring_[ring_head_];
       if (event_time > now) break;  // not yet due
       Shard* next = &shards_[index];
       const int64_t seq = next->NextSeq(vp_count);
@@ -182,12 +182,11 @@ class GeneratorSourceP final : public Processor {
       }
       ctx()->outbox->OfferToAll(Item::Data<Out>(std::move(value), stamped_time, key_hash));
       ++next->next_round;
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
       if (Exhausted(*next)) {
-        heap_.pop_back();
+        ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
+        if (ring_head_ == ring_.size()) ring_head_ = 0;
       } else {
-        heap_.back().first = next->NextEventTime(vp_count, period_);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        AdvanceFront({next->NextEventTime(vp_count, period_), index});
       }
       if (event_time > last_emitted_ts_) last_emitted_ts_ = event_time;
       ++events_emitted_;
@@ -240,7 +239,7 @@ class GeneratorSourceP final : public Processor {
     }
     if (start_time_ < 0 || start < start_time_) start_time_ = start;
     if (wm > last_wm_) last_wm_ = wm;
-    heap_built_ = false;  // a cursor or anchor moved: re-rank the shards
+    ring_built_ = false;  // a cursor or anchor moved: re-rank the shards
     return Status::OK();
   }
 
@@ -264,7 +263,7 @@ class GeneratorSourceP final : public Processor {
 
   // Anchors event time and ranks the unexhausted shards by next event time.
   // Runs on the first Complete() and again after a restore.
-  void BuildHeap() {
+  void BuildRing() {
     if (start_time_ < 0) {
       // Anchor event time: either the shared configured start or this
       // instance's first Complete() call. The anchor is per *shard* — a
@@ -275,23 +274,45 @@ class GeneratorSourceP final : public Processor {
       start_time_ = options_.start_time >= 0 ? options_.start_time : ctx()->clock->Now();
     }
     const auto vp_count = static_cast<int64_t>(options_.virtual_partitions);
-    heap_.clear();
+    ring_.clear();
+    ring_head_ = 0;
     for (size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = shards_[i];
       if (shard.start_time < 0) shard.start_time = start_time_;
-      if (!Exhausted(shard)) heap_.emplace_back(shard.NextEventTime(vp_count, period_), i);
+      if (!Exhausted(shard)) ring_.emplace_back(shard.NextEventTime(vp_count, period_), i);
     }
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
-    heap_built_ = true;
+    std::sort(ring_.begin(), ring_.end());
+    ring_built_ = true;
+  }
+
+  // Gives the front shard its new rank `key`. With a common anchor and even
+  // cursors (the steady state) the shard that just emitted is due after
+  // every other one, so it rotates to the back in O(1); otherwise (uneven
+  // cursors after a restore) it is re-inserted in order.
+  void AdvanceFront(std::pair<Nanos, size_t> key) {
+    const size_t back = (ring_head_ == 0 ? ring_.size() : ring_head_) - 1;
+    if (key > ring_[back]) {
+      ring_[ring_head_] = key;
+      if (++ring_head_ == ring_.size()) ring_head_ = 0;
+      return;
+    }
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
+                ring_.end());
+    ring_head_ = 0;
+    ring_.front() = key;
+    std::rotate(ring_.begin(), ring_.begin() + 1,
+                std::lower_bound(ring_.begin() + 1, ring_.end(), key));
   }
 
   GenFn gen_;
   Options options_;
   std::vector<Shard> shards_;
-  // Min-heap of (next event time, index into shards_) over the unexhausted
-  // shards; the top is the shard that emits next.
-  std::vector<std::pair<Nanos, size_t>> heap_;
-  bool heap_built_ = false;
+  // The unexhausted shards as (next event time, index into shards_), sorted
+  // as a ring that starts at ring_head_; the head is the shard that emits
+  // next.
+  std::vector<std::pair<Nanos, size_t>> ring_;
+  size_t ring_head_ = 0;
+  bool ring_built_ = false;
   Nanos period_ = 1000;
   Nanos start_time_ = -1;
   Nanos last_emitted_ts_ = kMinWatermark;

@@ -173,13 +173,9 @@ void ProcessorTasklet::OnWorkerAdopted(int32_t worker_index) {
 
 bool ProcessorTasklet::DrainOutbox() {
   for (int o = 0; o < outbox_.edge_count(); ++o) {
-    auto& collector = collectors_[static_cast<size_t>(o)];
-    // Data items are *moved* into their target queue (single-target
-    // routes), so the hot path never bumps the payload refcount.
-    const size_t delivered = outbox_.DrainBucket(o, [&collector](Item& item) {
-      return item.IsData() ? collector.OfferDataMove(item) : collector.OfferControl(item);
-    });
-    if (delivered > 0) MarkProgress();
+    // Runs of data items are *moved* into their target queues, a whole run
+    // per index publish on isolated and local unicast edges.
+    if (outbox_.DrainRuns(o, collectors_[static_cast<size_t>(o)]) > 0) MarkProgress();
   }
   const size_t written = outbox_.DrainSnapshot([this](StateEntry& entry) {
     // Entries are dropped without a snapshot store, and once the watchdog

@@ -97,17 +97,17 @@ class StreamStage {
   template <typename R>
   StreamStage<R> Map(std::string name, std::function<R(const T&)> fn) {
     return AddStateless<R>(std::move(name),
-                           [fn](const core::Item& in, std::vector<core::Item>* out) {
-                             out->push_back(core::Item::Data<R>(
-                                 fn(in.payload.As<T>()), in.timestamp, in.key_hash));
+                           [fn](const core::Item& in, ItemEmitter emit) {
+                             emit(core::Item::Data<R>(fn(in.payload.As<T>()),
+                                                      in.timestamp, in.key_hash));
                            });
   }
 
   /// Keeps only items satisfying the predicate.
   StreamStage<T> Filter(std::string name, std::function<bool(const T&)> pred) {
     return AddStateless<T>(std::move(name),
-                           [pred](const core::Item& in, std::vector<core::Item>* out) {
-                             if (pred(in.payload.As<T>())) out->push_back(in);
+                           [pred](const core::Item& in, ItemEmitter emit) {
+                             if (pred(in.payload.As<T>())) emit(core::Item(in));
                            });
   }
 
@@ -119,11 +119,11 @@ class StreamStage {
     // own copy of the transform, so the buffer is never shared.
     return AddStateless<R>(
         std::move(name), [fn, results = std::vector<R>()](
-                             const core::Item& in, std::vector<core::Item>* out) mutable {
+                             const core::Item& in, ItemEmitter emit) mutable {
           results.clear();
           fn(in.payload.As<T>(), &results);
           for (auto& r : results) {
-            out->push_back(core::Item::Data<R>(std::move(r), in.timestamp, in.key_hash));
+            emit(core::Item::Data<R>(std::move(r), in.timestamp, in.key_hash));
           }
         });
   }
@@ -134,11 +134,10 @@ class StreamStage {
   StreamStage<R> MapRekey(std::string name, std::function<R(const T&)> fn,
                           std::function<uint64_t(const R&)> key_of) {
     return AddStateless<R>(std::move(name),
-                           [fn, key_of](const core::Item& in, std::vector<core::Item>* out) {
+                           [fn, key_of](const core::Item& in, ItemEmitter emit) {
                              R value = fn(in.payload.As<T>());
                              uint64_t hash = HashU64(key_of(value));
-                             out->push_back(
-                                 core::Item::Data<R>(std::move(value), in.timestamp, hash));
+                             emit(core::Item::Data<R>(std::move(value), in.timestamp, hash));
                            });
   }
 
@@ -290,10 +289,10 @@ class KeyedStream {
     StageNode rekey;
     rekey.kind = StageNode::Kind::kStateless;
     rekey.name = stage.name + ".key";
-    rekey.transform = [key_fn](const core::Item& in, std::vector<core::Item>* out) {
+    rekey.transform = [key_fn](const core::Item& in, ItemEmitter emit) {
       core::Item copy = in;
       copy.key_hash = HashU64(key_fn(in.payload.As<T>()));
-      out->push_back(std::move(copy));
+      emit(std::move(copy));
     };
     rekey.inputs.push_back(StageNode::Input{node_, core::RoutingPolicy::kUnicast,
                                             /*distributed=*/false, /*priority=*/0});
@@ -367,10 +366,10 @@ class SessionWindowedStream {
     StageNode rekey;
     rekey.kind = StageNode::Kind::kStateless;
     rekey.name = name + ".key";
-    rekey.transform = [key_fn](const core::Item& in, std::vector<core::Item>* out) {
+    rekey.transform = [key_fn](const core::Item& in, ItemEmitter emit) {
       core::Item copy = in;
       copy.key_hash = HashU64(key_fn(in.payload.As<T>()));
-      out->push_back(std::move(copy));
+      emit(std::move(copy));
     };
     rekey.inputs.push_back(StageNode::Input{node_, core::RoutingPolicy::kUnicast,
                                             /*distributed=*/false, /*priority=*/0});
@@ -486,16 +485,16 @@ StreamStage<R> StreamStage<T>::WindowJoin(std::string name, StreamStage<U> right
   // Insert re-keying stages so both partitioned inputs route by the join
   // key's hash, whatever the upstream keying was.
   StreamStage<T> keyed_left = AddStateless<T>(
-      name + ".lkey", [left_key](const core::Item& in, std::vector<core::Item>* out) {
+      name + ".lkey", [left_key](const core::Item& in, ItemEmitter emit) {
         core::Item copy = in;
         copy.key_hash = HashU64(left_key(in.payload.As<T>()));
-        out->push_back(std::move(copy));
+        emit(std::move(copy));
       });
   StreamStage<U> keyed_right = right.template AddStateless<U>(
-      name + ".rkey", [right_key](const core::Item& in, std::vector<core::Item>* out) {
+      name + ".rkey", [right_key](const core::Item& in, ItemEmitter emit) {
         core::Item copy = in;
         copy.key_hash = HashU64(right_key(in.payload.As<U>()));
-        out->push_back(std::move(copy));
+        emit(std::move(copy));
       });
 
   StageNode stage;

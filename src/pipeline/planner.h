@@ -21,7 +21,8 @@ struct PlanOptions {
 
 /// Executes a fused chain of stateless transforms as one processor. Items
 /// pass through the chain's function calls without touching any queue —
-/// this is what operator fusion buys (§3.1).
+/// this is what operator fusion buys (§3.1): each stage hands its output
+/// straight to the next stage, and the last one into the outbox.
 class FusedStatelessP final : public core::Processor {
  public:
   explicit FusedStatelessP(std::vector<ItemTransformFn> chain)
@@ -30,25 +31,26 @@ class FusedStatelessP final : public core::Processor {
   void Process(int ordinal, core::Inbox* inbox) override {
     (void)ordinal;
     while (!inbox->Empty() && ctx()->outbox->HasRoom()) {
-      ApplyChain(inbox->Poll());
+      RunChainFrom(0, *inbox->Peek());
+      inbox->RemoveFront();
     }
   }
 
  private:
-  void ApplyChain(core::Item in) {
-    scratch_a_.clear();
-    scratch_a_.push_back(std::move(in));
-    for (const ItemTransformFn& fn : chain_) {
-      scratch_b_.clear();
-      for (const core::Item& item : scratch_a_) fn(item, &scratch_b_);
-      scratch_a_.swap(scratch_b_);
-    }
-    for (auto& item : scratch_a_) ctx()->outbox->OfferToAll(std::move(item));
+  // Runs stage `stage` on `in`, passing each output on depth-first, which
+  // keeps the outputs in the order a stage-at-a-time pass would give.
+  void RunChainFrom(size_t stage, const core::Item& in) {
+    auto next = [this, stage](core::Item&& out) {
+      if (stage + 1 == chain_.size()) {
+        ctx()->outbox->OfferToAll(std::move(out));
+      } else {
+        RunChainFrom(stage + 1, out);
+      }
+    };
+    chain_[stage](in, next);
   }
 
   std::vector<ItemTransformFn> chain_;
-  std::vector<core::Item> scratch_a_;
-  std::vector<core::Item> scratch_b_;
 };
 
 /// Lowers a stage graph to a core::Dag: fuses stateless chains, expands

@@ -4,6 +4,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/dag.h"
@@ -11,12 +13,31 @@
 
 namespace jet::pipeline {
 
-/// Item-level transform of a stateless stage: consumes `in` and appends any
-/// number of output items to `out`. Stored type-erased so the planner can
-/// fuse consecutive stateless stages into one processor (§3.1 operator
-/// fusion) regardless of their static types.
-using ItemTransformFn =
-    std::function<void(const core::Item& in, std::vector<core::Item>* out)>;
+/// Non-owning reference to the callable a stateless stage hands each of its
+/// output items to. It is valid only during the transform call it is passed
+/// to, and copying it copies two pointers, so a fused chain can pass items
+/// from stage to stage with no buffer and no allocation.
+class ItemEmitter {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, ItemEmitter>>>
+  ItemEmitter(F& target)  // NOLINT(google-explicit-constructor)
+      : target_(&target), call_([](void* t, core::Item&& item) {
+          (*static_cast<F*>(t))(std::move(item));
+        }) {}
+
+  void operator()(core::Item&& item) const { call_(target_, std::move(item)); }
+
+ private:
+  void* target_;
+  void (*call_)(void*, core::Item&&);
+};
+
+/// Item-level transform of a stateless stage: reads `in` and passes any
+/// number of output items to `emit`, in order. Stored type-erased so the
+/// planner can fuse consecutive stateless stages into one processor (§3.1
+/// operator fusion) regardless of their static types.
+using ItemTransformFn = std::function<void(const core::Item& in, ItemEmitter emit)>;
 
 /// Untyped stage-graph node. The typed Pipeline API (pipeline.h) is a
 /// compile-time-checked veneer over this representation; the planner

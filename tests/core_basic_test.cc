@@ -347,6 +347,22 @@ struct Emitted {
   bool operator==(const Emitted&) const = default;
 };
 
+// Takes everything a source's outbox drains, in order, as Emitted records.
+struct EmittedCollector {
+  std::vector<Emitted> emitted;
+
+  size_t OfferRun(Item* first, Item* last) {
+    for (Item* it = first; it != last; ++it) {
+      emitted.push_back({it->payload.As<int64_t>(), it->timestamp});
+    }
+    return static_cast<size_t>(last - first);
+  }
+  bool OfferControl(const Item& item) {
+    emitted.push_back({-1, item.timestamp});
+    return true;
+  }
+};
+
 // A restored replay cursor: shard, next round, event-time anchor, and the
 // watermark the snapshot recorded.
 struct Cursor {
@@ -383,99 +399,116 @@ TEST(GeneratorSourceTest, EmissionOrderMatchesLinearScanAfterRestore) {
   opt.virtual_partitions = kShards;
 
   // Every instance replays all entries, keeping the cursors of the shards it
-  // owns. Shards 0 and 2 are anchored 20 ns apart, so their events tie
-  // (1000 + 80r) and the lower shard index must win each tie. Shard 4's
-  // early anchor makes it run out of events first; shard 6 restores
-  // already exhausted. Shards 3 and 5 are not restored and take the
-  // earliest restored anchor (400).
-  const std::vector<Cursor> cursors = {{0, 3, 1000, 1200}, {2, 3, 980, 1210},
-                                       {4, 0, 400, 0},     {6, 30, 990, 0},
-                                       {1, 5, 1000, 0},    {7, 2, 1500, 900}};
-  Nanos restored_anchor = cursors.front().anchor;
-  Nanos restored_wm = 0;
-  for (const Cursor& c : cursors) {
-    restored_anchor = std::min(restored_anchor, c.anchor);
-    restored_wm = std::max(restored_wm, c.wm);
-  }
-
-  for (int32_t instance = 0; instance < kInstances; ++instance) {
-    SCOPED_TRACE(instance);
-    // Brute-force reference: scan every owned shard for the earliest next
-    // event, the lower shard index winning ties.
-    struct RefShard {
-      int32_t vp;
-      int64_t round;
-      Nanos anchor;
-      int64_t Seq() const { return round * kShards + vp; }
-      Nanos Time() const { return anchor + Seq() * kPeriod; }
-    };
-    std::vector<RefShard> ref;
-    for (int32_t vp = instance; vp < kShards; vp += kInstances) {
-      RefShard shard{vp, 0, restored_anchor};
-      for (const Cursor& c : cursors) {
-        if (c.vp == vp) shard = RefShard{vp, c.next_round, c.anchor};
-      }
-      ref.push_back(shard);
+  // owns.
+  const std::vector<std::vector<Cursor>> restores = {
+      // Shards 0 and 2 are anchored 20 ns apart, so their events tie
+      // (1000 + 80r) and the lower shard index must win each tie. Shard 4's
+      // early anchor makes it run out of events first; shard 6 restores
+      // already exhausted. Shards 3 and 5 are not restored and take the
+      // earliest restored anchor (400).
+      {{0, 3, 1000, 1200},
+       {2, 3, 980, 1210},
+       {4, 0, 400, 0},
+       {6, 30, 990, 0},
+       {1, 5, 1000, 0},
+       {7, 2, 1500, 900}},
+      // One common anchor, with shard 2 four rounds and shard 5 three rounds
+      // behind the other shards of their instance: each emits several times
+      // in a row, every new event time still due before the latest of the
+      // others', until it catches up.
+      {{0, 7, 1000, 0},
+       {2, 3, 1000, 0},
+       {4, 7, 1000, 0},
+       {6, 7, 1000, 0},
+       {1, 7, 1000, 0},
+       {3, 7, 1000, 0},
+       {5, 4, 1000, 0},
+       {7, 7, 1000, 0}},
+  };
+  for (size_t r = 0; r < restores.size(); ++r) {
+    const std::vector<Cursor>& cursors = restores[r];
+    Nanos restored_anchor = cursors.front().anchor;
+    Nanos restored_wm = 0;
+    for (const Cursor& c : cursors) {
+      restored_anchor = std::min(restored_anchor, c.anchor);
+      restored_wm = std::max(restored_wm, c.wm);
     }
-    Nanos ref_last_emitted = kMinWatermark;
-    Nanos ref_last_wm = restored_wm;
-    auto reference_call = [&](Nanos now, std::vector<Emitted>* out) {
-      for (int32_t budget = opt.max_batch; budget-- > 0;) {
-        RefShard* next = nullptr;
-        for (RefShard& shard : ref) {
-          if (shard.Seq() * kPeriod >= opt.duration) continue;
-          if (next == nullptr || shard.Time() < next->Time()) next = &shard;
+
+    for (int32_t instance = 0; instance < kInstances; ++instance) {
+      SCOPED_TRACE("restore " + std::to_string(r) + ", instance " + std::to_string(instance));
+      // Brute-force reference: scan every owned shard for the earliest next
+      // event, the lower shard index winning ties.
+      struct RefShard {
+        int32_t vp;
+        int64_t round;
+        Nanos anchor;
+        int64_t Seq() const { return round * kShards + vp; }
+        Nanos Time() const { return anchor + Seq() * kPeriod; }
+      };
+      std::vector<RefShard> ref;
+      for (int32_t vp = instance; vp < kShards; vp += kInstances) {
+        RefShard shard{vp, 0, restored_anchor};
+        for (const Cursor& c : cursors) {
+          if (c.vp == vp) shard = RefShard{vp, c.next_round, c.anchor};
         }
-        if (next == nullptr) {
-          out->push_back({-1, kMaxWatermark});
-          return true;
-        }
-        const Nanos time = next->Time();
-        if (time > now) return false;
-        out->push_back({next->Seq(), time});
-        ++next->round;
-        ref_last_emitted = std::max(ref_last_emitted, time);
-        if (ref_last_emitted - ref_last_wm >= opt.watermark_interval) {
-          out->push_back({-1, ref_last_emitted});
-          ref_last_wm = ref_last_emitted;
-        }
+        ref.push_back(shard);
       }
-      return false;
-    };
+      Nanos ref_last_emitted = kMinWatermark;
+      Nanos ref_last_wm = restored_wm;
+      auto reference_call = [&](Nanos now, std::vector<Emitted>* out) {
+        for (int32_t budget = opt.max_batch; budget-- > 0;) {
+          RefShard* next = nullptr;
+          for (RefShard& shard : ref) {
+            if (shard.Seq() * kPeriod >= opt.duration) continue;
+            if (next == nullptr || shard.Time() < next->Time()) next = &shard;
+          }
+          if (next == nullptr) {
+            out->push_back({-1, kMaxWatermark});
+            return true;
+          }
+          const Nanos time = next->Time();
+          if (time > now) return false;
+          out->push_back({next->Seq(), time});
+          ++next->round;
+          ref_last_emitted = std::max(ref_last_emitted, time);
+          if (ref_last_emitted - ref_last_wm >= opt.watermark_interval) {
+            out->push_back({-1, ref_last_emitted});
+            ref_last_wm = ref_last_emitted;
+          }
+        }
+        return false;
+      };
 
-    ManualClock clock(0);
-    Outbox outbox(1, 1024);
-    ProcessorContext ctx;
-    ctx.outbox = &outbox;
-    ctx.clock = &clock;
-    ctx.meta.global_index = instance;
-    ctx.meta.total_parallelism = kInstances;
-    GeneratorSourceP<int64_t> source(
-        [](int64_t seq) { return std::make_pair(seq, HashU64(static_cast<uint64_t>(seq))); },
-        opt);
-    ASSERT_TRUE(source.Init(&ctx).ok());
-    for (const Cursor& c : cursors) ASSERT_TRUE(source.RestoreFromSnapshot(CursorEntry(c)).ok());
+      ManualClock clock(0);
+      Outbox outbox(1, 1024);
+      ProcessorContext ctx;
+      ctx.outbox = &outbox;
+      ctx.clock = &clock;
+      ctx.meta.global_index = instance;
+      ctx.meta.total_parallelism = kInstances;
+      GeneratorSourceP<int64_t> source(
+          [](int64_t seq) { return std::make_pair(seq, HashU64(static_cast<uint64_t>(seq))); },
+          opt);
+      ASSERT_TRUE(source.Init(&ctx).ok());
+      for (const Cursor& c : cursors) ASSERT_TRUE(source.RestoreFromSnapshot(CursorEntry(c)).ok());
 
-    bool done = false;
-    int64_t data_items = 0;
-    for (int call = 0; call < 10'000 && !done; ++call) {
-      clock.Advance(53);  // often lands between events: "not yet due"
-      std::vector<Emitted> expected;
-      const bool ref_done = reference_call(clock.Now(), &expected);
-      done = source.Complete();
-      std::vector<Emitted> got;
-      outbox.DrainBucket(0, [&got](Item& item) {
-        got.push_back(item.IsData() ? Emitted{item.payload.As<int64_t>(), item.timestamp}
-                                    : Emitted{-1, item.timestamp});
-        return true;
-      });
-      ASSERT_EQ(got, expected) << "call " << call;
-      ASSERT_EQ(done, ref_done) << "call " << call;
-      for (const Emitted& e : got) data_items += e.seq >= 0 ? 1 : 0;
+      bool done = false;
+      int64_t data_items = 0;
+      for (int call = 0; call < 10'000 && !done; ++call) {
+        clock.Advance(53);  // often lands between events: "not yet due"
+        std::vector<Emitted> expected;
+        const bool ref_done = reference_call(clock.Now(), &expected);
+        done = source.Complete();
+        EmittedCollector got;
+        outbox.DrainRuns(0, got);
+        ASSERT_EQ(got.emitted, expected) << "call " << call;
+        ASSERT_EQ(done, ref_done) << "call " << call;
+        for (const Emitted& e : got.emitted) data_items += e.seq >= 0 ? 1 : 0;
+      }
+      ASSERT_TRUE(done);
+      EXPECT_EQ(data_items, source.events_emitted());
+      EXPECT_GT(data_items, 0);
     }
-    ASSERT_TRUE(done);
-    EXPECT_EQ(data_items, source.events_emitted());
-    EXPECT_GT(data_items, 0);
   }
 }
 

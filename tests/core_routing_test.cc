@@ -32,13 +32,29 @@ TEST(InboxTest, FifoPeekPoll) {
   EXPECT_TRUE(inbox.Empty());
 }
 
+// Stands in for an OutboundCollector that takes everything, appending the
+// payloads of data items to `got`.
+struct RecordingCollector {
+  std::vector<int>* got;
+
+  size_t OfferRun(Item* first, Item* last) {
+    for (Item* it = first; it != last; ++it) got->push_back(it->payload.As<int>());
+    return static_cast<size_t>(last - first);
+  }
+  bool OfferControl(const Item&) { return true; }
+};
+
+// Stands in for an OutboundCollector whose queues are all full.
+struct RefusingCollector {
+  size_t OfferRun(Item*, Item*) { return 0; }
+  bool OfferControl(const Item&) { return false; }
+};
+
 // Delivers one pass of bucket `ordinal` to a consumer that accepts all,
 // appending the payloads to `got`; returns the number delivered.
 size_t DrainPass(Outbox* outbox, int ordinal, std::vector<int>* got) {
-  return outbox->DrainBucket(ordinal, [got](Item& item) {
-    got->push_back(item.payload.As<int>());
-    return true;
-  });
+  RecordingCollector collector{got};
+  return outbox->DrainRuns(ordinal, collector);
 }
 
 TEST(OutboxTest, BucketCapacityEnforced) {
@@ -77,7 +93,8 @@ TEST(OutboxTest, OfferToAllPastCapacityDeliversInOrderAcrossPasses) {
   for (int i = 5; i < 8; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
   EXPECT_EQ(DrainPass(&outbox, 0, &tail), 2u);
   outbox.Offer(0, Item::Data<int>(8, 0));
-  EXPECT_EQ(outbox.DrainBucket(0, [](Item&) { return false; }), 0u);
+  RefusingCollector full;
+  EXPECT_EQ(outbox.DrainRuns(0, full), 0u);
   EXPECT_EQ(DrainPass(&outbox, 0, &tail), 2u);
   EXPECT_EQ(tail, (std::vector<int>{5, 6, 7, 8}));
   EXPECT_EQ(outbox.PendingItems(), 0u);
@@ -281,6 +298,123 @@ TEST(CollectorTest, ControlReachesEveryQueue) {
     ASSERT_NE(front, nullptr);
     EXPECT_TRUE(front->IsWatermark());
     EXPECT_EQ(front->timestamp, 42);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run delivery: Outbox::DrainRuns through an OutboundCollector
+// ---------------------------------------------------------------------------
+
+// Pops everything in `queue`, data payloads as themselves and watermarks as
+// -1 - timestamp.
+std::vector<int> PopAll(ItemQueue* queue) {
+  std::vector<int> out;
+  Item item;
+  while (queue->TryPop(item)) {
+    out.push_back(item.IsData() ? item.payload.As<int>()
+                                : -1 - static_cast<int>(item.timestamp));
+  }
+  return out;
+}
+
+std::vector<int> Range(int from, int to) {
+  std::vector<int> out;
+  for (int i = from; i < to; ++i) out.push_back(i);
+  return out;
+}
+
+TEST(RunDeliveryTest, RunIntoAQueueWithKFreeSlotsDeliversTheFirstK) {
+  for (RoutingPolicy routing : {RoutingPolicy::kIsolated, RoutingPolicy::kUnicast}) {
+    SCOPED_TRACE(static_cast<int>(routing));
+    auto queues = MakeQueues(1, /*capacity=*/8);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(queues[0]->TryPush(Item::Data<int>(100 + i, 0)));
+    OutboundCollector collector(routing, queues, {}, 1, 1, 0, /*isolated_index=*/0);
+    Outbox outbox(1, /*bucket_capacity=*/64);
+    for (int i = 0; i < 6; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+
+    EXPECT_EQ(outbox.DrainRuns(0, collector), 3u);  // k = 3 free slots
+    EXPECT_EQ(outbox.PendingItems(), 3u);
+    EXPECT_EQ(PopAll(queues[0].get()), (std::vector<int>{100, 101, 102, 103, 104, 0, 1, 2}));
+    // The rest stayed in the bucket, in order.
+    EXPECT_EQ(outbox.DrainRuns(0, collector), 3u);
+    EXPECT_TRUE(outbox.Empty());
+    EXPECT_EQ(PopAll(queues[0].get()), (std::vector<int>{3, 4, 5}));
+  }
+}
+
+TEST(RunDeliveryTest, UnicastRunSkipsAFullQueueAndRotatesPerRun) {
+  auto queues = MakeQueues(3, /*capacity=*/4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queues[0]->TryPush(Item::Data<int>(100 + i, 0)));
+  OutboundCollector collector(RoutingPolicy::kUnicast, queues, {}, 3, 1, 0);
+  Outbox outbox(1, /*bucket_capacity=*/64);
+
+  for (int i = 0; i < 3; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.DrainRuns(0, collector), 3u);  // queue 0 is full: all to queue 1
+  for (int i = 3; i < 5; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.DrainRuns(0, collector), 2u);  // the next run goes to queue 2
+  // A run larger than the room left spills from queue 0 (still full) past
+  // queue 1 (one slot) into queue 2 (two slots) and keeps the rest.
+  for (int i = 5; i < 9; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.DrainRuns(0, collector), 3u);
+  EXPECT_EQ(outbox.PendingItems(), 1u);
+
+  EXPECT_EQ(PopAll(queues[0].get()), Range(100, 104));
+  EXPECT_EQ(PopAll(queues[1].get()), (std::vector<int>{0, 1, 2, 5}));
+  EXPECT_EQ(PopAll(queues[2].get()), (std::vector<int>{3, 4, 6, 7}));
+}
+
+TEST(RunDeliveryTest, WatermarkWaitsForTheRestOfAPartlyDeliveredRun) {
+  for (RoutingPolicy routing : {RoutingPolicy::kIsolated, RoutingPolicy::kUnicast}) {
+    SCOPED_TRACE(static_cast<int>(routing));
+    auto queues = MakeQueues(1, /*capacity=*/4);
+    OutboundCollector collector(routing, queues, {}, 1, 1, 0, /*isolated_index=*/0);
+    Outbox outbox(1, /*bucket_capacity=*/64);
+    for (int i = 0; i < 6; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+    outbox.Offer(0, Item::WatermarkAt(7));
+    outbox.Offer(0, Item::Data<int>(6, 0));
+
+    EXPECT_EQ(outbox.DrainRuns(0, collector), 4u);
+    EXPECT_EQ(outbox.DrainRuns(0, collector), 0u);  // still full: nothing overtakes
+    EXPECT_EQ(PopAll(queues[0].get()), Range(0, 4));
+    EXPECT_EQ(outbox.DrainRuns(0, collector), 4u);
+    EXPECT_TRUE(outbox.Empty());
+    EXPECT_EQ(PopAll(queues[0].get()), (std::vector<int>{4, 5, -8, 6}));
+  }
+}
+
+TEST(RunDeliveryTest, PartitionedAndBroadcastDeliverAsItemByItemOffers) {
+  // Reference: the per-item OfferData loop, stopping at the first refusal,
+  // on an identical collector. Small queues force partial passes.
+  for (RoutingPolicy routing : {RoutingPolicy::kPartitioned, RoutingPolicy::kBroadcast}) {
+    SCOPED_TRACE(static_cast<int>(routing));
+    auto queues = MakeQueues(3, /*capacity=*/4);
+    auto ref_queues = MakeQueues(3, /*capacity=*/4);
+    OutboundCollector collector(routing, queues, {}, 3, 1, 0);
+    OutboundCollector reference(routing, ref_queues, {}, 3, 1, 0);
+    std::vector<Item> items;
+    for (int i = 0; i < 20; ++i) {
+      if (i == 9) items.push_back(Item::WatermarkAt(50));
+      items.push_back(Item::Data<int>(i, i, HashU64(static_cast<uint64_t>(i))));
+    }
+    Outbox outbox(1, /*bucket_capacity=*/64);
+    for (const Item& item : items) outbox.Offer(0, item);
+
+    size_t next = 0;
+    for (int pass = 0; pass < 100 && next < items.size(); ++pass) {
+      const size_t before = next;
+      while (next < items.size() && (items[next].IsData()
+                                         ? reference.OfferData(items[next])
+                                         : reference.OfferControl(items[next]))) {
+        ++next;
+      }
+      EXPECT_EQ(outbox.DrainRuns(0, collector), next - before) << "pass " << pass;
+      for (size_t q = 0; q < 3; ++q) {
+        EXPECT_EQ(PopAll(queues[q].get()), PopAll(ref_queues[q].get()))
+            << "pass " << pass << ", queue " << q;
+      }
+    }
+    EXPECT_EQ(next, items.size());
+    EXPECT_TRUE(outbox.Empty());
   }
 }
 

@@ -1,9 +1,13 @@
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/execution_service.h"
+#include "core/job.h"
+#include "core/processors_basic.h"
 
 namespace jet::core {
 namespace {
@@ -98,6 +102,47 @@ TEST(ExecutionServiceTest, EmptyTaskletListCompletesImmediately) {
   ASSERT_TRUE(service.Start({}).ok());
   ASSERT_TRUE(service.AwaitCompletion().ok());
   EXPECT_TRUE(service.IsComplete());
+}
+
+// Regression: the rebalance thread slept out its whole interval after the
+// last cooperative tasklet finished, and Join() waited for it. With a 10 s
+// interval, a job that is done in milliseconds must still join promptly.
+TEST(ExecutionServiceTest, JoinDoesNotWaitOutTheRebalanceInterval) {
+  static ManualClock clock(int64_t{1} << 60);
+  auto counter = std::make_shared<std::atomic<int64_t>>(0);
+  Dag dag;
+  VertexId source = dag.AddVertex(
+      "source",
+      [](const ProcessorMeta&) -> std::unique_ptr<Processor> {
+        GeneratorSourceP<int64_t>::Options opt;
+        opt.events_per_second = 1e9;
+        opt.duration = 1000;
+        opt.start_time = 0;
+        return std::make_unique<GeneratorSourceP<int64_t>>(
+            [](int64_t seq) { return std::make_pair(seq, static_cast<uint64_t>(seq)); },
+            opt);
+      },
+      2);
+  VertexId sink = dag.AddVertex(
+      "sink",
+      [counter](const ProcessorMeta&) -> std::unique_ptr<Processor> {
+        return std::make_unique<CountSinkP<int64_t>>(counter);
+      },
+      2);
+  dag.AddEdge(source, sink);
+  JobParams params;
+  params.dag = &dag;
+  params.cooperative_threads = 2;
+  params.clock = &clock;
+  params.config.rebalance_interval = 10 * kNanosPerSecond;
+  auto job = Job::Create(params);
+  ASSERT_TRUE(job.ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE((*job)->Start().ok());
+  ASSERT_TRUE((*job)->Join().ok());
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(counter->load(), 1000);
+  EXPECT_LT(took, std::chrono::seconds(2));
 }
 
 }  // namespace

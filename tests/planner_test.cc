@@ -129,5 +129,89 @@ TEST(PlannerTest, FusedVertexNamesConcatenate) {
   EXPECT_TRUE(found);
 }
 
+// One item as the recording sink below saw it.
+struct Seen {
+  int64_t value;
+  Nanos timestamp;
+  uint64_t key_hash;
+  bool operator==(const Seen&) const = default;
+};
+
+// Sink recording every data item's value, timestamp and key hash in order.
+class RecordItemsP final : public core::Processor {
+ public:
+  explicit RecordItemsP(std::shared_ptr<core::SyncCollector<Seen>> seen)
+      : seen_(std::move(seen)) {}
+
+  void Process(int ordinal, core::Inbox* inbox) override {
+    (void)ordinal;
+    while (!inbox->Empty()) {
+      const core::Item& item = *inbox->Peek();
+      seen_->Add(Seen{item.payload.As<int64_t>(), item.timestamp, item.key_hash});
+      inbox->RemoveFront();
+    }
+  }
+
+ private:
+  std::shared_ptr<core::SyncCollector<Seen>> seen_;
+};
+
+// Runs ints -> FlatMap (fan-out 0, 1 or 3) -> Filter -> Map -> MapRekey on
+// one worker, so the sink sees one deterministic order, and returns what
+// it saw.
+std::vector<Seen> RunStatelessChain(bool enable_fusion) {
+  Pipeline p;
+  auto seen = std::make_shared<core::SyncCollector<Seen>>();
+  p.ReadFrom<int64_t>("ints", Gen(), SmallInts(300))
+      .FlatMap<int64_t>("fan-out",
+                        [](const int64_t& v, std::vector<int64_t>* out) {
+                          const int64_t copies = v % 3 == 0 ? 0 : v % 3 == 1 ? 1 : 3;
+                          for (int64_t c = 0; c < copies; ++c) out->push_back(v * 10 + c);
+                        })
+      .Filter("drop-some", [](const int64_t& v) { return v % 7 != 0; })
+      .Map<int64_t>("plus-one", [](const int64_t& v) { return v + 1; })
+      .MapRekey<int64_t>(
+          "rekey", [](const int64_t& v) { return v * 2; },
+          [](const int64_t& v) { return static_cast<uint64_t>(v % 11); })
+      .WriteTo("record", [seen](const core::ProcessorMeta&) {
+        return std::make_unique<RecordItemsP>(seen);
+      });
+  PlanOptions options;
+  options.enable_fusion = enable_fusion;
+  auto dag = p.ToDag(options);
+  EXPECT_TRUE(dag.ok()) << dag.status().ToString();
+  if (!dag.ok()) return {};
+  // Fused: source, chain, sink; unfused: one vertex per stage.
+  EXPECT_EQ(dag->vertices().size(), enable_fusion ? 3u : 6u);
+
+  static ManualClock clock(int64_t{1} << 60);
+  core::JobParams params;
+  params.dag = &*dag;
+  params.cooperative_threads = 1;
+  params.clock = &clock;
+  auto job = core::Job::Create(params);
+  EXPECT_TRUE(job.ok());
+  if (!job.ok()) return {};
+  EXPECT_TRUE((*job)->Start().ok());
+  EXPECT_TRUE((*job)->Join().ok());
+  return seen->Snapshot();
+}
+
+// Fusion hands each stage's output straight to the next stage; the items
+// must come out exactly as the unfused stages, one vertex each, give them.
+TEST(PlannerTest, FusedChainMatchesUnfusedStages) {
+  const std::vector<Seen> fused = RunStatelessChain(/*enable_fusion=*/true);
+  const std::vector<Seen> unfused = RunStatelessChain(/*enable_fusion=*/false);
+  // 100 inputs fan out to none, 100 to one, 100 to three; the filter drops
+  // the copies that are multiples of 7.
+  size_t expected = 0;
+  for (int64_t v = 0; v < 300; ++v) {
+    const int64_t copies = v % 3 == 0 ? 0 : v % 3 == 1 ? 1 : 3;
+    for (int64_t c = 0; c < copies; ++c) expected += (v * 10 + c) % 7 != 0 ? 1 : 0;
+  }
+  ASSERT_EQ(fused.size(), expected);
+  EXPECT_EQ(fused, unfused);
+}
+
 }  // namespace
 }  // namespace jet::pipeline
