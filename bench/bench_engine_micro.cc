@@ -5,16 +5,14 @@
 // and the per-event cost of the windowed accumulate stage that bounds the
 // "2M events per second per CPU-core" capacity (§4.6).
 // Run with --json[=path] to skip google-benchmark and emit the
-// machine-readable exchange-path scenarios (BENCH_engine_micro.json):
-// throughput and p50/p99/p99.99 per-item latency for the shuffle-heavy
-// and unicast exchange hops, in both the legacy per-item shape and the
-// batched shape. CI parses the file and the committed baseline guards the
-// batching speedup.
+// machine-readable scenarios (BENCH_engine_micro.json): throughput and
+// p50/p99/p99.99 of the time per 256-item chunk for the shuffle-heavy and
+// unicast exchange hops and for contended keyed aggregation. CI parses the
+// file and guards the exchange throughput against the committed baseline.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -186,21 +184,19 @@ BENCHMARK(BM_WindowAccumulate)->Arg(100)->Arg(10'000)->Arg(1'000'000);
 // ---------------------------------------------------------------------------
 
 // One exchange hop as the engine runs it: producer SPSC queue -> tasklet
-// inbox -> wire frame -> receiver staging -> outbox fan-out. `batched`
-// uses the bulk paths of the batched exchange (SpscQueue::DrainWhile,
-// Inbox::DrainTo, whole-frame WireBuffer steal, move-based OfferToAll);
-// `per_item` replays the legacy shape (per-item pops, deque staging,
-// copy-based broadcast). The latency histogram records per-item
-// nanoseconds, chunk by chunk, so the tail percentiles reflect jitter and
-// not just the mean.
-jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, bool batched,
-                                         int32_t fan_out, int64_t chunks) {
+// inbox -> wire frame -> receiver staging -> outbox fan-out, through the
+// bulk paths of the exchange (SpscQueue::DrainWhile, Inbox::DrainTo,
+// whole-frame WireBuffer steal, move-based OfferToAll). The histogram
+// records the time of each 256-item chunk, so its tail shows jitter
+// between chunks, not the latency of one item.
+jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, int32_t fan_out,
+                                         int64_t chunks) {
   constexpr int kChunk = 256;
   SpscQueue<Item> queue(1024);
   Inbox inbox;
   Outbox outbox(fan_out, /*bucket_capacity=*/kChunk * 2);
   net::WireBuffer wire;
-  Histogram latency;
+  Histogram chunk_nanos;
   const Clock& clock = WallClock::Global();
   int64_t ts = 0;
   int64_t measured_items = 0;
@@ -213,42 +209,26 @@ jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, bool batch
       (void)queue.TryPush(item);
       ++ts;
     }
-    if (batched) {
-      (void)queue.DrainWhile([](const Item&) { return true; },
-                             [&inbox](Item&& it) { inbox.Add(std::move(it)); }, kChunk);
-      std::vector<Item> frame;
-      frame.reserve(kChunk);
-      (void)inbox.DrainTo(&frame, kChunk);
-      wire.Push(std::move(frame));
-      std::vector<Item> staged;
-      (void)wire.DrainInto(&staged, kChunk);
-      for (Item& item : staged) outbox.OfferToAll(std::move(item));
-    } else {
-      Item popped;
-      while (queue.TryPop(popped)) inbox.Add(std::move(popped));
-      while (!inbox.Empty()) {
-        std::vector<Item> frame;
-        frame.push_back(inbox.Poll());
-        wire.Push(std::move(frame));
-      }
-      std::deque<Item> staged;
-      while (wire.Drain(&staged, 1) > 0) {
-        Item copy = staged.front();  // the legacy broadcast copied the staged item
-        outbox.OfferToAll(std::move(copy));
-        staged.pop_front();
-      }
-    }
+    (void)queue.DrainWhile([](const Item&) { return true; },
+                           [&inbox](Item&& it) { inbox.Add(std::move(it)); }, kChunk);
+    std::vector<Item> frame;
+    frame.reserve(kChunk);
+    (void)inbox.DrainTo(&frame, kChunk);
+    wire.Push(std::move(frame));
+    std::vector<Item> staged;
+    (void)wire.DrainInto(&staged, kChunk);
+    for (Item& item : staged) outbox.OfferToAll(std::move(item));
     for (int32_t b = 0; b < fan_out; ++b) outbox.bucket(b).clear();
     const Nanos t1 = clock.Now();
     if (c >= 0) {
-      latency.Record(std::max<Nanos>(1, (t1 - t0) / kChunk));
+      chunk_nanos.Record(std::max<Nanos>(1, t1 - t0));
       measured_items += kChunk;
       measured_nanos += t1 - t0;
     }
   }
 
-  return jet::bench::MakeScenario(scenario, batched ? "batched" : "per_item",
-                                  measured_items, measured_nanos, latency);
+  return jet::bench::MakeScenario(scenario, "batched", measured_items, measured_nanos,
+                                  kChunk, chunk_nanos);
 }
 
 // Contended keyed aggregation against the IMDG (PR 10): four "processor"
@@ -259,9 +239,9 @@ jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, bool batch
 // threads contend on the rwlock reader count and the mutex cache lines
 // even though their key sets are disjoint. `owned` claims the partitions
 // and goes through OwnedPartitionHandle::Update: zero lock operations per
-// event. Per-event latency is recorded chunk by chunk per thread and the
-// histograms merged, so the p99.99 captures the cross-thread jitter the
-// locks introduce.
+// event. The time of each 256-item chunk is recorded per thread and the
+// histograms merged, so the chunk tail captures the cross-thread jitter
+// the locks introduce.
 jet::bench::BenchScenario RunContendedKeyedAggregation(bool owned, int64_t chunks) {
   constexpr int kThreads = 4;
   constexpr int kChunk = 256;
@@ -286,7 +266,7 @@ jet::bench::BenchScenario RunContendedKeyedAggregation(bool owned, int64_t chunk
     ++probe;
   }
 
-  std::vector<Histogram> latency(kThreads);
+  std::vector<Histogram> chunk_nanos(kThreads);
   std::vector<Nanos> elapsed(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -333,7 +313,7 @@ jet::bench::BenchScenario RunContendedKeyedAggregation(bool owned, int64_t chunk
         }
         const Nanos t1 = clock.Now();
         if (c >= 0) {
-          latency[t].Record(std::max<Nanos>(1, (t1 - t0) / kChunk));
+          chunk_nanos[t].Record(std::max<Nanos>(1, t1 - t0));
           elapsed[t] += t1 - t0;
         }
       }
@@ -353,26 +333,23 @@ jet::bench::BenchScenario RunContendedKeyedAggregation(bool owned, int64_t chunk
   Histogram merged;
   Nanos total_nanos = 0;
   for (int t = 0; t < kThreads; ++t) {
-    (void)merged.Merge(latency[t]);
+    (void)merged.Merge(chunk_nanos[t]);
     total_nanos = std::max(total_nanos, elapsed[t]);
   }
   const int64_t items = chunks * kChunk * kThreads;
   return jet::bench::MakeScenario("contended_keyed_aggregation",
                                   owned ? "owned" : "locked", items,
-                                  total_nanos, merged);
+                                  total_nanos, kChunk, merged);
 }
 
 int RunJsonScenarios(const std::string& path) {
   constexpr int64_t kChunks = 4096;  // 1M items per scenario run
   std::vector<jet::bench::BenchScenario> results;
-  // Shuffle-heavy hop: broadcast fan-out of 4 consumers, the worst case
-  // for the copy-per-bucket OfferToAll the batched path replaced.
-  results.push_back(RunExchangeHop("shuffle_exchange", /*batched=*/false, 4, kChunks));
-  results.push_back(RunExchangeHop("shuffle_exchange", /*batched=*/true, 4, kChunks));
+  // Shuffle-heavy hop: broadcast fan-out of 4 consumers.
+  results.push_back(RunExchangeHop("shuffle_exchange", 4, kChunks));
   // Unicast hop: single consumer, where OfferToAll degenerates to a pure
-  // move on the batched path.
-  results.push_back(RunExchangeHop("unicast_exchange", /*batched=*/false, 1, kChunks));
-  results.push_back(RunExchangeHop("unicast_exchange", /*batched=*/true, 1, kChunks));
+  // move.
+  results.push_back(RunExchangeHop("unicast_exchange", 1, kChunks));
   // Keyed aggregation under cross-thread lock contention vs single-writer
   // owned partition access (§4.1 ownership model).
   results.push_back(RunContendedKeyedAggregation(/*owned=*/false, kChunks / 4));

@@ -14,14 +14,16 @@
 //                    and fold it into the windowed per-key matcher state
 //                    (AccumulateByFrameP). Sweeps key cardinality
 //                    (1e4/1e5/1e6), state bytes per key, and Zipf skew.
-//                    Window flushes run inside the timed region, so frame
-//                    eviction cost lands in the tail where it belongs.
+//                    Each sample times one 256-item chunk ("chunk_ns");
+//                    window flushes run inside the timed region, so frame
+//                    eviction cost lands in the chunk tail.
 //
 //   imdg_load_1m     1M entries put into a replicated DataGrid, per-put
-//                    latency. Mode "unreserved" is the naive bulk load —
-//                    its p99.99 is dominated by incremental per-partition
-//                    unordered_map rehashes; "reserved" pre-sizes stores
-//                    via DataGrid::Reserve and flattens that tail. The
+//                    latency ("latency_ns": each Put is timed). Mode
+//                    "unreserved" is the naive bulk load — its p99.99 is
+//                    dominated by incremental per-partition unordered_map
+//                    rehashes; "reserved" pre-sizes stores via
+//                    DataGrid::Reserve and flattens that tail. The
 //                    pair is the committed before/after evidence for the
 //                    IMDG scaling limit this workload exposed.
 //
@@ -51,9 +53,10 @@ using namespace jet::core;          // NOLINT
 using namespace jet::shufflebench;  // NOLINT
 
 // One shuffle hop, chunk by chunk: generate -> wire encode -> wire decode
-// -> windowed matcher accumulate. Latency is per-item nanoseconds per
+// -> windowed matcher accumulate. The histogram records the time of each
 // 256-item chunk (the bench_engine_micro convention), so watermark
-// flushes and state growth show up as tail samples.
+// flushes and state growth show up as tail chunks; it is not a per-event
+// latency.
 jet::bench::BenchScenario RunShuffleScenario(const std::string& scenario,
                                              const std::string& mode,
                                              GeneratorConfig config,
@@ -83,7 +86,7 @@ jet::bench::BenchScenario RunShuffleScenario(const std::string& scenario,
   header.to_node = 1;
 
   Inbox inbox;
-  Histogram latency;
+  Histogram chunk_nanos;
   const Clock& clock = WallClock::Global();
   int64_t seq = 0;
   Nanos ts = 0;
@@ -112,14 +115,14 @@ jet::bench::BenchScenario RunShuffleScenario(const std::string& scenario,
     }
     const Nanos t1 = clock.Now();
     if (c >= 0) {
-      latency.Record(std::max<Nanos>(1, (t1 - t0) / kChunk));
+      chunk_nanos.Record(std::max<Nanos>(1, t1 - t0));
       measured_items += kChunk;
       measured_nanos += t1 - t0;
     }
   }
 
   return jet::bench::MakeScenario(scenario, mode, measured_items, measured_nanos,
-                                  latency);
+                                  kChunk, chunk_nanos);
 }
 
 // Bulk-loads `entries` 8-byte-key / 64-byte-value entries into a
@@ -156,7 +159,7 @@ jet::bench::BenchScenario RunImdgLoad(const std::string& scenario,
   }
 
   return jet::bench::MakeScenario(scenario, mode, measured_items, measured_nanos,
-                                  latency);
+                                  /*items_per_sample=*/1, latency);
 }
 
 int RunScenarios(const std::string& json_path, bool smoke) {

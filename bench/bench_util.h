@@ -17,15 +17,20 @@ namespace jet::bench {
 
 /// One scenario row of a committed machine-readable baseline. The schema is
 /// shared by every committed BENCH_*.json (bench_engine_micro,
-/// bench_shufflebench): scenario × mode with throughput and per-item latency
-/// percentiles, so the baselines cannot drift in format and one CI parser
-/// guards them all.
+/// bench_shufflebench): scenario × mode with throughput and the percentiles
+/// of one timing histogram, so the baselines cannot drift in format and one
+/// CI parser guards them all. Each histogram sample times either one
+/// operation (`items_per_sample == 1`, written as "latency_ns") or one chunk
+/// of `items_per_sample` items (written as "chunk_ns"): a chunk time is not
+/// a per-event latency, and the file says which one it holds.
 struct BenchScenario {
   std::string scenario;
   std::string mode;
   int64_t items = 0;
   double elapsed_sec = 0;
   double throughput = 0;  ///< items / sec
+  int64_t items_per_sample = 1;
+  int64_t samples = 0;
   int64_t min_ns = 0;     ///< exact minimum (Histogram q=0 endpoint)
   int64_t p50_ns = 0;
   int64_t p99_ns = 0;
@@ -33,32 +38,38 @@ struct BenchScenario {
   int64_t max_ns = 0;     ///< exact maximum (Histogram q=1 endpoint)
 };
 
-/// Builds a scenario row from a per-item latency histogram. Percentiles come
-/// from Histogram::ValueAtQuantile exclusively — in particular the min/max
-/// fields use the exact q=0 / q=1 endpoint semantics of the Histogram
-/// rewrite (q<=0 returns the exact recorded minimum, q>=1 the exact maximum,
-/// not a bucket edge) — so no bench recomputes percentiles ad hoc.
+/// Builds a scenario row from a timing histogram whose samples each cover
+/// `items_per_sample` items. Percentiles come from Histogram::ValueAtQuantile
+/// exclusively — in particular the min/max fields use the exact q=0 / q=1
+/// endpoint semantics (q<=0 returns the exact recorded minimum, q>=1 the
+/// exact maximum, not a bucket edge) — so no bench recomputes percentiles
+/// ad hoc.
 inline BenchScenario MakeScenario(std::string scenario, std::string mode,
                                   int64_t items, Nanos elapsed,
-                                  const Histogram& latency) {
+                                  int64_t items_per_sample, const Histogram& timing) {
   BenchScenario s;
   s.scenario = std::move(scenario);
   s.mode = std::move(mode);
   s.items = items;
   s.elapsed_sec = static_cast<double>(elapsed) / 1e9;
   s.throughput = s.elapsed_sec > 0 ? static_cast<double>(items) / s.elapsed_sec : 0;
-  s.min_ns = latency.ValueAtQuantile(0.0);
-  s.p50_ns = latency.ValueAtQuantile(0.50);
-  s.p99_ns = latency.ValueAtQuantile(0.99);
-  s.p9999_ns = latency.ValueAtQuantile(0.9999);
-  s.max_ns = latency.ValueAtQuantile(1.0);
+  s.items_per_sample = items_per_sample;
+  s.samples = timing.count();
+  s.min_ns = timing.ValueAtQuantile(0.0);
+  s.p50_ns = timing.ValueAtQuantile(0.50);
+  s.p99_ns = timing.ValueAtQuantile(0.99);
+  s.p9999_ns = timing.ValueAtQuantile(0.9999);
+  s.max_ns = timing.ValueAtQuantile(1.0);
   return s;
 }
 
 /// Writes the shared baseline JSON document:
 ///   {"bench": <name>, "scenarios": [{"scenario", "mode", "items",
 ///    "elapsed_sec", "throughput_items_per_sec",
-///    "latency_ns": {"min", "p50", "p99", "p9999", "max"}}, ...]}
+///    "latency_ns": {"samples", "min", "p50", "p99", "p9999", "max"}}, ...]}
+/// A chunk-timed scenario writes
+///    "chunk_ns": {"chunk_items", "samples", "min", ..., "max"}
+/// in place of "latency_ns".
 /// Returns false (with a message on stderr) when the file cannot be opened.
 inline bool WriteBenchJson(const std::string& path, const std::string& bench_name,
                            const std::vector<BenchScenario>& scenarios) {
@@ -70,16 +81,23 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench_nam
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scenarios\": [\n", bench_name.c_str());
   for (size_t i = 0; i < scenarios.size(); ++i) {
     const BenchScenario& s = scenarios[i];
+    char timing[48];
+    if (s.items_per_sample == 1) {
+      std::snprintf(timing, sizeof(timing), "\"latency_ns\": {");
+    } else {
+      std::snprintf(timing, sizeof(timing), "\"chunk_ns\": {\"chunk_items\": %lld, ",
+                    static_cast<long long>(s.items_per_sample));
+    }
     std::fprintf(f,
                  "    {\"scenario\": \"%s\", \"mode\": \"%s\", \"items\": %lld, "
                  "\"elapsed_sec\": %.6f, \"throughput_items_per_sec\": %.0f, "
-                 "\"latency_ns\": {\"min\": %lld, \"p50\": %lld, \"p99\": %lld, "
+                 "%s\"samples\": %lld, \"min\": %lld, \"p50\": %lld, \"p99\": %lld, "
                  "\"p9999\": %lld, \"max\": %lld}}%s\n",
                  s.scenario.c_str(), s.mode.c_str(), static_cast<long long>(s.items),
-                 s.elapsed_sec, s.throughput, static_cast<long long>(s.min_ns),
-                 static_cast<long long>(s.p50_ns), static_cast<long long>(s.p99_ns),
-                 static_cast<long long>(s.p9999_ns), static_cast<long long>(s.max_ns),
-                 i + 1 < scenarios.size() ? "," : "");
+                 s.elapsed_sec, s.throughput, timing, static_cast<long long>(s.samples),
+                 static_cast<long long>(s.min_ns), static_cast<long long>(s.p50_ns),
+                 static_cast<long long>(s.p99_ns), static_cast<long long>(s.p9999_ns),
+                 static_cast<long long>(s.max_ns), i + 1 < scenarios.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -87,13 +105,15 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench_nam
 }
 
 /// Prints one scenario as a human-readable console row (the companion of
-/// WriteBenchJson for interactive runs).
+/// WriteBenchJson for interactive runs); the percentiles are per operation
+/// or per chunk, as the row says.
 inline void PrintScenarioRow(const BenchScenario& s) {
   std::printf(
-      "%-24s %-12s %12.0f items/s  p50 %7lld ns  p99 %7lld ns  p99.99 %8lld ns\n",
+      "%-24s %-12s %12.0f items/s  per %-5s p50 %8lld ns  p99 %8lld ns  "
+      "p99.99 %9lld ns\n",
       s.scenario.c_str(), s.mode.c_str(), s.throughput,
-      static_cast<long long>(s.p50_ns), static_cast<long long>(s.p99_ns),
-      static_cast<long long>(s.p9999_ns));
+      s.items_per_sample == 1 ? "op" : "chunk", static_cast<long long>(s.p50_ns),
+      static_cast<long long>(s.p99_ns), static_cast<long long>(s.p9999_ns));
 }
 
 /// Prints the standard percentile row of one measurement (values in ms).

@@ -26,8 +26,7 @@ obs::MetricTags JobTags(imdg::JobId job_id) {
 JetCluster::JetCluster(ClusterConfig config)
     : config_(config),
       grid_(config.backup_count),
-      store_(&grid_),
-      network_(config.link) {
+      store_(&grid_) {
   for (int32_t i = 0; i < config_.initial_nodes; ++i) {
     int32_t id = next_node_id_++;
     auto added = grid_.AddMember(id);
@@ -551,8 +550,6 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
     const auto ni = static_cast<size_t>(i);
     core::ExecutionService::Options service_options;
     service_options.rebalance_interval = config_.rebalance_interval;
-    service_options.skew_threshold = config_.rebalance_skew_threshold;
-    service_options.min_hot_load = config_.rebalance_min_load;
     auto service = std::make_unique<core::ExecutionService>(
         cluster_->config_.threads_per_node, attempt->profilers[ni].get(),
         service_options);
@@ -605,7 +602,6 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
   attempt_count_.fetch_add(1, std::memory_order_acq_rel);
   jet::MutexLock lock(job_mutex_);
   attempt_ = std::move(attempt);
-  attempt_cv_.NotifyAll();
   return Status::OK();
 }
 

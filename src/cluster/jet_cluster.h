@@ -49,8 +49,6 @@ struct ClusterConfig {
   int32_t threads_per_node = 2;
   /// IMDG backup replicas per partition.
   int32_t backup_count = 1;
-  /// Network link model between members.
-  net::LinkModel link;
   /// Time between a member's death and the cluster acting on it (the
   /// heartbeat failure-detector timeout; Hazelcast's default is several
   /// seconds). Applied inside KillNode before backup promotion.
@@ -327,7 +325,6 @@ class ClusterJob {
   // mutable: MetricSnapshots() is logically const but must lock to read
   // attempt_ (previously expressed with a const_cast).
   mutable jet::Mutex job_mutex_;
-  jet::CondVar attempt_cv_;
   std::shared_ptr<Attempt> attempt_ JET_GUARDED_BY(job_mutex_);
   // Last stopped attempt, kept for post-run Metrics().
   std::shared_ptr<Attempt> completed_attempt_ JET_GUARDED_BY(job_mutex_);

@@ -16,16 +16,8 @@ constexpr Nanos kNanosPerMicro = 1'000;
 constexpr Nanos kNanosPerMilli = 1'000'000;
 constexpr Nanos kNanosPerSecond = 1'000'000'000;
 
-/// Converts milliseconds to nanoseconds.
-constexpr Nanos MillisToNanos(int64_t millis) { return millis * kNanosPerMilli; }
-/// Converts microseconds to nanoseconds.
-constexpr Nanos MicrosToNanos(int64_t micros) { return micros * kNanosPerMicro; }
 /// Converts nanoseconds to (truncated) milliseconds.
 constexpr int64_t NanosToMillis(Nanos nanos) { return nanos / kNanosPerMilli; }
-/// Converts nanoseconds to fractional milliseconds.
-constexpr double NanosToMillisD(Nanos nanos) {
-  return static_cast<double>(nanos) / static_cast<double>(kNanosPerMilli);
-}
 
 /// Abstract monotonic time source.
 ///

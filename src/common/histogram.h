@@ -68,11 +68,6 @@ class Histogram {
   /// under-reports by more than the bucket's relative error.
   int64_t ValueAtQuantile(double q) const;
 
-  /// Convenience for ValueAtQuantile(percentile / 100).
-  int64_t ValueAtPercentile(double percentile) const {
-    return ValueAtQuantile(percentile / 100.0);
-  }
-
   /// Renders a short single-line summary with the standard percentiles,
   /// with values scaled by `unit` and suffixed by `unit_name` (e.g. unit =
   /// 1e6, unit_name = "ms" to print nanosecond recordings as milliseconds).

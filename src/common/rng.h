@@ -85,11 +85,6 @@ inline uint64_t HashU64(uint64_t x) {
   return x;
 }
 
-/// Combines two hashes (boost::hash_combine style, 64-bit variant).
-inline uint64_t HashCombine(uint64_t h, uint64_t k) {
-  return h ^ (HashU64(k) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-}
-
 /// FNV-1a hash over a byte range; used for hashing string keys.
 inline uint64_t HashBytes(const void* data, size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);

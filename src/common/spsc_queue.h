@@ -224,15 +224,6 @@ class SpscQueue {
   /// Consumer-side counterpart of ReleaseProducerOwnership.
   void ReleaseConsumerOwnership() { consumer_guard_.Release(); }
 
-  /// Test hook: unbinds the producer/consumer ownership guards so a test
-  /// may hand the queue to different threads after establishing a
-  /// happens-before edge (e.g. joining the previous owner). No-op unless
-  /// JETSIM_DEBUG_CHECKS is enabled.
-  void ReleaseOwnershipForTest() {
-    producer_guard_.Release();
-    consumer_guard_.Release();
-  }
-
  private:
   static constexpr size_t kCacheLine = 64;
 

@@ -24,28 +24,14 @@ struct JobConfig {
   ProcessingGuarantee guarantee = ProcessingGuarantee::kNone;
   /// Interval between automatic snapshots (ignored for kNone).
   Nanos snapshot_interval = kNanosPerSecond;
-  /// Cooperative worker threads per node; -1 = one per hardware core.
-  int32_t cooperative_threads = -1;
-  /// Default capacity of inter-tasklet SPSC queues.
-  int32_t default_queue_size = 1024;
   /// Outbox bucket capacity (items buffered per edge before the tasklet
   /// must drain them into queues).
   int32_t outbox_capacity = 128;
-  /// Max items moved into a processor's inbox per tasklet call; bounds the
-  /// time slice a tasklet spends in one call (§3.2: "executing for a very
-  /// short period of time, typically under 1 millisecond").
-  int32_t max_inbox_batch = 256;
   /// Period of the scheduler's load-rebalance pass (§3.2): the service
   /// samples per-tasklet busy time and migrates tasklets off overloaded
   /// cooperative workers. 0 disables the background pass (manual
   /// ExecutionService::TriggerRebalance still works).
   Nanos rebalance_interval = 50 * kNanosPerMilli;
-  /// A worker is considered overloaded when its busy time over the last
-  /// rebalance period exceeds the least-loaded worker's by this factor.
-  double rebalance_skew_threshold = 1.5;
-  /// Ignore skew while the hottest worker was busy less than this per
-  /// period — migrating tasklets between near-idle workers is churn.
-  Nanos rebalance_min_load = kNanosPerMilli;
   /// Watchdog bound on the coordinator's wait for snapshot barrier acks.
   /// When a participant dies mid-snapshot the acks never arrive; after this
   /// long the in-flight epoch is aborted and garbage-collected instead of

@@ -17,7 +17,7 @@ ExecutionService::ExecutionService(int32_t thread_count, obs::EventLoopProfiler*
       profiler_(profiler),
       options_(options),
       migrated_(std::make_shared<std::atomic<int64_t>>(0)) {
-  lb_enabled_ = options_.load_balancing && profiler_ != nullptr && thread_count_ > 1;
+  lb_enabled_ = profiler_ != nullptr && thread_count_ > 1;
   if (lb_enabled_) {
     obs::MetricsRegistry* registry = profiler_->registry();
     rebalances_counter_ = registry->GetCounter("scheduler.rebalances");

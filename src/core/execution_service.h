@@ -50,7 +50,8 @@ namespace jet::core {
 /// instead of burning the core.
 class ExecutionService {
  public:
-  /// Load-balancing knobs (defaults mirror JobConfig's).
+  /// Load-balancing knobs. Balancing runs only with a profiler (its clock
+  /// provides the busy-time samples) and >= 2 workers.
   struct Options {
     /// Period of the background rebalance pass; 0 disables the background
     /// thread (TriggerRebalance() still works, which deterministic tests
@@ -62,9 +63,6 @@ class ExecutionService {
     /// Ignore skew while the hottest worker was busy less than this per
     /// period.
     Nanos min_hot_load = kNanosPerMilli;
-    /// Master switch; load balancing also requires a profiler (its clock
-    /// provides the busy-time samples) and >= 2 workers.
-    bool load_balancing = true;
   };
 
   /// `thread_count` cooperative workers (>= 1). When `profiler` is set the

@@ -94,8 +94,6 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
   job->plan_ = std::move(plan.value());
   ExecutionService::Options service_options;
   service_options.rebalance_interval = params.config.rebalance_interval;
-  service_options.skew_threshold = params.config.rebalance_skew_threshold;
-  service_options.min_hot_load = params.config.rebalance_min_load;
   job->service_ =
       std::make_unique<ExecutionService>(threads, job->profiler_.get(), service_options);
 

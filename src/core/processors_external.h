@@ -233,12 +233,6 @@ class TransactionalCollector {
     prepared_.erase(txn);
   }
 
-  /// True if `txn` is prepared and not yet committed.
-  bool IsPrepared(int64_t txn) const {
-    jet::MutexLock lock(mutex_);
-    return prepared_.count(txn) != 0;
-  }
-
   /// The output visible to the outside world.
   std::vector<T> Visible() const {
     jet::MutexLock lock(mutex_);
@@ -248,11 +242,6 @@ class TransactionalCollector {
   size_t VisibleCount() const {
     jet::MutexLock lock(mutex_);
     return visible_.size();
-  }
-
-  size_t PreparedCount() const {
-    jet::MutexLock lock(mutex_);
-    return prepared_.size();
   }
 
  private:
@@ -412,11 +401,6 @@ class IdempotentStore {
   int64_t WriteCount() const {
     jet::MutexLock lock(mutex_);
     return writes_;
-  }
-
-  std::unordered_map<uint64_t, V> SnapshotAll() const {
-    jet::MutexLock lock(mutex_);
-    return data_;
   }
 
  private:

@@ -290,7 +290,7 @@ bool ProcessorTasklet::FillInbox() {
     fill_cursor_ = (fill_cursor_ + attempt + 1) % eligible_.size();
 
     bool got_data = false;
-    int budget = context_.config.max_inbox_batch;
+    int budget = kMaxInboxBatch;
     while (budget > 0) {
       // Batched refill: move the whole run of data items up to the next
       // control item (or the budget) with a single queue-index update,

@@ -129,6 +129,11 @@ class ProcessorTasklet final : public Tasklet {
   /// job starts from a snapshot).
   void SetRestoreEntries(std::vector<StateEntry> entries);
 
+  /// Max items moved into the processor's inbox per Call(); bounds the
+  /// time slice a tasklet spends in one call (§3.2: "executing for a very
+  /// short period of time, typically under 1 millisecond").
+  static constexpr int kMaxInboxBatch = 256;
+
   Status Init() override;
   TaskletProgress Call() override;
   bool IsCooperative() const override { return cooperative_; }

@@ -610,15 +610,6 @@ int64_t OwnedPartitionHandle::Size() {
   return size;
 }
 
-void OwnedPartitionHandle::ForEach(
-    const std::function<void(const Bytes&, const Bytes&)>& fn) {
-  EnterOp();
-  if (primary_ != nullptr) {
-    for (const auto& [k, v] : *primary_) fn(k, v);
-  }
-  ExitOp();
-}
-
 Status DataGrid::CheckReplicaConsistency(const std::string& map_name) const {
   jet::ReaderLock layout(layout_rw_);
   for (PartitionId p = 0; p < table_.partition_count(); ++p) {

@@ -101,10 +101,6 @@ class OwnedPartitionHandle {
   /// Entries in the primary replica of the pair.
   int64_t Size();
 
-  /// Applies `fn` to every entry of the primary replica (owner-thread
-  /// only; used to snapshot owned state).
-  void ForEach(const std::function<void(const Bytes&, const Bytes&)>& fn);
-
   /// Unbinds the handle from its current worker thread (scheduler handoff,
   /// round boundary). The next operation binds the calling thread.
   void ReleaseThreadBinding() { guard_.Release(); }

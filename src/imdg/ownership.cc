@@ -58,32 +58,6 @@ Status PartitionOwnershipTable::Release(PartitionId partition, int64_t tasklet) 
   return Status::OK();
 }
 
-int64_t PartitionOwnershipTable::ReleaseAllOf(int64_t tasklet) {
-  if (tasklet == kNoTasklet) return 0;
-  jet::MutexLock lock(mutex_);
-  int64_t released = 0;
-  for (Owner& owner : owners_) {
-    if (owner.tasklet != tasklet) continue;
-    owner = Owner{};
-    ++released;
-  }
-  if (released > 0) {
-    owned_count_.fetch_sub(released, std::memory_order_acq_rel);
-  }
-  return released;
-}
-
-std::optional<PartitionOwnershipTable::Owner> PartitionOwnershipTable::OwnerOf(
-    PartitionId partition) const {
-  if (partition < 0 || static_cast<size_t>(partition) >= owners_size_) {
-    return std::nullopt;
-  }
-  jet::MutexLock lock(mutex_);
-  const Owner& owner = owners_[static_cast<size_t>(partition)];
-  if (owner.tasklet == kNoTasklet) return std::nullopt;
-  return owner;
-}
-
 bool PartitionOwnershipTable::IsOwnedBy(PartitionId partition, int64_t tasklet) const {
   if (partition < 0 || static_cast<size_t>(partition) >= owners_size_) return false;
   jet::MutexLock lock(mutex_);

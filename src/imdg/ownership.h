@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,12 +55,6 @@ class PartitionOwnershipTable {
 
   /// Releases `tasklet`'s claim on `partition`. Fails if not the owner.
   Status Release(PartitionId partition, int64_t tasklet);
-
-  /// Releases every claim held by `tasklet`; returns how many were held.
-  int64_t ReleaseAllOf(int64_t tasklet);
-
-  /// Current owner of `partition`, or nullopt when unowned.
-  std::optional<Owner> OwnerOf(PartitionId partition) const;
 
   /// True iff `tasklet` currently owns `partition`.
   bool IsOwnedBy(PartitionId partition, int64_t tasklet) const;

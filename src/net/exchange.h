@@ -76,29 +76,6 @@ class WireBuffer {
     return n;
   }
 
-  /// Item-at-a-time variant kept for callers staging into a deque.
-  size_t Drain(std::deque<core::Item>* out, size_t limit) JET_COOPERATIVE {
-    JET_DCHECK_SINGLE_THREAD(drainer_guard_, "WireBuffer drainer (Drain)");
-    jet::MutexLock lock(mutex_);
-    size_t n = 0;
-    while (n < limit && !frames_.empty()) {
-      std::vector<core::Item>& front = frames_.front();
-      while (n < limit && front_pos_ < front.size()) {
-        out->push_back(std::move(front[front_pos_]));
-        ++front_pos_;
-        ++n;
-      }
-      if (front_pos_ == front.size()) {
-        frames_.pop_front();
-        front_pos_ = 0;
-      } else {
-        break;
-      }
-    }
-    size_ -= n;
-    return n;
-  }
-
   size_t Size() const JET_COOPERATIVE {
     jet::MutexLock lock(mutex_);
     return size_;
@@ -106,7 +83,7 @@ class WireBuffer {
 
   /// Unbinds the drainer role; called when the receiver tasklet is handed
   /// to another cooperative worker (the scheduler's migration protocol
-  /// orders the release before the new owner's first Drain).
+  /// orders the release before the new owner's first DrainInto).
   void ReleaseDrainer() { drainer_guard_.Release(); }
 
  private:

@@ -1,8 +1,6 @@
 #include "net/socket_transport.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -95,61 +93,22 @@ Result<std::unique_ptr<SocketConnection>> SocketConnection::ConnectUnixWithRetry
   return last;
 }
 
-namespace {
-
-// Shared retry loop of the *WithBackoff connectors: keep dialing under the
-// RetryBackoff ladder until a connect succeeds or the budget runs out.
-template <typename ConnectFn>
-Result<std::unique_ptr<SocketConnection>> ConnectWithBackoffImpl(
-    const std::string& target, const BackoffOptions& backoff, uint64_t stream_id,
-    ConnectFn&& connect) {
+Result<std::unique_ptr<SocketConnection>> SocketConnection::ConnectUnixWithBackoff(
+    const std::string& path, const BackoffOptions& backoff, uint64_t stream_id) {
   RetryBackoff policy(backoff, stream_id);
   int attempts = 0;
   while (true) {
     ++attempts;
-    auto conn = connect();
+    auto conn = ConnectUnix(path);
     if (conn.ok()) return conn;
     auto delay = policy.NextDelay();
     if (!delay.has_value()) {
-      return UnavailableError("connect(" + target + ") failed after " +
+      return UnavailableError("connect(" + path + ") failed after " +
                               std::to_string(attempts) +
                               " attempts: " + conn.status().message());
     }
     std::this_thread::sleep_for(std::chrono::nanoseconds(*delay));
   }
-}
-
-}  // namespace
-
-Result<std::unique_ptr<SocketConnection>> SocketConnection::ConnectUnixWithBackoff(
-    const std::string& path, const BackoffOptions& backoff, uint64_t stream_id) {
-  return ConnectWithBackoffImpl(path, backoff, stream_id,
-                                [&] { return ConnectUnix(path); });
-}
-
-Result<std::unique_ptr<SocketConnection>> SocketConnection::ConnectTcpWithBackoff(
-    const std::string& host, uint16_t port, const BackoffOptions& backoff,
-    uint64_t stream_id) {
-  return ConnectWithBackoffImpl(host + ":" + std::to_string(port), backoff,
-                                stream_id, [&] { return ConnectTcp(host, port); });
-}
-
-Result<std::unique_ptr<SocketConnection>> SocketConnection::ConnectTcp(
-    const std::string& host, uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return InvalidArgumentError("bad IPv4 address: " + host);
-  }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return ErrnoError("socket(AF_INET)");
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = ErrnoError("connect(" + host + ")");
-    ::close(fd);
-    return s;
-  }
-  return Adopt(fd);
 }
 
 SocketConnection::~SocketConnection() { Close(); }
@@ -375,8 +334,8 @@ void SocketConnection::Close() {
 
 // ---- SocketServer ----------------------------------------------------------
 
-SocketServer::SocketServer(int fd, std::string path, uint16_t port)
-    : fd_(fd), path_(std::move(path)), port_(port) {
+SocketServer::SocketServer(int fd, std::string path)
+    : fd_(fd), path_(std::move(path)) {
   if (::pipe(wake_pipe_) != 0) {
     wake_pipe_[0] = wake_pipe_[1] = -1;
   } else {
@@ -401,35 +360,7 @@ Result<std::unique_ptr<SocketServer>> SocketServer::ListenUnix(const std::string
     ::close(fd);
     return s;
   }
-  return std::unique_ptr<SocketServer>(new SocketServer(fd, path, 0));
-}
-
-Result<std::unique_ptr<SocketServer>> SocketServer::ListenTcp(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return ErrnoError("socket(AF_INET)");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = ErrnoError("bind(127.0.0.1)");
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 64) != 0) {
-    Status s = ErrnoError("listen(tcp)");
-    ::close(fd);
-    return s;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    Status s = ErrnoError("getsockname");
-    ::close(fd);
-    return s;
-  }
-  return std::unique_ptr<SocketServer>(new SocketServer(fd, "", ntohs(addr.sin_port)));
+  return std::unique_ptr<SocketServer>(new SocketServer(fd, path));
 }
 
 SocketServer::~SocketServer() { Stop(); }

@@ -22,9 +22,8 @@ namespace jet::net {
 /// multi-gigabyte allocation.
 inline constexpr uint32_t kMaxWireFrameBytes = 64u << 20;  // 64 MiB
 
-/// A message-oriented, full-duplex connection over a stream socket
-/// (Unix-domain first; the same code path serves TCP). Frames are
-/// delimited by a little-endian u32 length prefix.
+/// A message-oriented, full-duplex connection over a Unix-domain stream
+/// socket. Frames are delimited by a little-endian u32 length prefix.
 ///
 /// Threading model: one I/O thread per connection owns the socket. It
 /// polls the socket plus a self-pipe; reads are drained into a growing
@@ -59,10 +58,6 @@ class SocketConnection {
   static Result<std::unique_ptr<SocketConnection>> ConnectUnixWithRetry(
       const std::string& path, int64_t timeout_ms);
 
-  /// Connects to a TCP endpoint (dotted-quad host).
-  static Result<std::unique_ptr<SocketConnection>> ConnectTcp(const std::string& host,
-                                                              uint16_t port);
-
   /// Connects to a Unix-domain socket path under the shared RetryBackoff
   /// policy: bounded attempts with exponential backoff + seeded jitter
   /// before declaring the peer dead. `stream_id` decorrelates jitter
@@ -70,12 +65,6 @@ class SocketConnection {
   /// On exhaustion the error names the attempt count and the last cause.
   static Result<std::unique_ptr<SocketConnection>> ConnectUnixWithBackoff(
       const std::string& path, const BackoffOptions& backoff, uint64_t stream_id = 0);
-
-  /// TCP variant of ConnectUnixWithBackoff — the cross-host reconnect
-  /// primitive.
-  static Result<std::unique_ptr<SocketConnection>> ConnectTcpWithBackoff(
-      const std::string& host, uint16_t port, const BackoffOptions& backoff,
-      uint64_t stream_id = 0);
 
   /// Wraps an already-connected fd (from accept(), or one end of a
   /// socketpair() in tests). Takes ownership of the fd.
@@ -139,20 +128,15 @@ class SocketConnection {
   std::atomic<uint64_t> dropped_{0};
 };
 
-/// Accepts connections on a Unix-domain or loopback TCP socket. Each
-/// accepted connection is handed to the accept handler (on the accept
-/// thread) un-started: the handler installs its frame handler and calls
-/// Start().
+/// Accepts connections on a Unix-domain socket. Each accepted connection
+/// is handed to the accept handler (on the accept thread) un-started: the
+/// handler installs its frame handler and calls Start().
 class SocketServer {
  public:
   using AcceptHandler = std::function<void(std::unique_ptr<SocketConnection>)>;
 
   /// Binds and listens on a Unix-domain socket path (unlinks a stale one).
   static Result<std::unique_ptr<SocketServer>> ListenUnix(const std::string& path);
-
-  /// Binds and listens on 127.0.0.1:`port` (0 picks an ephemeral port,
-  /// readable from port()).
-  static Result<std::unique_ptr<SocketServer>> ListenTcp(uint16_t port);
 
   ~SocketServer();
   SocketServer(const SocketServer&) = delete;
@@ -165,19 +149,16 @@ class SocketServer {
   /// accepted connections are unaffected.
   void Stop() JET_BLOCKING;
 
-  /// Bound UDS path (empty for TCP).
+  /// Bound socket path.
   const std::string& path() const { return path_; }
-  /// Bound TCP port (0 for UDS).
-  uint16_t port() const { return port_; }
 
  private:
-  SocketServer(int fd, std::string path, uint16_t port);
+  SocketServer(int fd, std::string path);
   void AcceptLoop();
 
   int fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::string path_;
-  uint16_t port_ = 0;
   std::thread accept_thread_;
   AcceptHandler on_accept_;
   std::atomic<bool> stopping_{false};

@@ -277,8 +277,6 @@ bool IsQuerySupported(int query_number) {
   }
 }
 
-std::vector<int> PaperQuerySet() { return {1, 2, 5, 8, 13}; }
-
 Result<std::unique_ptr<NexmarkQuery>> BuildQuery(int query_number,
                                                  const QueryConfig& config) {
   if (!IsQuerySupported(query_number)) {

@@ -2,7 +2,6 @@
 #define JETSIM_NEXMARK_QUERIES_H_
 
 #include <memory>
-#include <vector>
 
 #include "common/histogram.h"
 #include "pipeline/pipeline.h"
@@ -70,9 +69,6 @@ bool IsQuerySupported(int query_number);
 /// InvalidArgument for unsupported numbers.
 Result<std::unique_ptr<NexmarkQuery>> BuildQuery(int query_number,
                                                  const QueryConfig& config);
-
-/// The query numbers evaluated in the paper's experiments (Figures 8-12).
-std::vector<int> PaperQuerySet();
 
 }  // namespace jet::nexmark
 

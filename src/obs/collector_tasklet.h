@@ -25,9 +25,10 @@ namespace jet::obs {
 /// adapter is the single place obs meets core/imdg types.
 class MetricsCollectorTasklet final : public core::Tasklet {
  public:
+  /// IMDG map holding the snapshots.
+  static constexpr const char* kMapName = "__jet.metrics";
+
   struct Options {
-    /// IMDG map holding the snapshots.
-    std::string map_name = "__jet.metrics";
     /// Entry key, e.g. "job-7/member-0".
     std::string key;
     Nanos publish_interval = 500 * kNanosPerMilli;
@@ -69,7 +70,7 @@ class MetricsCollectorTasklet final : public core::Tasklet {
     std::string json = RenderJson(registry_->Snapshot());
     Bytes key(options_.key.begin(), options_.key.end());
     Bytes value(json.begin(), json.end());
-    (void)grid_->Put(options_.map_name, key, value);
+    (void)grid_->Put(kMapName, key, value);
     published_once_ = true;
     publishes_.Add(1);
   }

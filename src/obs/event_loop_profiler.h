@@ -21,12 +21,10 @@ namespace jet::obs {
 /// "tasklet.overbudget_calls" counter, tagged {tasklet, worker}).
 class EventLoopProfiler {
  public:
-  struct Options {
-    /// Budget one cooperative Call() should stay under.
-    Nanos call_budget = kNanosPerMilli;
-    /// Upper bound of the call-duration histograms.
-    Nanos max_call_nanos = 10 * kNanosPerSecond;
-  };
+  /// Budget one cooperative Call() should stay under.
+  static constexpr Nanos kCallBudget = kNanosPerMilli;
+  /// Upper bound of the call-duration histograms.
+  static constexpr Nanos kMaxCallNanos = 10 * kNanosPerSecond;
 
   /// Per-tasklet recording slot; written only by the hosting worker. When a
   /// tasklet migrates to another worker the scheduler registers a *new*
@@ -38,7 +36,7 @@ class EventLoopProfiler {
     void RecordCall(Nanos duration) {
       if (duration < 0) duration = 0;
       call_nanos_.Record(duration);
-      if (duration > budget_) overbudget_.Add(1);
+      if (duration > kCallBudget) overbudget_.Add(1);
     }
 
     /// Start/end variant: additionally records the scheduling delay — the
@@ -52,23 +50,19 @@ class EventLoopProfiler {
       last_end_ = end;
     }
 
-    Histogram CallHistogram() const { return call_nanos_.Snapshot(); }
-    Histogram SchedDelayHistogram() const { return sched_delay_nanos_.Snapshot(); }
     int64_t overbudget_calls() const { return overbudget_.Value(); }
 
    private:
     friend class EventLoopProfiler;
     TaskletProfile(HistogramHandle call_nanos, HistogramHandle sched_delay,
-                   Counter overbudget, Nanos budget)
+                   Counter overbudget)
         : call_nanos_(std::move(call_nanos)),
           sched_delay_nanos_(std::move(sched_delay)),
-          overbudget_(std::move(overbudget)),
-          budget_(budget) {}
+          overbudget_(std::move(overbudget)) {}
 
     HistogramHandle call_nanos_;
     HistogramHandle sched_delay_nanos_;
     Counter overbudget_;
-    Nanos budget_;
     Nanos last_end_ = 0;
   };
 
@@ -81,8 +75,6 @@ class EventLoopProfiler {
       round_nanos_.Record(duration);
     }
 
-    Histogram RoundHistogram() const { return round_nanos_.Snapshot(); }
-
    private:
     friend class EventLoopProfiler;
     explicit WorkerProfile(HistogramHandle round_nanos)
@@ -93,12 +85,7 @@ class EventLoopProfiler {
 
   /// `registry` must outlive the profiler. `clock` defaults to wall time.
   explicit EventLoopProfiler(MetricsRegistry* registry, const Clock* clock = nullptr)
-      : EventLoopProfiler(registry, clock, Options()) {}
-
-  EventLoopProfiler(MetricsRegistry* registry, const Clock* clock, Options options)
-      : registry_(registry),
-        clock_(clock != nullptr ? clock : &WallClock::Global()),
-        options_(options) {}
+      : registry_(registry), clock_(clock != nullptr ? clock : &WallClock::Global()) {}
 
   EventLoopProfiler(const EventLoopProfiler&) = delete;
   EventLoopProfiler& operator=(const EventLoopProfiler&) = delete;
@@ -112,14 +99,12 @@ class EventLoopProfiler {
     MetricTags tags;
     tags.tasklet = tasklet_name;
     tags.worker = worker;
-    HistogramHandle h = registry_->GetHistogram("tasklet.call_nanos", tags,
-                                                options_.max_call_nanos);
-    HistogramHandle delay = registry_->GetHistogram("tasklet.sched_delay_nanos", tags,
-                                                    options_.max_call_nanos);
+    HistogramHandle h = registry_->GetHistogram("tasklet.call_nanos", tags, kMaxCallNanos);
+    HistogramHandle delay =
+        registry_->GetHistogram("tasklet.sched_delay_nanos", tags, kMaxCallNanos);
     Counter over = registry_->GetCounter("tasklet.overbudget_calls", tags);
     jet::MutexLock lock(mutex_);
-    profiles_.push_back(TaskletProfile(std::move(h), std::move(delay), std::move(over),
-                                       options_.call_budget));
+    profiles_.push_back(TaskletProfile(std::move(h), std::move(delay), std::move(over)));
     return &profiles_.back();
   }
 
@@ -127,15 +112,13 @@ class EventLoopProfiler {
   WorkerProfile* RegisterWorker(int32_t worker) {
     MetricTags tags;
     tags.worker = worker;
-    HistogramHandle h =
-        registry_->GetHistogram("worker.round_nanos", tags, options_.max_call_nanos);
+    HistogramHandle h = registry_->GetHistogram("worker.round_nanos", tags, kMaxCallNanos);
     jet::MutexLock lock(mutex_);
     worker_profiles_.push_back(WorkerProfile(std::move(h)));
     return &worker_profiles_.back();
   }
 
   const Clock& clock() const { return *clock_; }
-  Nanos call_budget() const { return options_.call_budget; }
 
   /// Registry the profiles live in; the scheduler hangs its own
   /// "scheduler.*" instruments off the same registry.
@@ -144,7 +127,6 @@ class EventLoopProfiler {
  private:
   MetricsRegistry* registry_;
   const Clock* clock_;
-  Options options_;
   jet::Mutex mutex_;
   std::deque<TaskletProfile> profiles_ JET_GUARDED_BY(mutex_);
   std::deque<WorkerProfile> worker_profiles_ JET_GUARDED_BY(mutex_);

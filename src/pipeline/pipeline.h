@@ -52,12 +52,6 @@ class Pipeline {
                           typename core::GeneratorSourceP<T>::Options options,
                           int32_t local_parallelism = 1);
 
-  /// Adds a custom source from a processor supplier. The processor must
-  /// emit items of type T.
-  template <typename T>
-  StreamStage<T> ReadFromSupplier(std::string name, core::ProcessorSupplier supplier,
-                                  int32_t local_parallelism = 1);
-
   /// Adds a finite batch source from a fixed record list (value, key hash).
   template <typename T>
   BatchStage<T> ReadFromList(std::string name,
@@ -412,19 +406,6 @@ StreamStage<T> Pipeline::ReadFrom(std::string name,
       -> std::unique_ptr<core::Processor> {
     return std::make_unique<core::GeneratorSourceP<T>>(gen, options);
   };
-  int32_t id = graph_.AddNode(std::move(node));
-  return StreamStage<T>(this, id);
-}
-
-template <typename T>
-StreamStage<T> Pipeline::ReadFromSupplier(std::string name,
-                                          core::ProcessorSupplier supplier,
-                                          int32_t local_parallelism) {
-  StageNode node;
-  node.kind = StageNode::Kind::kStreamSource;
-  node.name = std::move(name);
-  node.local_parallelism = local_parallelism;
-  node.supplier = std::move(supplier);
   int32_t id = graph_.AddNode(std::move(node));
   return StreamStage<T>(this, id);
 }

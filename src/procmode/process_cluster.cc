@@ -23,6 +23,11 @@ using std::chrono::milliseconds;
 namespace {
 
 constexpr Nanos kSupervisorTick = 2 * kNanosPerMilli;
+/// A respawned process must Hello within this long or it is killed and its
+/// death charged as a new incident.
+constexpr Nanos kRejoinTimeout = 10 * kNanosPerSecond;
+/// Shutdown() escalates to SIGKILL after this graceful window.
+constexpr Nanos kGracefulExitTimeout = 10 * kNanosPerSecond;
 
 Nanos Now() { return SharedMonotonicClock::RawNow(); }
 
@@ -61,8 +66,8 @@ ProcessCluster::ProcessCluster(Options options)
       restart_policy_(options_.respawn.restart, options_.job_id, Now()),
       registry_(TagsFor(options_.job_id)) {
   // The coordinator is the grid's only member: snapshot durability in
-  // process mode means "reached the coordinator's store" — and, with
-  // replication on, "mirrored in one member process too".
+  // process mode means "reached the coordinator's store" and "mirrored in
+  // one member process too".
   JET_DCHECK_OK(grid_.AddMember(0).status());
   respawns_counter_ = registry_.GetCounter("proc.respawns");
   heartbeats_counter_ = registry_.GetCounter("proc.heartbeats");
@@ -202,17 +207,17 @@ Status ProcessCluster::WaitForCommittedSnapshot(int64_t min_snapshot_id, Nanos t
 }
 
 Status ProcessCluster::SignalMember(int32_t member_index, int signo, const char* what) {
-  pid_t pid = -1;
-  {
-    jet::MutexLock lock(mu_);
-    if (member_index < 0 || static_cast<size_t>(member_index) >= members_.size()) {
-      return InvalidArgumentError("no such member");
-    }
-    Member& m = members_[static_cast<size_t>(member_index)];
-    if (!m.alive) return FailedPreconditionError("member already dead");
-    pid = m.pid;
+  // Signal under mu_, as LivenessPass and RespawnPass do: the supervisor
+  // reaps members under mu_, so while it is held m.pid cannot be reaped
+  // and handed to an unrelated process.
+  jet::MutexLock lock(mu_);
+  if (shutting_down_) return FailedPreconditionError("cluster is shutting down");
+  if (member_index < 0 || static_cast<size_t>(member_index) >= members_.size()) {
+    return InvalidArgumentError("no such member");
   }
-  if (::kill(pid, signo) != 0) {
+  const Member& m = members_[static_cast<size_t>(member_index)];
+  if (!m.alive || m.pid <= 0) return FailedPreconditionError("member already dead");
+  if (::kill(m.pid, signo) != 0) {
     return InternalError(std::string(what) + " failed: " + std::strerror(errno));
   }
   return Status::OK();
@@ -279,7 +284,7 @@ void ProcessCluster::Shutdown() {
 
   // Reap children: graceful window first, then escalate to SIGKILL + a
   // blocking reap so Shutdown() can never hang on a wedged member.
-  const Nanos deadline = Now() + options_.graceful_exit_timeout;
+  const Nanos deadline = Now() + kGracefulExitTimeout;
   for (auto& [index, pid] : children) {
     for (;;) {
       if (TryReap(pid, /*blocking=*/false)) break;
@@ -552,8 +557,8 @@ void ProcessCluster::HandleEvent(Event e) {
       members_[static_cast<size_t>(index)].acked = true;
       if (!AllParticipants(&Member::acked)) return;
       // Every participant acked; the FIFO ordering guarantees all their
-      // state entries already hit the store (proc_proto.h). With
-      // replication on, commit additionally waits for the replica's ack.
+      // state entries already hit the store (proc_proto.h). Commit
+      // additionally waits for the replica's ack.
       if (replica_member_ >= 0) {
         Member& r = members_[static_cast<size_t>(replica_member_)];
         if (r.alive && r.conn != nullptr) {
@@ -651,17 +656,15 @@ void ProcessCluster::TimerPass() {
     for (Member& m : members_) m.acked = false;
     // Pick the replica holder for this snapshot: rotate over the
     // participants so replica load (and chaos coverage) spreads out.
-    if (options_.snapshot_replicas > 0) {
-      std::vector<int32_t> participants;
-      for (const Member& m : members_) {
-        if (m.alive && m.node_id >= 0 && m.conn != nullptr) {
-          participants.push_back(m.index);
-        }
+    std::vector<int32_t> participants;
+    for (const Member& m : members_) {
+      if (m.alive && m.node_id >= 0 && m.conn != nullptr) {
+        participants.push_back(m.index);
       }
-      if (!participants.empty()) {
-        replica_member_ = participants[static_cast<size_t>(
-            begun % static_cast<int64_t>(participants.size()))];
-      }
+    }
+    if (!participants.empty()) {
+      replica_member_ = participants[static_cast<size_t>(
+          begun % static_cast<int64_t>(participants.size()))];
     }
     ProcMsg req;
     req.type = ProcMsgType::kSnapshotRequest;
@@ -746,9 +749,9 @@ void ProcessCluster::RespawnPass(Nanos now) {
   // dead as a crash: kill it so the reap scan charges the next incident.
   for (Member& m : members_) {
     if (m.alive && !m.hello && !m.liveness_killed && m.spawn_time > 0 &&
-        now - m.spawn_time > options_.respawn.rejoin_timeout) {
+        now - m.spawn_time > kRejoinTimeout) {
       JET_LOG(kWarn) << "member " << m.index << " did not rejoin within "
-                     << options_.respawn.rejoin_timeout / kNanosPerMilli
+                     << kRejoinTimeout / kNanosPerMilli
                      << " ms; killing it";
       if (m.pid > 0) (void)::kill(m.pid, SIGKILL);
       m.liveness_killed = true;

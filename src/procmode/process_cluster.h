@@ -41,9 +41,9 @@ namespace jet::procmode {
 ///    fork of every dead member. The new process rejoins via Hello, and
 ///    recovery restarts the job at full DOP from the last committed
 ///    snapshot. Budget exhaustion is a clean terminal FAILED.
-///  - **Replicated snapshots.** With snapshot_replicas > 0 the coordinator
-///    mirrors each in-flight snapshot's entries to one member process and
-///    commits only after that replica seals and acks — every committed
+///  - **Replicated snapshots.** The coordinator mirrors each in-flight
+///    snapshot's entries to one member process and commits only after that
+///    replica seals and acks — every committed
 ///    epoch lives in >= 2 processes, so no single process loss (including
 ///    the replica holder) can lose a committed epoch.
 ///  - **Liveness.** Members heartbeat on the control socket; a silent
@@ -66,9 +66,6 @@ class ProcessCluster {
     /// One policy for the whole cluster: every member death is an incident
     /// of the one job. Default backoff, stability_period 2 s.
     core::RestartOptions restart{BackoffOptions{}, 2 * kNanosPerSecond};
-    /// A respawned process must Hello within this long or it is killed and
-    /// its death charged as a new incident.
-    Nanos rejoin_timeout = 10 * kNanosPerSecond;
   };
 
   struct Options {
@@ -86,12 +83,6 @@ class ProcessCluster {
     Nanos snapshot_ack_timeout = 10 * kNanosPerSecond;
     /// Deadline for member processes to connect and send Hello.
     Nanos bring_up_timeout = 30 * kNanosPerSecond;
-    /// Member-process copies of each snapshot beyond the coordinator's
-    /// own (0 disables replication and commits on member acks alone;
-    /// currently at most 1 replica member is used).
-    int32_t snapshot_replicas = 1;
-    /// Shutdown() escalates to SIGKILL after this graceful window.
-    Nanos graceful_exit_timeout = 10 * kNanosPerSecond;
     RespawnOptions respawn;
     /// Failure detection beyond EOF, catching hung (SIGSTOP'd) members.
     /// The heartbeat cadence is shipped to jet_member via argv; a suspected
@@ -240,7 +231,7 @@ class ProcessCluster {
   /// Suspect/dead escalation on heartbeat silence.
   void LivenessPass(Nanos now) JET_REQUIRES(mu_);
   /// Re-forks every dead member once the policy's restart is due; kills
-  /// members that failed to rejoin within rejoin_timeout.
+  /// members that failed to rejoin within kRejoinTimeout.
   void RespawnPass(Nanos now) JET_REQUIRES(mu_);
   void OnMemberDied(int32_t index) JET_REQUIRES(mu_);
   /// Charges a member death to the restart policy; Fail()s the cluster and
@@ -252,7 +243,8 @@ class ProcessCluster {
   /// Starts attempt `epoch_` on all live members, restoring from
   /// `restore_snapshot` when set.
   void StartAttempt(std::optional<imdg::SnapshotId> restore_snapshot) JET_REQUIRES(mu_);
-  /// Commits (all member acks + replica ack, when replication is on) or
+  /// Commits (all member acks + replica ack, unless the replica holder
+  /// died) or
   /// aborts the in-flight snapshot, broadcasts the outcome and clears its
   /// replication state. A failed commit aborts.
   void EndInFlightSnapshot(bool commit) JET_REQUIRES(mu_);
@@ -264,6 +256,8 @@ class ProcessCluster {
   /// address could otherwise be reused by a respawn and alias a stale EOF
   /// onto the healthy replacement).
   void RetireConn(Member& m) JET_REQUIRES(mu_);
+  /// Sends `signo` to a live member; refused once Shutdown() started
+  /// reaping.
   Status SignalMember(int32_t member_index, int signo, const char* what);
 
   Options options_;

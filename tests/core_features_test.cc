@@ -360,6 +360,55 @@ TEST(MetricsTest, OutboxDepthCountsUndeliveredItems) {
   EXPECT_EQ(outbox_depth(), 6);
 }
 
+// A sink that records, in order, every data item it is handed.
+class RecordingSinkP final : public Processor {
+ public:
+  explicit RecordingSinkP(std::vector<int>* seen) : seen_(seen) {}
+
+  void Process(int, Inbox* inbox) override {
+    while (!inbox->Empty()) seen_->push_back(inbox->Poll().payload.As<int>());
+  }
+
+ private:
+  std::vector<int>* seen_;
+};
+
+// §3.2's time slice: one tasklet call moves at most kMaxInboxBatch (256)
+// items into the processor's inbox, however deep the input queue is; the
+// rest stay queued, in order, for later calls.
+TEST(TimeSliceTest, OneCallHandsTheProcessorAtMost256Items) {
+  constexpr int kItems = 1000;
+  ASSERT_EQ(ProcessorTasklet::kMaxInboxBatch, 256);
+  ManualClock clock(0);
+  ProcessorContext context;
+  context.clock = &clock;
+  auto queue = std::make_shared<ItemQueue>(1024);
+  for (int i = 0; i < kItems; ++i) ASSERT_TRUE(queue->TryPush(Item::Data<int>(i, 0)));
+  std::vector<InboundStream> inputs(1);
+  inputs[0].queues.push_back(InboundQueue{queue});
+  std::vector<int> seen;
+  ProcessorTasklet tasklet("sink", std::make_unique<RecordingSinkP>(&seen), context,
+                           std::move(inputs), {}, ProcessingGuarantee::kNone, nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+
+  bool checked_first_slice = false;
+  for (int call = 0; call < 100 && seen.size() < kItems; ++call) {
+    const size_t before = seen.size();
+    tasklet.Call();
+    const size_t handed = seen.size() - before;
+    EXPECT_LE(handed, static_cast<size_t>(ProcessorTasklet::kMaxInboxBatch));
+    if (handed > 0 && !checked_first_slice) {
+      checked_first_slice = true;
+      EXPECT_EQ(queue->SizeApprox(), static_cast<size_t>(kItems) - handed);
+      Item* front = queue->Peek();
+      ASSERT_NE(front, nullptr);
+      EXPECT_EQ(front->payload.As<int>(), static_cast<int>(handed));
+    }
+  }
+  ASSERT_EQ(seen.size(), static_cast<size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(seen[static_cast<size_t>(i)], i);
+}
+
 // ---------------------------------------------------------------------------
 // Non-cooperative processors (§3.2: dedicated threads)
 // ---------------------------------------------------------------------------

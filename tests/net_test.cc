@@ -178,8 +178,8 @@ TEST(WireBufferTest, PushDrainPreservesOrder) {
   buffer.Push(std::move(batch));
   EXPECT_EQ(buffer.Size(), 5u);
 
-  std::deque<core::Item> out;
-  EXPECT_EQ(buffer.Drain(&out, 3), 3u);
+  std::vector<core::Item> out;
+  EXPECT_EQ(buffer.DrainInto(&out, 3), 3u);
   EXPECT_EQ(buffer.Size(), 2u);
   EXPECT_EQ(out[0].payload.As<int>(), 0);
   EXPECT_EQ(out[2].payload.As<int>(), 2);
@@ -195,10 +195,10 @@ TEST(WireBufferTest, ConcurrentPushDrain) {
       buffer.Push(std::move(batch));
     }
   });
-  std::deque<core::Item> out;
+  std::vector<core::Item> out;
   int64_t drained = 0;
   while (drained < kBatches * 4) {
-    drained += static_cast<int64_t>(buffer.Drain(&out, 64));
+    drained += static_cast<int64_t>(buffer.DrainInto(&out, 64));
   }
   producer.join();
   ASSERT_EQ(out.size(), static_cast<size_t>(kBatches * 4));

@@ -175,6 +175,25 @@ TEST(ProcMode, DegradedModeKill9RunsOnSurvivors) {
   RemoveWorkDir(options.work_dir);
 }
 
+// Shutdown() reaps every member outside the coordinator lock, after which a
+// member's pid may belong to an unrelated process. Chaos signals must be
+// refused from then on, not sent to a possibly recycled pid.
+TEST(ProcMode, SignalsAfterShutdownAreRefused) {
+  auto options = BaseOptions("sigdown");
+  options.initial_members = 2;
+  {
+    ProcessCluster cluster(options);
+    ASSERT_TRUE(cluster.Start().ok());
+    cluster.Shutdown();
+    for (int32_t member = 0; member < 2; ++member) {
+      EXPECT_EQ(cluster.KillMember(member).code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(cluster.StallMember(member).code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(cluster.ResumeMember(member).code(), StatusCode::kFailedPrecondition);
+    }
+  }
+  RemoveWorkDir(options.work_dir);
+}
+
 // A member that dies before it ever says Hello must fail Start() fast via
 // the control-EOF / reap-scan path — not stall until bring_up_timeout.
 // /bin/false exits immediately without touching the control socket.

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -256,16 +255,16 @@ TEST(RaceStressTest, WireBufferPushDrain) {
     }
   });
 
-  std::deque<core::Item> out;
+  std::vector<core::Item> out;
   int64_t drained = 0;
   int64_t expected_seq = 0;
   while (drained < kBatches * kBatchSize) {
-    drained += static_cast<int64_t>(buffer.Drain(&out, 13));
-    while (!out.empty()) {
-      EXPECT_EQ(out.front().timestamp, expected_seq);  // FIFO preserved
+    drained += static_cast<int64_t>(buffer.DrainInto(&out, 13));
+    for (const core::Item& item : out) {
+      EXPECT_EQ(item.timestamp, expected_seq);  // FIFO preserved
       ++expected_seq;
-      out.pop_front();
     }
+    out.clear();
   }
   pusher.join();
   EXPECT_EQ(buffer.Size(), 0u);
