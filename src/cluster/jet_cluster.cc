@@ -91,8 +91,8 @@ Status JetCluster::KillNode(int32_t node_id) {
   jet::MutexLock lock(mutex_);
   auto it = std::find(alive_nodes_.begin(), alive_nodes_.end(), node_id);
   if (it == alive_nodes_.end()) return NotFoundError("node not alive");
+  if (alive_nodes_.size() == 1) return FailedPreconditionError("cannot kill the last node");
   alive_nodes_.erase(it);
-  if (alive_nodes_.empty()) return FailedPreconditionError("cannot kill the last node");
 
   // Fail-stop the member's workers immediately (its in-memory replicas and
   // execution state are gone).
@@ -166,7 +166,7 @@ void JetCluster::ForEachService(int32_t node_id,
     const auto& nodes = job->attempt_->nodes;
     auto idx = std::find(nodes.begin(), nodes.end(), node_id);
     if (idx != nodes.end()) {
-      fn(job->attempt_->services[static_cast<size_t>(idx - nodes.begin())].get());
+      fn(job->attempt_->members[static_cast<size_t>(idx - nodes.begin())]->service());
     }
   }
 }
@@ -474,16 +474,16 @@ ClusterJob::~ClusterJob() {
 }
 
 bool ClusterJob::Attempt::AllComplete() const {
-  for (const auto& s : services) {
-    if (!s->IsComplete()) return false;
+  for (const auto& m : members) {
+    if (!m->service()->IsComplete()) return false;
   }
   return true;
 }
 
 void ClusterJob::Attempt::StopAll() {
   cancelled.store(true, std::memory_order_release);
-  for (auto& s : services) s->Cancel();
-  for (auto& s : services) (void)s->AwaitCompletion();
+  for (auto& m : members) m->service()->Cancel();
+  for (auto& m : members) (void)m->service()->AwaitCompletion();
   coordinator_stop.store(true, std::memory_order_release);
   if (coordinator.joinable()) coordinator.join();
 }
@@ -493,7 +493,6 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
   attempt->ownership = std::make_unique<imdg::OwnershipRegistry>();
   attempt->nodes = std::move(nodes);
   const auto node_count = static_cast<int32_t>(attempt->nodes.size());
-  const Clock* clock = &WallClock::Global();
 
   core::SnapshotControl* sc = nullptr;
   if (config_.guarantee != core::ProcessingGuarantee::kNone) {
@@ -501,44 +500,41 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
     sc->write_entry = core::StoreSnapshotWriter(&cluster_->store_, job_id_);
   }
 
-  // One metrics registry + profiler per member, tagged with the member's
-  // physical id; the coordinator's job gauges live on member 0's registry.
-  for (int32_t i = 0; i < node_count; ++i) {
-    obs::MetricTags tags;
-    tags.job = static_cast<int64_t>(job_id_);
-    tags.member = attempt->nodes[static_cast<size_t>(i)];
-    attempt->registries.push_back(std::make_unique<obs::MetricsRegistry>(tags));
-    attempt->profilers.push_back(std::make_unique<obs::EventLoopProfiler>(
-        attempt->registries.back().get(), clock));
-  }
-  snapshots_.BindMetrics(attempt->registries[0].get());
-
   // Channels are tagged with physical member ids so testkit link faults
   // (partitions, drops, delay spikes) apply to this execution's traffic.
   net::ExchangeOptions exchange_options;
   exchange_options.serialize_frames = config_.serialize_exchange_frames;
   exchange_options.epoch = attempt_count_.load(std::memory_order_acquire);
-  attempt->registry = std::make_unique<net::ExchangeRegistry>(
+  attempt->exchange = std::make_unique<net::ExchangeRegistry>(
       &cluster_->network_, attempt->nodes, exchange_options);
   for (int32_t i = 0; i < node_count; ++i) {
-    core::NodeInfo node{i, node_count};
-    auto factory = std::make_unique<net::NetworkEdgeFactory>(
-        attempt->registry.get(), dag_, node, config_,
-        cluster_->config_.threads_per_node, clock, &attempt->cancelled, sc);
-    factory->SetMetricsRegistry(attempt->registries[static_cast<size_t>(i)].get());
-    auto plan = core::ExecutionPlan::Build(
-        *dag_, node, config_, cluster_->config_.threads_per_node, clock,
-        &attempt->cancelled, factory.get(), sc,
-        attempt->registries[static_cast<size_t>(i)].get(), attempt->ownership.get());
-    if (!plan.ok()) return plan.status();
-    attempt->net_tasklets.push_back(factory->TakeTasklets());
-    attempt->plans.push_back(std::move(plan.value()));
-    attempt->factories.push_back(std::move(factory));
+    core::MemberParams params;
+    params.dag = dag_;
+    params.node = core::NodeInfo{i, node_count};
+    params.config = config_;
+    params.threads = cluster_->config_.threads_per_node;
+    params.clock = &WallClock::Global();
+    params.cancelled = &attempt->cancelled;
+    params.snapshot_control = sc;
+    params.ownership = attempt->ownership.get();
+    net::NetworkEdgeFactory factory(attempt->exchange.get(), params);
+    params.remote_edges = &factory;
+    // Instruments are tagged with the member's physical id, and every
+    // member publishes its registry into the grid — the paper's Management
+    // Center persistence path.
+    params.tags.job = static_cast<int64_t>(job_id_);
+    params.tags.member = attempt->nodes[static_cast<size_t>(i)];
+    params.metrics_grid = &cluster_->grid_;
+    auto member = core::MemberExecution::Create(params);
+    if (!member.ok()) return member.status();
+    attempt->members.push_back(std::move(member.value()));
   }
+  // The coordinator's job gauges live on member 0's registry.
+  snapshots_.BindMetrics(attempt->members[0]->registry());
 
   if (restore_snapshot >= 0) {
-    for (auto& plan : attempt->plans) {
-      JET_RETURN_IF_ERROR(core::LoadSnapshotIntoPlan(plan.get(), &cluster_->store_,
+    for (auto& member : attempt->members) {
+      JET_RETURN_IF_ERROR(core::LoadSnapshotIntoPlan(member->plan(), &cluster_->store_,
                                                      job_id_, restore_snapshot));
     }
   }
@@ -546,46 +542,13 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
   // are garbage now; sweep them before the new attempt starts writing.
   cluster_->store_.ClearInFlight(job_id_);
 
-  for (int32_t i = 0; i < node_count; ++i) {
-    const auto ni = static_cast<size_t>(i);
-    core::ExecutionService::Options service_options;
-    service_options.rebalance_interval = config_.rebalance_interval;
-    auto service = std::make_unique<core::ExecutionService>(
-        cluster_->config_.threads_per_node, attempt->profilers[ni].get(),
-        service_options);
-    std::vector<core::Tasklet*> tasklets = attempt->plans[ni]->Tasklets();
-    for (auto& t : attempt->net_tasklets[ni]) {
-      tasklets.push_back(t.get());
-    }
-    // Each member publishes its registry into the grid — the paper's
-    // Management Center persistence path. The collector completes once the
-    // member's real tasklets have, so it never keeps the service alive.
-    obs::MetricsCollectorTasklet::Options opts;
-    opts.key = "job-" + std::to_string(job_id_) + "/member-" +
-               std::to_string(attempt->nodes[ni]);
-    Attempt* raw = attempt.get();
-    attempt->collectors.push_back(std::make_unique<obs::MetricsCollectorTasklet>(
-        attempt->registries[ni].get(), &cluster_->grid_, clock, std::move(opts),
-        [raw, ni]() {
-          for (const auto& info : raw->plans[ni]->tasklet_infos()) {
-            if (!info.tasklet->IsDone()) return false;
-          }
-          for (const auto& t : raw->net_tasklets[ni]) {
-            if (!t->IsDone()) return false;
-          }
-          return true;
-        }));
-    tasklets.push_back(attempt->collectors.back().get());
-    JET_RETURN_IF_ERROR(service->Start(std::move(tasklets)));
-    attempt->services.push_back(std::move(service));
-  }
+  for (auto& member : attempt->members) JET_RETURN_IF_ERROR(member->Start());
 
   if (sc != nullptr) {
     Attempt* raw = attempt.get();
     attempt->coordinator = std::thread([this, raw, restore_snapshot]() {
       core::SnapshotParticipants participants;
-      for (const auto& plan : raw->plans) participants.Add(*plan);
-      for (const auto& node_tasklets : raw->net_tasklets) participants.Add(node_tasklets);
+      for (const auto& member : raw->members) participants.Add(*member->plan());
       core::RunSnapshotLoop(
           &snapshots_, std::max<int64_t>(restore_snapshot, 0) + 1, &raw->snapshot_control,
           participants,
@@ -682,8 +645,8 @@ std::vector<obs::MetricSnapshot> ClusterJob::MetricSnapshots() const {
   }
   std::vector<obs::MetricSnapshot> out;
   if (attempt != nullptr) {
-    for (const auto& reg : attempt->registries) {
-      auto snap = reg->Snapshot();
+    for (const auto& member : attempt->members) {
+      auto snap = member->registry()->Snapshot();
       out.insert(out.end(), std::make_move_iterator(snap.begin()),
                  std::make_move_iterator(snap.end()));
     }
@@ -737,7 +700,7 @@ void ClusterJob::Cancel() {
   jet::MutexLock lock(job_mutex_);
   if (attempt_ != nullptr) {
     attempt_->cancelled.store(true, std::memory_order_release);
-    for (auto& s : attempt_->services) s->Cancel();
+    for (auto& m : attempt_->members) m->service()->Cancel();
   }
 }
 

@@ -12,7 +12,6 @@
 #include "cluster/health_monitor.h"
 #include "common/thread_annotations.h"
 #include "core/dag.h"
-#include "core/execution_plan.h"
 #include "core/execution_service.h"
 #include "core/job.h"
 #include "core/metrics.h"
@@ -21,8 +20,6 @@
 #include "imdg/snapshot_store.h"
 #include "net/exchange.h"
 #include "net/network.h"
-#include "obs/collector_tasklet.h"
-#include "obs/event_loop_profiler.h"
 #include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 
@@ -258,20 +255,12 @@ class ClusterJob {
     // (not per-cluster): a restarted attempt's processors re-claim the
     // same {vertex, partition} slots, which must not collide with the
     // stopped attempt's claims (released only when its processors die).
-    // Declared before the plans so it outlives the claim releases running
-    // in the processors' destructors.
+    // It and the exchange registry are declared before the members so
+    // they outlive the claim releases running in the processors'
+    // destructors.
     std::unique_ptr<imdg::OwnershipRegistry> ownership;
-    // Per-member observability (index = plan node id). Declared before the
-    // plans/tasklets/services so it is destroyed after them: tasklets and
-    // workers hold instrument handles and profiler slots.
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
-    std::vector<std::unique_ptr<obs::EventLoopProfiler>> profilers;
-    std::vector<std::unique_ptr<obs::MetricsCollectorTasklet>> collectors;
-    std::unique_ptr<net::ExchangeRegistry> registry;
-    std::vector<std::unique_ptr<net::NetworkEdgeFactory>> factories;
-    std::vector<std::unique_ptr<core::ExecutionPlan>> plans;
-    std::vector<std::vector<std::unique_ptr<core::ProcessorTasklet>>> net_tasklets;
-    std::vector<std::unique_ptr<core::ExecutionService>> services;
+    std::unique_ptr<net::ExchangeRegistry> exchange;
+    std::vector<std::unique_ptr<core::MemberExecution>> members;  // index = plan node id
     std::thread coordinator;
     std::atomic<bool> coordinator_stop{false};
 

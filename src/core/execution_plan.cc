@@ -5,18 +5,16 @@
 namespace jet::core {
 
 Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
-    const Dag& dag, const NodeInfo& node, const JobConfig& config,
-    int32_t default_local_parallelism, const Clock* clock,
-    const std::atomic<bool>* cancelled, RemoteEdgeFactory* remote_edges,
-    SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics,
-    imdg::OwnershipRegistry* ownership) {
+    const MemberParams& params, obs::MetricsRegistry* metrics) {
+  const Dag& dag = *params.dag;
+  const NodeInfo& node = params.node;
+  RemoteEdgeFactory* remote_edges = params.remote_edges;
+  SnapshotControl* snapshot_control = params.snapshot_control;
   JET_RETURN_IF_ERROR(dag.Validate());
   if (node.node_count > 1 && remote_edges == nullptr) {
     return InvalidArgumentError("multi-node plan requires a RemoteEdgeFactory");
   }
-  if (default_local_parallelism < 1) {
-    return InvalidArgumentError("default_local_parallelism must be >= 1");
-  }
+  if (params.threads < 1) return InvalidArgumentError("threads must be >= 1");
 
   auto plan = std::unique_ptr<ExecutionPlan>(new ExecutionPlan());
   const auto& vertices = dag.vertices();
@@ -25,7 +23,7 @@ Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
   std::vector<int32_t> local_p(static_cast<size_t>(nv));
   for (VertexId v = 0; v < nv; ++v) {
     int32_t p = vertices[static_cast<size_t>(v)].local_parallelism;
-    local_p[static_cast<size_t>(v)] = p == -1 ? default_local_parallelism : p;
+    local_p[static_cast<size_t>(v)] = p == -1 ? params.threads : p;
   }
 
   // 1. Create the SPSC queues of every local edge hop. For edge e the
@@ -132,12 +130,12 @@ Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
 
       ProcessorContext ctx;
       ctx.meta = meta;
-      ctx.clock = clock;
-      ctx.config = config;
-      ctx.cancelled = cancelled;
+      ctx.clock = params.clock;
+      ctx.config = params.config;
+      ctx.cancelled = params.cancelled;
       ctx.vertex_id = v;
       ctx.metrics = metrics;
-      ctx.ownership = ownership;
+      ctx.ownership = params.ownership;
       if (snapshot_control != nullptr) {
         ctx.committed_snapshot = &snapshot_control->committed;
       }
@@ -150,20 +148,20 @@ Result<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Build(
       std::string name = vertex.name + "#" + std::to_string(meta.global_index);
       auto tasklet = std::make_unique<ProcessorTasklet>(
           std::move(name), std::move(processor), std::move(ctx), std::move(inputs),
-          std::move(collectors), config.guarantee, snapshot_control);
+          std::move(collectors), params.config.guarantee, snapshot_control);
       plan->infos_.push_back(
           TaskletInfo{tasklet.get(), v, meta.global_index, meta.total_parallelism});
       plan->tasklets_.push_back(std::move(tasklet));
     }
   }
-  return plan;
-}
 
-std::vector<Tasklet*> ExecutionPlan::Tasklets() {
-  std::vector<Tasklet*> out;
-  out.reserve(tasklets_.size());
-  for (auto& t : tasklets_) out.push_back(t.get());
-  return out;
+  // 3. Take the exchange tasklets behind the remote sinks and queues above.
+  if (remote_edges != nullptr) {
+    for (auto& t : remote_edges->TakeTasklets(metrics)) {
+      plan->tasklets_.push_back(std::move(t));
+    }
+  }
+  return plan;
 }
 
 }  // namespace jet::core

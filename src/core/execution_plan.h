@@ -8,12 +8,47 @@
 #include "core/dag.h"
 #include "core/tasklet.h"
 
+namespace jet::imdg {
+class DataGrid;
+}  // namespace jet::imdg
+
 namespace jet::core {
 
 /// Identifies one node's place in a (possibly multi-node) job execution.
 struct NodeInfo {
   int32_t node_id = 0;
   int32_t node_count = 1;
+};
+
+class RemoteEdgeFactory;
+
+/// What one member needs to run its share of a job: the input of
+/// ExecutionPlan::Build, the exchange's RemoteEdgeFactory and
+/// core::MemberExecution (job.h). Pointees must outlive the member.
+struct MemberParams {
+  const Dag* dag = nullptr;  ///< Validate()d
+  NodeInfo node;
+  JobConfig config;
+  /// Cooperative worker threads (>= 1); also the local parallelism of
+  /// vertices that leave it at -1.
+  int32_t threads = 1;
+  const Clock* clock = nullptr;
+  const std::atomic<bool>* cancelled = nullptr;
+  SnapshotControl* snapshot_control = nullptr;  ///< null without a guarantee
+  /// Single-writer state ownership that keyed-aggregation processors claim
+  /// their partition share in (optional).
+  imdg::OwnershipRegistry* ownership = nullptr;
+  /// Required iff node.node_count > 1; used only while the plan is built.
+  RemoteEdgeFactory* remote_edges = nullptr;
+  /// Tags of every instrument in the member's registry: the job and the
+  /// member's physical id.
+  obs::MetricTags tags;
+  /// When set, a MetricsCollectorTasklet publishes the member's registry
+  /// into this grid (map "__jet.metrics", key
+  /// "job-<tags.job>/member-<tags.member>") — the Management-Center
+  /// persistence path.
+  imdg::DataGrid* metrics_grid = nullptr;
+  Nanos metrics_publish_interval = 500 * kNanosPerMilli;
 };
 
 /// Supplies the cross-node plumbing for distributed edges. Implemented by
@@ -23,6 +58,9 @@ struct NodeInfo {
 /// SPSC discipline: the sink returned by `SenderFor` is owned by exactly
 /// one producer tasklet, and each queue returned by `ReceiverQueuesFor` is
 /// written by exactly one receiver tasklet.
+///
+/// The factory need only live while ExecutionPlan::Build runs: the plan
+/// takes the exchange tasklets with TakeTasklets and owns them from then on.
 class RemoteEdgeFactory {
  public:
   virtual ~RemoteEdgeFactory() = default;
@@ -37,6 +75,13 @@ class RemoteEdgeFactory {
   /// node, ordered by node id.
   virtual std::vector<ItemQueuePtr> ReceiverQueuesFor(const Edge& e,
                                                       int32_t consumer_local_index) = 0;
+
+  /// Builds the exchange tasklets (senders, then receivers) behind every
+  /// sink and queue handed out above; their instruments register with
+  /// `metrics` (may be null). Called once, after the last SenderFor /
+  /// ReceiverQueuesFor.
+  virtual std::vector<std::unique_ptr<ProcessorTasklet>> TakeTasklets(
+      obs::MetricsRegistry* metrics) = 0;
 };
 
 /// One instantiated tasklet plus the identity of the processor instance it
@@ -50,36 +95,28 @@ struct TaskletInfo {
 
 /// The per-node physical plan: all tasklets and queues instantiated from a
 /// DAG (§3.1: "deploys the complete dataflow graph on every available CPU
-/// core"). Build once per node, hand the tasklets to an ExecutionService.
+/// core") — one tasklet per processor instance, then the exchange tasklets
+/// of the node's distributed edges. Build once per node, hand the tasklets
+/// to an ExecutionService.
 class ExecutionPlan {
  public:
-  /// Instantiates the plan for this node.
-  ///
-  /// `dag` must outlive the plan and have been Validate()d.
-  /// `default_local_parallelism` replaces vertices' -1 parallelism
-  /// (normally the node's cooperative thread count). `remote_edges` is
-  /// required iff `node.node_count > 1`. `snapshot_control` may be null
-  /// when the job runs without a processing guarantee. `metrics` (optional)
-  /// is handed to every tasklet's ProcessorContext so the tasklets and
-  /// their processors register "tasklet.*" / exchange instruments with it.
-  /// `ownership` (optional) is the member's single-writer state-ownership
-  /// registry; keyed-aggregation processors claim their partition share in
-  /// it at Init and access that state lock-free afterwards.
-  static Result<std::unique_ptr<ExecutionPlan>> Build(
-      const Dag& dag, const NodeInfo& node, const JobConfig& config,
-      int32_t default_local_parallelism, const Clock* clock,
-      const std::atomic<bool>* cancelled, RemoteEdgeFactory* remote_edges,
-      SnapshotControl* snapshot_control, obs::MetricsRegistry* metrics = nullptr,
-      imdg::OwnershipRegistry* ownership = nullptr);
+  /// Instantiates the plan for this node and takes the exchange tasklets
+  /// of `params.remote_edges`, so the factory may go once Build returns.
+  /// `metrics` (optional) is handed to every tasklet's ProcessorContext,
+  /// exchange tasklets included, so the tasklets and their processors
+  /// register "tasklet.*" / exchange instruments with it.
+  static Result<std::unique_ptr<ExecutionPlan>> Build(const MemberParams& params,
+                                                      obs::MetricsRegistry* metrics);
 
-  /// All tasklets of this node, in creation order.
-  std::vector<Tasklet*> Tasklets();
+  /// All tasklets of this node: processor instances in creation order,
+  /// then exchange tasklets.
+  const std::vector<std::unique_ptr<ProcessorTasklet>>& tasklets() const {
+    return tasklets_;
+  }
 
-  /// Tasklet metadata for snapshot restore.
+  /// Metadata of the processor-instance tasklets (a prefix of tasklets()),
+  /// for snapshot restore. Exchange tasklets hold no state and have none.
   const std::vector<TaskletInfo>& tasklet_infos() const { return infos_; }
-
-  /// Number of tasklets.
-  int64_t tasklet_count() const { return static_cast<int64_t>(tasklets_.size()); }
 
  private:
   ExecutionPlan() = default;

@@ -49,6 +49,47 @@ void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
   }
 }
 
+Result<std::unique_ptr<MemberExecution>> MemberExecution::Create(
+    const MemberParams& params) {
+  auto member = std::unique_ptr<MemberExecution>(new MemberExecution());
+  member->registry_ = std::make_unique<obs::MetricsRegistry>(params.tags);
+  member->profiler_ =
+      std::make_unique<obs::EventLoopProfiler>(member->registry_.get(), params.clock);
+  auto plan = ExecutionPlan::Build(params, member->registry_.get());
+  if (!plan.ok()) return plan.status();
+  member->plan_ = std::move(plan.value());
+  ExecutionService::Options service_options;
+  service_options.rebalance_interval = params.config.rebalance_interval;
+  member->service_ = std::make_unique<ExecutionService>(
+      params.threads, member->profiler_.get(), service_options);
+  if (params.metrics_grid != nullptr) {
+    // The collector completes once the member's real tasklets have, so it
+    // never keeps the service alive on its own.
+    obs::MetricsCollectorTasklet::Options opts;
+    opts.key = "job-" + std::to_string(params.tags.job) + "/member-" +
+               std::to_string(params.tags.member);
+    opts.publish_interval = params.metrics_publish_interval;
+    const ExecutionPlan* raw = member->plan_.get();
+    member->collector_ = std::make_unique<obs::MetricsCollectorTasklet>(
+        member->registry_.get(), params.metrics_grid, params.clock, std::move(opts),
+        [raw]() {
+          for (const auto& t : raw->tasklets()) {
+            if (!t->IsDone()) return false;
+          }
+          return true;
+        });
+  }
+  return member;
+}
+
+std::vector<Tasklet*> MemberExecution::Tasklets() const {
+  std::vector<Tasklet*> out;
+  out.reserve(plan_->tasklets().size() + 1);
+  for (const auto& t : plan_->tasklets()) out.push_back(t.get());
+  if (collector_ != nullptr) out.push_back(collector_.get());
+  return out;
+}
+
 Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
   if (params.dag == nullptr) return InvalidArgumentError("job has no DAG");
   if (params.config.guarantee != ProcessingGuarantee::kNone &&
@@ -69,39 +110,34 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
     job->snapshot_control_.write_entry =
         StoreSnapshotWriter(params.snapshot_store, params.job_id);
   }
+
+  MemberParams member;
+  member.dag = params.dag;
+  member.config = params.config;
+  member.threads = threads;
+  member.clock = job->params_.clock;
+  member.cancelled = &job->cancelled_;
+  if (params.config.guarantee != ProcessingGuarantee::kNone) {
+    member.snapshot_control = &job->snapshot_control_;
+  }
+  member.tags.job = static_cast<int64_t>(params.job_id);
+  member.tags.member = 0;
+  member.metrics_grid = params.metrics_grid;
+  member.metrics_publish_interval = params.metrics_publish_interval;
+  auto created = MemberExecution::Create(member);
+  if (!created.ok()) return created.status();
+  job->member_ = std::move(created.value());
+
   job->snapshots_ = std::make_unique<SnapshotCoordinator>(
       params.snapshot_store, params.job_id, params.config.snapshot_interval,
       params.config.snapshot_ack_timeout);
-
-  // Member-wide observability: one registry per (job, member), profiled
-  // execution service, instruments tagged {job, member} by default.
-  obs::MetricTags member_tags;
-  member_tags.job = static_cast<int64_t>(params.job_id);
-  member_tags.member = 0;
-  job->registry_ = std::make_unique<obs::MetricsRegistry>(member_tags);
-  job->profiler_ =
-      std::make_unique<obs::EventLoopProfiler>(job->registry_.get(), job->params_.clock);
-  job->snapshots_->BindMetrics(job->registry_.get());
-
-  NodeInfo node;  // single-node
-  auto plan = ExecutionPlan::Build(
-      *params.dag, node, params.config, threads, job->params_.clock, &job->cancelled_,
-      /*remote_edges=*/nullptr,
-      params.config.guarantee != ProcessingGuarantee::kNone ? &job->snapshot_control_
-                                                            : nullptr,
-      job->registry_.get());
-  if (!plan.ok()) return plan.status();
-  job->plan_ = std::move(plan.value());
-  ExecutionService::Options service_options;
-  service_options.rebalance_interval = params.config.rebalance_interval;
-  job->service_ =
-      std::make_unique<ExecutionService>(threads, job->profiler_.get(), service_options);
+  job->snapshots_->BindMetrics(job->member_->registry());
 
   if (params.restore_snapshot_id.has_value()) {
     if (params.snapshot_store == nullptr) {
       return InvalidArgumentError("restore requires a snapshot store");
     }
-    JET_RETURN_IF_ERROR(LoadSnapshotIntoPlan(job->plan_.get(), params.snapshot_store,
+    JET_RETURN_IF_ERROR(LoadSnapshotIntoPlan(job->member_->plan(), params.snapshot_store,
                                              params.job_id, *params.restore_snapshot_id));
     params.snapshot_store->ClearInFlight(params.job_id);
   }
@@ -109,33 +145,17 @@ Result<std::unique_ptr<Job>> Job::Create(JobParams params) {
 }
 
 Status Job::Start() {
-  std::vector<Tasklet*> tasklets = plan_->Tasklets();
-  if (params_.metrics_grid != nullptr) {
-    obs::MetricsCollectorTasklet::Options opts;
-    opts.key = "job-" + std::to_string(params_.job_id) + "/member-0";
-    opts.publish_interval = params_.metrics_publish_interval;
-    ExecutionPlan* plan = plan_.get();
-    collector_ = std::make_unique<obs::MetricsCollectorTasklet>(
-        registry_.get(), params_.metrics_grid, params_.clock, std::move(opts),
-        [plan]() {
-          for (const TaskletInfo& info : plan->tasklet_infos()) {
-            if (!info.tasklet->IsDone()) return false;
-          }
-          return true;
-        });
-    tasklets.push_back(collector_.get());
-  }
-  JET_RETURN_IF_ERROR(service_->Start(std::move(tasklets)));
+  JET_RETURN_IF_ERROR(member_->Start());
   if (params_.config.guarantee != ProcessingGuarantee::kNone) {
     coordinator_ = std::thread([this]() {
       SnapshotParticipants participants;
-      participants.Add(*plan_);
+      participants.Add(*member_->plan());
       RunSnapshotLoop(
           snapshots_.get(), params_.restore_snapshot_id.value_or(0) + 1,
           &snapshot_control_, participants,
           [this]() {
             return coordinator_stop_.load(std::memory_order_acquire) ||
-                   service_->IsComplete();
+                   member_->service()->IsComplete();
           },
           nullptr);
     });
@@ -144,7 +164,7 @@ Status Job::Start() {
 }
 
 JobMetrics Job::Metrics() const {
-  JobMetrics m = JobMetricsFromSnapshot(registry_->Snapshot());
+  JobMetrics m = JobMetricsFromSnapshot(member_->registry()->Snapshot());
   m.job_id = params_.job_id;
   m.snapshots_taken = snapshots_->taken();
   m.last_committed_snapshot = snapshots_->last_committed();
@@ -154,17 +174,18 @@ JobMetrics Job::Metrics() const {
 void Job::Cancel() {
   cancelled_.store(true, std::memory_order_release);
   coordinator_stop_.store(true, std::memory_order_release);
-  service_->Cancel();
+  member_->service()->Cancel();
 }
 
 Status Job::Join() {
-  Status s = service_->AwaitCompletion();
+  Status s = member_->service()->AwaitCompletion();
   coordinator_stop_.store(true, std::memory_order_release);
   if (coordinator_.joinable()) coordinator_.join();
   return s;
 }
 
 Job::~Job() {
+  if (member_ == nullptr) return;  // Create failed before building the member
   Cancel();
   Join();
 }

@@ -31,6 +31,44 @@ void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
                      const std::function<bool()>& stop,
                      const std::function<void()>& on_watchdog_abort);
 
+/// One member's execution of a job (§3.1): the whole DAG instantiated as
+/// one plan — processor tasklets plus the exchange tasklets of distributed
+/// edges — on one cooperative execution service, observed through the
+/// member's own metrics registry and event-loop profiler. core::Job runs
+/// one, cluster::ClusterJob one per node of an attempt and
+/// procmode::ProcessMember one per attempt.
+class MemberExecution {
+ public:
+  /// Builds the plan and the (not yet started) service.
+  static Result<std::unique_ptr<MemberExecution>> Create(const MemberParams& params);
+
+  MemberExecution(const MemberExecution&) = delete;
+  MemberExecution& operator=(const MemberExecution&) = delete;
+
+  /// Every tasklet in the order Start() hands them to the service (which
+  /// places them on workers round-robin in that order): the plan's
+  /// processor tasklets, its exchange tasklets, then the collector.
+  std::vector<Tasklet*> Tasklets() const;
+
+  /// Starts the worker threads. May be called once.
+  Status Start() { return service_->Start(Tasklets()); }
+
+  ExecutionPlan* plan() const { return plan_.get(); }
+  ExecutionService* service() const { return service_.get(); }
+  obs::MetricsRegistry* registry() const { return registry_.get(); }
+
+ private:
+  MemberExecution() = default;
+
+  // Declared so the service (and its workers) go first, then the tasklets,
+  // and the observability they hold handles and profiler slots into last.
+  std::unique_ptr<obs::MetricsRegistry> registry_;
+  std::unique_ptr<obs::EventLoopProfiler> profiler_;
+  std::unique_ptr<obs::MetricsCollectorTasklet> collector_;
+  std::unique_ptr<ExecutionPlan> plan_;
+  std::unique_ptr<ExecutionService> service_;
+};
+
 /// Parameters for a single-node job execution.
 struct JobParams {
   /// The dataflow to execute; must outlive the job.
@@ -78,7 +116,7 @@ class Job {
   Status Join();
 
   /// True once all tasklets completed.
-  bool IsComplete() const { return service_ != nullptr && service_->IsComplete(); }
+  bool IsComplete() const { return member_->service()->IsComplete(); }
 
   /// Id of the last snapshot committed by the coordinator (0 = none).
   int64_t last_committed_snapshot() const { return snapshots_->last_committed(); }
@@ -90,9 +128,6 @@ class Job {
   /// JobConfig::snapshot_ack_timeout) or failed to commit.
   int64_t snapshots_aborted() const { return snapshots_->aborted(); }
 
-  /// Tasklet metadata (tests).
-  const std::vector<TaskletInfo>& tasklet_infos() const { return plan_->tasklet_infos(); }
-
   /// Point-in-time metrics of the running job (the Management Center view,
   /// §2), materialized from a race-free registry snapshot. Safe to call
   /// from any thread; values are monotonic across consecutive calls.
@@ -102,15 +137,12 @@ class Job {
   /// including exchange and profiler metrics the JobMetrics view folds
   /// away. Feed to obs::RenderJson / obs::RenderPrometheusText.
   std::vector<obs::MetricSnapshot> MetricSnapshots() const {
-    return registry_->Snapshot();
+    return member_->registry()->Snapshot();
   }
 
   /// JSON diagnostics dump of all instruments (single-node counterpart of
   /// JetCluster::DiagnosticsDump).
   std::string DiagnosticsJson() const { return obs::RenderJson(MetricSnapshots()); }
-
-  /// The member-wide registry; valid for the job's lifetime.
-  obs::MetricsRegistry* metrics_registry() const { return registry_.get(); }
 
  private:
   Job() = default;
@@ -118,16 +150,11 @@ class Job {
   JobParams params_;
   SnapshotControl snapshot_control_;
   std::atomic<bool> cancelled_{false};
-  // Observability lives above the plan/service so it is destroyed last:
-  // tasklets and workers hold instrument handles and profiler slots.
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::EventLoopProfiler> profiler_;
-  std::unique_ptr<obs::MetricsCollectorTasklet> collector_;
-  std::unique_ptr<ExecutionPlan> plan_;
-  std::unique_ptr<ExecutionService> service_;
+  std::unique_ptr<MemberExecution> member_;
   std::thread coordinator_;
   std::atomic<bool> coordinator_stop_{false};
-  std::unique_ptr<SnapshotCoordinator> snapshots_;  // coordinator thread drives it
+  // Driven by the coordinator thread; its gauges live in member_'s registry.
+  std::unique_ptr<SnapshotCoordinator> snapshots_;
 };
 
 }  // namespace jet::core

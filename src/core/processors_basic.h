@@ -33,9 +33,9 @@ struct OutRecord {
 
 /// Stateless record-at-a-time transform covering map, filter and flatMap:
 /// for each input of type `In` the function appends zero or more
-/// `OutRecord<Out>` to the supplied buffer. Consecutive stateless stages
-/// are fused into a single FlatMapP by the pipeline planner (§3.1 operator
-/// fusion).
+/// `OutRecord<Out>` to the supplied buffer. This is the hand-built DAG's
+/// transform; the pipeline planner fuses consecutive stateless stages into
+/// one pipeline::FusedStatelessP instead (§3.1 operator fusion).
 template <typename In, typename Out>
 class FlatMapP final : public Processor {
  public:

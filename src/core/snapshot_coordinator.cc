@@ -60,14 +60,7 @@ SnapshotWriterFn StoreSnapshotWriter(imdg::SnapshotStore* store, imdg::JobId job
 }
 
 void SnapshotParticipants::Add(const ExecutionPlan& plan) {
-  for (const TaskletInfo& info : plan.tasklet_infos()) {
-    if (info.tasklet->ParticipatesInSnapshots()) tasklets_.push_back(info.tasklet);
-  }
-}
-
-void SnapshotParticipants::Add(
-    const std::vector<std::unique_ptr<ProcessorTasklet>>& tasklets) {
-  for (const auto& t : tasklets) {
+  for (const auto& t : plan.tasklets()) {
     if (t->ParticipatesInSnapshots()) tasklets_.push_back(t.get());
   }
 }

@@ -79,14 +79,15 @@ class SnapshotCoordinator {
 /// Snapshot writer persisting every state entry of `job` into `store`.
 SnapshotWriterFn StoreSnapshotWriter(imdg::SnapshotStore* store, imdg::JobId job);
 
-/// The commit gate: the snapshot-participating tasklets of the plans and
-/// exchange tasklets added. Per-tasklet completed ids, not a shared ack
-/// counter, so a straggler of an aborted epoch never counts toward the next.
+/// The commit gate: the snapshot-participating tasklets of the plans
+/// added, exchange tasklets included. Per-tasklet completed ids, not a
+/// shared ack counter, so a straggler of an aborted epoch never counts
+/// toward the next.
 class SnapshotParticipants {
  public:
   void Add(const ExecutionPlan& plan);
-  void Add(const std::vector<std::unique_ptr<ProcessorTasklet>>& tasklets);
   bool AllCompleted(int64_t id) const;
+  const std::vector<const ProcessorTasklet*>& tasklets() const { return tasklets_; }
 
  private:
   std::vector<const ProcessorTasklet*> tasklets_;

@@ -243,40 +243,25 @@ bool ReceiverProcessor::Complete() {
 // NetworkEdgeFactory
 // ---------------------------------------------------------------------------
 
-NetworkEdgeFactory::NetworkEdgeFactory(ExchangeRegistry* registry, const core::Dag* dag,
-                                       core::NodeInfo node,
-                                       const core::JobConfig& config,
-                                       int32_t default_local_parallelism,
-                                       const Clock* clock,
-                                       const std::atomic<bool>* cancelled,
-                                       core::SnapshotControl* snapshot_control)
-    : registry_(registry),
-      dag_(dag),
-      node_(node),
-      config_(config),
-      default_local_parallelism_(default_local_parallelism),
-      clock_(clock),
-      cancelled_(cancelled),
-      snapshot_control_(snapshot_control) {}
-
 int32_t NetworkEdgeFactory::EdgeIndexOf(const core::Edge& e) const {
-  return static_cast<int32_t>(&e - dag_->edges().data());
+  return static_cast<int32_t>(&e - params_.dag->edges().data());
 }
 
 int32_t NetworkEdgeFactory::LocalParallelismOf(core::VertexId v) const {
-  int32_t p = dag_->vertex(v).local_parallelism;
-  return p == -1 ? default_local_parallelism_ : p;
+  int32_t p = params_.dag->vertex(v).local_parallelism;
+  return p == -1 ? params_.threads : p;
 }
 
-core::ProcessorContext NetworkEdgeFactory::MakeContext(core::VertexId vertex) const {
+core::ProcessorContext NetworkEdgeFactory::MakeContext(
+    core::VertexId vertex, obs::MetricsRegistry* metrics) const {
   core::ProcessorContext ctx;
-  ctx.meta.node_id = node_.node_id;
-  ctx.meta.node_count = node_.node_count;
-  ctx.clock = clock_;
-  ctx.config = config_;
-  ctx.cancelled = cancelled_;
+  ctx.meta.node_id = params_.node.node_id;
+  ctx.meta.node_count = params_.node.node_count;
+  ctx.clock = params_.clock;
+  ctx.config = params_.config;
+  ctx.cancelled = params_.cancelled;
   ctx.vertex_id = vertex;
-  ctx.metrics = metrics_;
+  ctx.metrics = metrics;
   return ctx;
 }
 
@@ -303,8 +288,8 @@ std::vector<core::ItemQueuePtr> NetworkEdgeFactory::ReceiverQueuesFor(
     const core::Edge& e, int32_t consumer_local_index) {
   int32_t ei = EdgeIndexOf(e);
   std::vector<core::ItemQueuePtr> result;
-  for (int32_t from = 0; from < node_.node_count; ++from) {
-    if (from == node_.node_id) continue;
+  for (int32_t from = 0; from < params_.node.node_count; ++from) {
+    if (from == params_.node.node_id) continue;
     auto& queues = receiver_queues_[{ei, from}];
     while (static_cast<int32_t>(queues.size()) <= consumer_local_index) {
       queues.push_back(
@@ -315,13 +300,15 @@ std::vector<core::ItemQueuePtr> NetworkEdgeFactory::ReceiverQueuesFor(
   return result;
 }
 
-std::vector<std::unique_ptr<core::ProcessorTasklet>> NetworkEdgeFactory::TakeTasklets() {
+std::vector<std::unique_ptr<core::ProcessorTasklet>> NetworkEdgeFactory::TakeTasklets(
+    obs::MetricsRegistry* metrics) {
+  const core::NodeInfo& node = params_.node;
   std::vector<std::unique_ptr<core::ProcessorTasklet>> tasklets;
 
   for (auto& [key, queues] : sender_queues_) {
     auto [edge_index, dest_node] = key;
-    const core::Edge& e = dag_->edges()[static_cast<size_t>(edge_index)];
-    auto channel = registry_->GetOrCreate(edge_index, node_.node_id, dest_node);
+    const core::Edge& e = params_.dag->edges()[static_cast<size_t>(edge_index)];
+    auto channel = registry_->GetOrCreate(edge_index, node.node_id, dest_node);
     auto processor = std::make_unique<SenderProcessor>(channel);
 
     core::InboundStream stream;
@@ -336,30 +323,31 @@ std::vector<std::unique_ptr<core::ProcessorTasklet>> NetworkEdgeFactory::TakeTas
     inputs.push_back(std::move(stream));
 
     std::string name = "sender:e" + std::to_string(edge_index) + "->n" +
-                       std::to_string(dest_node) + "@n" + std::to_string(node_.node_id);
+                       std::to_string(dest_node) + "@n" + std::to_string(node.node_id);
     tasklets.push_back(std::make_unique<core::ProcessorTasklet>(
-        std::move(name), std::move(processor), MakeContext(e.source), std::move(inputs),
-        std::vector<core::OutboundCollector>{}, config_.guarantee, snapshot_control_));
+        std::move(name), std::move(processor), MakeContext(e.source, metrics),
+        std::move(inputs), std::vector<core::OutboundCollector>{},
+        params_.config.guarantee, params_.snapshot_control));
   }
 
   for (auto& [key, queues] : receiver_queues_) {
     auto [edge_index, from_node] = key;
-    const core::Edge& e = dag_->edges()[static_cast<size_t>(edge_index)];
-    auto channel = registry_->GetOrCreate(edge_index, from_node, node_.node_id);
+    const core::Edge& e = params_.dag->edges()[static_cast<size_t>(edge_index)];
+    auto channel = registry_->GetOrCreate(edge_index, from_node, node.node_id);
     auto processor = std::make_unique<ReceiverProcessor>(channel);
 
     int32_t dest_local = LocalParallelismOf(e.dest);
     std::vector<core::OutboundCollector> collectors;
     collectors.emplace_back(e.routing, queues, std::vector<core::RemoteSink>{},
-                            node_.node_count * dest_local, node_.node_count,
-                            node_.node_id, /*isolated_index=*/-1);
+                            node.node_count * dest_local, node.node_count, node.node_id,
+                            /*isolated_index=*/-1);
 
     std::string name = "receiver:e" + std::to_string(edge_index) + "<-n" +
-                       std::to_string(from_node) + "@n" + std::to_string(node_.node_id);
+                       std::to_string(from_node) + "@n" + std::to_string(node.node_id);
     tasklets.push_back(std::make_unique<core::ProcessorTasklet>(
-        std::move(name), std::move(processor), MakeContext(e.dest),
-        std::vector<core::InboundStream>{}, std::move(collectors), config_.guarantee,
-        snapshot_control_));
+        std::move(name), std::move(processor), MakeContext(e.dest, metrics),
+        std::vector<core::InboundStream>{}, std::move(collectors),
+        params_.config.guarantee, params_.snapshot_control));
   }
   return tasklets;
 }

@@ -253,19 +253,14 @@ class ReceiverProcessor final : public core::Processor {
 };
 
 /// Builds the cross-node plumbing for one node of a multi-node execution:
-/// implements core::RemoteEdgeFactory for ExecutionPlan::Build, then
-/// `TakeTasklets()` returns the sender/receiver tasklets to schedule
-/// alongside the plan's own.
+/// implements core::RemoteEdgeFactory for ExecutionPlan::Build, whose plan
+/// takes the sender/receiver tasklets.
 class NetworkEdgeFactory final : public core::RemoteEdgeFactory {
  public:
-  /// `registry` is shared by all nodes of the execution. `dag` must
-  /// outlive the factory. `snapshot_control` is the node's control block
-  /// (may be null without a guarantee).
-  NetworkEdgeFactory(ExchangeRegistry* registry, const core::Dag* dag,
-                     core::NodeInfo node, const core::JobConfig& config,
-                     int32_t default_local_parallelism, const Clock* clock,
-                     const std::atomic<bool>* cancelled,
-                     core::SnapshotControl* snapshot_control);
+  /// `registry` is shared by all nodes of the execution; `params` describe
+  /// this node's member and must outlive the factory.
+  NetworkEdgeFactory(ExchangeRegistry* registry, const core::MemberParams& params)
+      : registry_(registry), params_(params) {}
 
   core::RemoteSink SenderFor(const core::Edge& e, int32_t dest_node,
                              int32_t producer_local_index) override;
@@ -273,28 +268,17 @@ class NetworkEdgeFactory final : public core::RemoteEdgeFactory {
   std::vector<core::ItemQueuePtr> ReceiverQueuesFor(
       const core::Edge& e, int32_t consumer_local_index) override;
 
-  /// Builds and returns all sender/receiver tasklets. Call exactly once,
-  /// after ExecutionPlan::Build.
-  std::vector<std::unique_ptr<core::ProcessorTasklet>> TakeTasklets();
-
-  /// Member-wide registry the exchange tasklets register their instruments
-  /// with; call before TakeTasklets. Optional.
-  void SetMetricsRegistry(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  std::vector<std::unique_ptr<core::ProcessorTasklet>> TakeTasklets(
+      obs::MetricsRegistry* metrics) override;
 
  private:
   int32_t EdgeIndexOf(const core::Edge& e) const;
   int32_t LocalParallelismOf(core::VertexId v) const;
-  core::ProcessorContext MakeContext(core::VertexId vertex) const;
+  core::ProcessorContext MakeContext(core::VertexId vertex,
+                                     obs::MetricsRegistry* metrics) const;
 
   ExchangeRegistry* registry_;
-  const core::Dag* dag_;
-  core::NodeInfo node_;
-  core::JobConfig config_;
-  int32_t default_local_parallelism_;
-  const Clock* clock_;
-  const std::atomic<bool>* cancelled_;
-  core::SnapshotControl* snapshot_control_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  const core::MemberParams& params_;
 
   // (edge_index, dest_node) -> per-producer queues feeding the sender.
   std::map<std::pair<int32_t, int32_t>, std::vector<core::ItemQueuePtr>> sender_queues_;

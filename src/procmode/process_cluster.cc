@@ -301,6 +301,12 @@ void ProcessCluster::Shutdown() {
 
   {
     jet::MutexLock lock(mu_);
+    // Every child is reaped now, and TimerPass no longer runs to notice.
+    for (const auto& child : children) {
+      members_[static_cast<size_t>(child.first)].reaped = true;
+    }
+    for (Member& m : members_) m.alive = false;
+    live_members_gauge_.Set(0);
     supervisor_exit_ = true;
     cv_.NotifyAll();
   }

@@ -316,27 +316,24 @@ Status ProcessMember::HandleStartJob(ProcMsg msg) {
   attempt->registry = std::make_shared<SocketExchangeRegistry>(
       attempt->bus.get(), exchange_options, attempt->node_id, attempt->peer_conns);
 
-  core::JobConfig config;
-  config.guarantee = core::ProcessingGuarantee::kExactlyOnce;
-  core::NodeInfo node{attempt->node_id, attempt->node_count};
-  const Clock* clock = attempt->clock.get();
-  attempt->factory = std::make_unique<net::NetworkEdgeFactory>(
-      attempt->registry.get(), &attempt->dag, node, config, msg.threads, clock,
-      &attempt->cancelled, &attempt->snapshot_control);
-  auto plan =
-      core::ExecutionPlan::Build(attempt->dag, node, config, msg.threads, clock,
-                                 &attempt->cancelled, attempt->factory.get(),
-                                 &attempt->snapshot_control);
-  JET_RETURN_IF_ERROR(plan.status());
-  attempt->plan = std::move(plan.value());
-  attempt->net_tasklets = attempt->factory->TakeTasklets();
+  core::MemberParams params;
+  params.dag = &attempt->dag;
+  params.node = core::NodeInfo{attempt->node_id, attempt->node_count};
+  params.config.guarantee = core::ProcessingGuarantee::kExactlyOnce;
+  params.threads = msg.threads;
+  params.clock = attempt->clock.get();
+  params.cancelled = &attempt->cancelled;
+  params.snapshot_control = &attempt->snapshot_control;
+  net::NetworkEdgeFactory factory(attempt->registry.get(), params);
+  params.remote_edges = &factory;
+  // StartJob carries no job id, so instruments are tagged by member only.
+  params.tags.member = options_.member_index;
+  auto member = core::MemberExecution::Create(params);
+  JET_RETURN_IF_ERROR(member.status());
+  attempt->member = std::move(member.value());
   if (attempt->restore_remaining > 0) {
-    attempt->restore = std::make_unique<core::RestoreRouter>(*attempt->plan);
+    attempt->restore = std::make_unique<core::RestoreRouter>(*attempt->member->plan());
   }
-
-  core::ExecutionService::Options service_options;
-  attempt->service =
-      std::make_unique<core::ExecutionService>(msg.threads, nullptr, service_options);
 
   {
     jet::MutexLock lock(attempt_mu_);
@@ -379,15 +376,12 @@ Status ProcessMember::HandleGo() {
   if (attempt->running) return Status::OK();
   attempt->running = true;
 
-  std::vector<core::Tasklet*> tasklets = attempt->plan->Tasklets();
-  for (auto& t : attempt->net_tasklets) tasklets.push_back(t.get());
-  JET_RETURN_IF_ERROR(attempt->service->Start(std::move(tasklets)));
+  JET_RETURN_IF_ERROR(attempt->member->Start());
 
   // Snapshot pump: acks a requested snapshot once every local participant
   // has persisted it — the in-process coordinator's commit gate.
   core::SnapshotParticipants participants;
-  participants.Add(*attempt->plan);
-  participants.Add(attempt->net_tasklets);
+  participants.Add(*attempt->member->plan());
   Attempt* raw = attempt.get();
   auto control = control_;
   attempt->snapshot_pump = std::thread([raw, control, participants]() {
@@ -408,7 +402,7 @@ Status ProcessMember::HandleGo() {
 
   attempt->done_monitor = std::thread([raw, control]() {
     while (!raw->stopping.load(std::memory_order_acquire)) {
-      if (raw->service->IsComplete()) {
+      if (raw->member->service()->IsComplete()) {
         ProcMsg done;
         done.type = ProcMsgType::kAttemptDone;
         done.epoch = raw->epoch;
@@ -431,8 +425,8 @@ void ProcessMember::TeardownAttempt() {
   attempt->stopping.store(true, std::memory_order_release);
   attempt->cancelled.store(true, std::memory_order_release);
   if (attempt->running) {
-    attempt->service->Cancel();
-    (void)attempt->service->AwaitCompletion();
+    attempt->member->service()->Cancel();
+    (void)attempt->member->service()->AwaitCompletion();
   }
   if (attempt->snapshot_pump.joinable()) attempt->snapshot_pump.join();
   if (attempt->done_monitor.joinable()) attempt->done_monitor.join();

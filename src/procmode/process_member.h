@@ -14,10 +14,8 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/dag.h"
-#include "core/execution_plan.h"
-#include "core/execution_service.h"
+#include "core/job.h"
 #include "core/snapshot_coordinator.h"
-#include "core/tasklet.h"
 #include "net/exchange.h"
 #include "net/network.h"
 #include "net/socket_transport.h"
@@ -51,11 +49,11 @@ class SharedMonotonicClock final : public Clock {
 
 /// One Jet member as an OS process: owns this member's data-socket server,
 /// a control connection to the coordinator, and — per attempt — the
-/// member's slice of the execution (plan + exchange tasklets over
-/// SocketExchangeRegistry, snapshot pump, completion monitor). The process
-/// persists across attempts; each StartJob assigns it a fresh plan-local
-/// node id for that epoch. jet_member's main() is a thin wrapper around
-/// Run().
+/// member's slice of the execution (a core::MemberExecution whose exchange
+/// runs over SocketExchangeRegistry, snapshot pump, completion monitor).
+/// The process persists across attempts; each StartJob assigns it a fresh
+/// plan-local node id for that epoch. jet_member's main() is a thin
+/// wrapper around Run().
 class ProcessMember {
  public:
   struct Options {
@@ -95,13 +93,11 @@ class ProcessMember {
     std::unique_ptr<net::Network> bus;
     std::vector<std::shared_ptr<net::SocketConnection>> peer_conns;
     std::shared_ptr<SocketExchangeRegistry> registry;
-    std::unique_ptr<net::NetworkEdgeFactory> factory;
-    std::unique_ptr<core::ExecutionPlan> plan;
-    std::vector<std::unique_ptr<core::ProcessorTasklet>> net_tasklets;
-    std::unique_ptr<core::ExecutionService> service;
     core::SnapshotControl snapshot_control;
     std::atomic<bool> cancelled{false};
     std::atomic<bool> stopping{false};
+    /// Declared after everything its tasklets point into, so it goes first.
+    std::unique_ptr<core::MemberExecution> member;
     int64_t restore_remaining = 0;
     /// Routes the restore entries the coordinator ships (it owns the
     /// store) as they arrive; null when the attempt restores nothing.

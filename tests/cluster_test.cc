@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/jet_cluster.h"
+#include "core/job.h"
 #include "core/processors_basic.h"
 #include "core/processors_window.h"
 #include "testkit/wait.h"
@@ -245,6 +246,116 @@ TEST(ClusterTest, KillUnknownNodeFails) {
   config.threads_per_node = 1;
   JetCluster cluster(config);
   EXPECT_FALSE(cluster.KillNode(99).ok());
+}
+
+// A refused kill of the last member must leave the membership untouched:
+// the node keeps running, stays in AliveNodes() and still runs jobs.
+TEST(ClusterTest, KillLastNodeIsRefusedAndChangesNothing) {
+  ClusterConfig config;
+  config.initial_nodes = 1;
+  config.threads_per_node = 1;
+  JetCluster cluster(config);
+  EXPECT_EQ(cluster.KillNode(0).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cluster.AliveNodes(), std::vector<int32_t>{0});
+
+  constexpr double kRate = 50'000;
+  constexpr Nanos kDuration = 100 * kNanosPerMilli;
+  auto parts = MakeDistributedPassthrough(kRate, kDuration);
+  auto job = cluster.SubmitJob(&parts->dag, core::JobConfig{}, 1);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_TRUE((*job)->Join().ok());
+  EXPECT_EQ(parts->collector->Snapshot().size(),
+            static_cast<size_t>(kRate * (kDuration / 1e9)));
+}
+
+// ---------------------------------------------------------------------------
+// core::MemberExecution: one member of a 2-node execution over an in-process
+// exchange registry, built the way ClusterJob builds each of its members.
+// ---------------------------------------------------------------------------
+
+class MemberExecutionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    parts_ = MakeDistributedPassthrough(/*rate=*/10'000, 20 * kNanosPerMilli);
+    ASSERT_TRUE(grid_.AddMember(0).ok());
+    for (int32_t i = 0; i < 2; ++i) {
+      core::MemberParams params;
+      params.dag = &parts_->dag;
+      params.node = core::NodeInfo{i, 2};
+      params.config.guarantee = core::ProcessingGuarantee::kExactlyOnce;
+      params.threads = 1;
+      params.clock = &clock_;
+      params.cancelled = &cancelled_;
+      params.snapshot_control = &control_;
+      net::NetworkEdgeFactory factory(&exchange_, params);
+      params.remote_edges = &factory;
+      params.tags.job = 1;
+      params.tags.member = i;
+      params.metrics_grid = &grid_;
+      auto member = core::MemberExecution::Create(params);
+      ASSERT_TRUE(member.ok()) << member.status().ToString();
+      members_.push_back(std::move(member.value()));
+    }
+  }
+
+  WallClock clock_;
+  net::Network network_;
+  net::ExchangeRegistry exchange_{&network_};
+  imdg::DataGrid grid_{/*backup_count=*/0};
+  std::atomic<bool> cancelled_{false};
+  core::SnapshotControl control_;
+  std::unique_ptr<SimpleJobParts> parts_;
+  std::vector<std::unique_ptr<core::MemberExecution>> members_;
+};
+
+// ExecutionService::Start places tasklets on workers round-robin in the
+// order it gets them, so the member must hand them over as: processor
+// tasklets, exchange tasklets (senders, then receivers), the collector.
+TEST_F(MemberExecutionTest, HandsPlanThenExchangeThenCollectorToTheService) {
+  for (size_t n = 0; n < members_.size(); ++n) {
+    const std::string self = std::to_string(n);
+    const std::string peer = std::to_string(1 - n);
+    std::vector<std::string> names;
+    for (core::Tasklet* t : members_[n]->Tasklets()) names.push_back(t->name());
+    EXPECT_EQ(names, (std::vector<std::string>{"source#" + self, "sink#" + self,
+                                               "sender:e0->n" + peer + "@n" + self,
+                                               "receiver:e0<-n" + peer + "@n" + self,
+                                               "metrics-collector/job-1/member-" + self}));
+  }
+}
+
+// The plan owns the exchange tasklets, so the snapshot commit gate built
+// from it counts the senders. Receivers are in the plan too but take no
+// part: they forward barriers that arrive on the wire and never align or
+// persist one (ProcessorTasklet::ParticipatesInSnapshots).
+TEST_F(MemberExecutionTest, SnapshotParticipantsIncludeTheExchangeSenders) {
+  for (size_t n = 0; n < members_.size(); ++n) {
+    const std::string self = std::to_string(n);
+    const std::string peer = std::to_string(1 - n);
+    core::SnapshotParticipants participants;
+    participants.Add(*members_[n]->plan());
+    std::vector<std::string> names;
+    for (const core::ProcessorTasklet* t : participants.tasklets()) {
+      names.push_back(t->name());
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{"source#" + self, "sink#" + self,
+                                               "sender:e0->n" + peer + "@n" + self}));
+    EXPECT_EQ(members_[n]->plan()->tasklets().back()->name(),
+              "receiver:e0<-n" + peer + "@n" + self);
+  }
+}
+
+// Both members run to completion over the exchange, and every event
+// reaches exactly one sink.
+TEST_F(MemberExecutionTest, TwoMembersRunTheJobOverTheExchange) {
+  for (const auto& member : members_) ASSERT_TRUE(member->Start().ok());
+  for (const auto& member : members_) {
+    ASSERT_TRUE(member->service()->AwaitCompletion().ok());
+  }
+  auto values = parts_->collector->Snapshot();
+  std::set<int64_t> unique(values.begin(), values.end());
+  EXPECT_EQ(values.size(), 200u);  // 10k ev/s for 20 ms, sharded over the sources
+  EXPECT_EQ(unique.size(), values.size());
 }
 
 }  // namespace

@@ -69,6 +69,14 @@ TEST(ProcMode, ThreeProcessWindowedJob) {
     EXPECT_TRUE(cluster.VerifyExactlyOnce().ok())
         << cluster.VerifyExactlyOnce().ToString();
     cluster.Shutdown();
+    // Shutdown reaped every member: none may still count as live.
+    EXPECT_EQ(cluster.live_member_count(), 0);
+    std::vector<obs::PrometheusSample> samples;
+    ASSERT_TRUE(obs::ParsePrometheusText(cluster.DiagnosticsDump().prometheus, &samples));
+    std::map<std::string, double> values;
+    for (const auto& sample : samples) values[sample.name] = sample.value;
+    ASSERT_EQ(values.count("jet_proc_live_members"), 1u);
+    EXPECT_EQ(values["jet_proc_live_members"], 0);
   }
   RemoveWorkDir(options.work_dir);
 }
