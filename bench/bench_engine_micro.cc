@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -161,7 +162,7 @@ void BM_WindowAccumulate(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     state.PauseTiming();
-    inbox.Clear();
+    while (!inbox.Empty()) inbox.RemoveFront();
     for (int i = 0; i < 256; ++i) {
       auto key = static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(keys)));
       inbox.Add(Item::Data<int64_t>(key, ts, HashU64(static_cast<uint64_t>(key))));
@@ -185,7 +186,8 @@ BENCHMARK(BM_WindowAccumulate)->Arg(100)->Arg(10'000)->Arg(1'000'000);
 
 // One exchange hop as the engine runs it: producer SPSC queue -> tasklet
 // inbox -> wire frame -> receiver staging -> outbox fan-out, through the
-// bulk paths of the exchange (SpscQueue::DrainWhile, Inbox::DrainTo,
+// bulk paths of the exchange (the inbox consumes its run in place in the
+// ring: SpscQueue::FrontRun, Inbox::DrainTo, SpscQueue::Release,
 // whole-frame WireBuffer steal, move-based OfferToAll). The histogram
 // records the time of each 256-item chunk, so its tail shows jitter
 // between chunks, not the latency of one item.
@@ -209,11 +211,12 @@ jet::bench::BenchScenario RunExchangeHop(const std::string& scenario, int32_t fa
       (void)queue.TryPush(item);
       ++ts;
     }
-    (void)queue.DrainWhile([](const Item&) { return true; },
-                           [&inbox](Item&& it) { inbox.Add(std::move(it)); }, kChunk);
+    std::span<Item> run = queue.FrontRun([](const Item& it) { return it.IsData(); }, kChunk);
+    inbox.AttachRun(run.data(), run.data() + run.size());
     std::vector<Item> frame;
     frame.reserve(kChunk);
     (void)inbox.DrainTo(&frame, kChunk);
+    queue.Release(inbox.TakeConsumedRun());
     wire.Push(std::move(frame));
     std::vector<Item> staged;
     (void)wire.DrainInto(&staged, kChunk);

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <memory>
 #include <new>
+#include <span>
 #include <utility>
 
 #include "common/debug_check.h"
@@ -131,32 +132,34 @@ class SpscQueue {
     return n;
   }
 
-  /// Consumer: moves items into `sink` (a callable taking `T&&`) while
-  /// `pred` (a callable taking `const T&`) approves the front item, up to
-  /// `limit` items. The predicate inspects each item *before* it is moved,
-  /// so control items can stop the drain without being consumed. All moved
-  /// items are released with a single index update, unlike a Peek/PopFront
-  /// loop which publishes (and fences) per item. Returns the number moved.
-  template <typename Pred, typename Sink>
-  size_t DrainWhile(Pred&& pred, Sink&& sink, size_t limit) {
-    JET_DCHECK_SINGLE_THREAD(consumer_guard_, "SpscQueue consumer (DrainWhile)");
+  /// Consumer: returns the front run of items in place; they stay enqueued
+  /// until Release. The run stops before the first item `pred` rejects,
+  /// after `limit` items, and at the end of the slot array (the call after
+  /// the Release returns the rest of a run cut by the wrap).
+  template <typename Pred>
+  std::span<T> FrontRun(Pred&& pred, size_t limit) {
+    JET_DCHECK_SINGLE_THREAD(consumer_guard_, "SpscQueue consumer (FrontRun)");
     const size_t tail = tail_.load(std::memory_order_relaxed);
-    size_t available = cached_head_ - tail;
-    if (available == 0) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      available = cached_head_ - tail;
-      if (available == 0) return 0;
-    }
-    const size_t max = available < limit ? available : limit;
+    const size_t to_wrap = capacity_ - (tail & mask_);
+    if (to_wrap < limit) limit = to_wrap;
+    // Re-read head only when the cached view holds less than a full run.
+    if (cached_head_ - tail < limit) cached_head_ = head_.load(std::memory_order_acquire);
+    const size_t max = cached_head_ - tail < limit ? cached_head_ - tail : limit;
+    T* const first = &slots_[tail & mask_];
     size_t n = 0;
-    while (n < max && pred(static_cast<const T&>(slots_[(tail + n) & mask_]))) {
-      T& slot = slots_[(tail + n) & mask_];
-      sink(std::move(slot));
-      std::destroy_at(&slot);
-      ++n;
-    }
-    if (n > 0) tail_.store(tail + n, std::memory_order_release);
-    return n;
+    while (n < max && pred(static_cast<const T&>(first[n]))) ++n;
+    return {first, n};
+  }
+
+  /// Consumer: destroys the `n` front items (a FrontRun prefix the caller
+  /// may have moved from) and frees their slots with one tail publish.
+  void Release(size_t n) {
+    JET_DCHECK_SINGLE_THREAD(consumer_guard_, "SpscQueue consumer (Release)");
+    if (n == 0) return;
+    const size_t tail = tail_.load(std::memory_order_relaxed);
+    JET_DCHECK(cached_head_ - tail >= n && "Release past the consumer's view of head");
+    for (size_t i = 0; i < n; ++i) std::destroy_at(&slots_[(tail + i) & mask_]);
+    tail_.store(tail + n, std::memory_order_release);
   }
 
   /// Consumer: returns a pointer to the front item without removing it, or

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -21,32 +22,36 @@ namespace jet::core {
 /// place are re-offered on the next Process call (used when the outbox
 /// fills up mid-batch).
 ///
-/// Backed by a flat vector with a consume cursor rather than a deque:
-/// refills append in one contiguous run, bulk consumers (the network
-/// sender) move whole spans out with DrainTo, and the storage is reused
-/// across batches instead of deque's chunked allocation.
+/// The inbox is one [pos, end) span. The tasklet attaches it to a run of
+/// data items in place in an inbound SPSC ring (AttachRun), and afterwards
+/// frees the consumed slots with one tail publish (TakeConsumedRun); the
+/// rest stays in the ring. Add (tests, benches, re-staging wrappers) moves
+/// the span into the inbox's own storage.
 ///
 /// Not thread-safe: the inbox belongs to exactly one tasklet, and every
 /// mutating call must come from that tasklet's worker thread (checked under
 /// JETSIM_DEBUG_CHECKS).
 class Inbox {
  public:
+  Inbox() = default;
+  Inbox(const Inbox&) = delete;
+  Inbox& operator=(const Inbox&) = delete;
+
   /// True when no items remain.
-  bool Empty() const { return pos_ >= items_.size(); }
+  bool Empty() const { return pos_ == end_; }
 
   /// Number of items remaining.
-  size_t Size() const { return items_.size() - pos_; }
+  size_t Size() const { return static_cast<size_t>(end_ - pos_); }
 
   /// Returns the front item without removing it; nullptr when empty.
-  const Item* Peek() const { return Empty() ? nullptr : &items_[pos_]; }
+  const Item* Peek() const { return Empty() ? nullptr : pos_; }
 
   /// Removes and returns the front item. Requires !Empty().
   Item Poll() {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (Poll)");
     JET_DCHECK(!Empty());
-    Item item = std::move(items_[pos_]);
-    ++pos_;
-    MaybeReset();
+    Item item = std::move(*pos_);
+    Advance(1);
     return item;
   }
 
@@ -54,15 +59,20 @@ class Inbox {
   void RemoveFront() {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (RemoveFront)");
     JET_DCHECK(!Empty());
-    ++pos_;
-    MaybeReset();
+    Advance(1);
   }
 
-  /// Adds an item at the back (called by the owning tasklet only).
+  /// Adds an item at the back, in the inbox's own storage.
   void Add(Item item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (Add)");
-    Compact();
-    items_.push_back(std::move(item));
+    if (own_.empty()) {  // an attached run's rest moves here (all consumed)
+      own_.assign(std::make_move_iterator(pos_), std::make_move_iterator(end_));
+    } else {
+      own_.erase(own_.begin(), own_.begin() + (pos_ - own_.data()));
+    }
+    own_.push_back(std::move(item));
+    pos_ = own_.data();
+    end_ = pos_ + own_.size();
   }
 
   /// Moves up to `limit` items from the front into `out` (appended).
@@ -71,17 +81,27 @@ class Inbox {
   size_t DrainTo(std::vector<Item>* out, size_t limit) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (DrainTo)");
     const size_t n = std::min(limit, Size());
-    for (size_t i = 0; i < n; ++i) out->push_back(std::move(items_[pos_ + i]));
-    pos_ += n;
-    MaybeReset();
+    out->insert(out->end(), std::make_move_iterator(pos_), std::make_move_iterator(pos_ + n));
+    Advance(n);
     return n;
   }
 
-  /// Drops all items.
-  void Clear() {
-    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (Clear)");
-    items_.clear();
-    pos_ = 0;
+  /// Tasklet side: points the span at [first, last), items that stay in
+  /// their queue slots. The previous run must be fully taken back.
+  void AttachRun(Item* first, Item* last) {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Inbox owner (AttachRun)");
+    JET_DCHECK(Empty() && run_ == 0);
+    pos_ = first;
+    end_ = last;
+    run_ = static_cast<size_t>(last - first);
+  }
+
+  /// Tasklet side: how many attached items were consumed (or moved by Add)
+  /// since the last call; the caller releases them from their queue.
+  size_t TakeConsumedRun() {
+    const size_t consumed = own_.empty() ? run_ - Size() : run_;
+    run_ -= consumed;
+    return consumed;
   }
 
   /// Unbinds the owner guard so the inbox can move to another worker
@@ -90,24 +110,20 @@ class Inbox {
   void ReleaseOwner() { owner_guard_.Release(); }
 
  private:
-  void MaybeReset() {
-    if (pos_ >= items_.size()) {
-      items_.clear();
-      pos_ = 0;
+  void Advance(size_t n) {
+    pos_ += n;
+    if (pos_ == end_ && !own_.empty()) {
+      own_.clear();  // keeps the capacity for the next Add
+      pos_ = end_ = nullptr;
     }
   }
 
-  // Drops the consumed prefix before appending, so the buffer never grows
-  // with already-consumed slots (refills normally happen on an empty inbox,
-  // making this a no-op).
-  void Compact() {
-    if (pos_ == 0) return;
-    items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-
-  std::vector<Item> items_;
-  size_t pos_ = 0;
+  Item* pos_ = nullptr;
+  Item* end_ = nullptr;
+  // Attached run items not yet taken back by TakeConsumedRun.
+  size_t run_ = 0;
+  // Backs the span after Add; non-empty exactly while the span points here.
+  std::vector<Item> own_;
   debug::ThreadOwnershipGuard owner_guard_;
 };
 

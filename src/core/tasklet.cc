@@ -1,6 +1,7 @@
 #include "core/tasklet.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.h"
 
@@ -289,31 +290,26 @@ bool ProcessorTasklet::FillInbox() {
     if (q.queue->Peek() == nullptr) continue;
     fill_cursor_ = (fill_cursor_ + attempt + 1) % eligible_.size();
 
-    bool got_data = false;
-    int budget = kMaxInboxBatch;
+    // Control items at the front are acted on here; the data run behind
+    // them is handed to the processor in place, in its ring slots.
+    auto budget = static_cast<size_t>(kMaxInboxBatch);
     while (budget > 0) {
-      // Batched refill: move the whole run of data items up to the next
-      // control item (or the budget) with a single queue-index update,
-      // instead of a Peek/PopFront pair per item.
-      size_t moved = q.queue->DrainWhile(
-          [](const Item& it) { return it.IsData(); },
-          [this](Item&& it) { inbox_.Add(std::move(it)); },
-          static_cast<size_t>(budget));
-      budget -= static_cast<int>(moved);
-      if (moved > 0) got_data = true;
-      if (budget <= 0) break;
+      std::span<Item> run =
+          q.queue->FrontRun([](const Item& it) { return it.IsData(); }, budget);
+      if (!run.empty()) {
+        inbox_.AttachRun(run.data(), run.data() + run.size());
+        run_queue_ = q.queue.get();
+        current_ordinal_ = stream.ordinal;
+        MarkProgress();
+        return true;
+      }
       Item* front = q.queue->Peek();
-      if (front == nullptr || front->IsData()) break;  // empty or budget hit
+      if (front == nullptr) break;
       Item control = std::move(*front);
       q.queue->PopFront();
       --budget;
       MarkProgress();
       if (HandleControlItem(stream, ref.queue, control)) break;
-    }
-    if (got_data) {
-      current_ordinal_ = stream.ordinal;
-      MarkProgress();
-      return true;
     }
     // Only control items were consumed; the control state machine will
     // react on this same Call.
@@ -392,6 +388,8 @@ void ProcessorTasklet::DoProcess() {
     size_t before = inbox_.Size();
     processor_->Process(current_ordinal_, &inbox_);
     size_t after = inbox_.Size();
+    // One tail publish frees what the processor consumed; the rest stays.
+    run_queue_->Release(inbox_.TakeConsumedRun());
     items_processed_.Add(static_cast<int64_t>(before - after));
     if (after != before) MarkProgress();
   }

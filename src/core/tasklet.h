@@ -129,7 +129,7 @@ class ProcessorTasklet final : public Tasklet {
   /// job starts from a snapshot).
   void SetRestoreEntries(std::vector<StateEntry> entries);
 
-  /// Max items moved into the processor's inbox per Call(); bounds the
+  /// Max items handed to the processor's inbox per Call(); bounds the
   /// time slice a tasklet spends in one call (§3.2: "executing for a very
   /// short period of time, typically under 1 millisecond").
   static constexpr int kMaxInboxBatch = 256;
@@ -147,9 +147,6 @@ class ProcessorTasklet final : public Tasklet {
 
   /// Total Call() invocations.
   int64_t calls() const { return calls_.Value(); }
-
-  /// Call() invocations that made no progress.
-  int64_t idle_calls() const { return idle_calls_.Value(); }
 
   /// True once the tasklet reached its terminal state. Safe from any thread.
   bool IsDone() const { return done_flag_.load(std::memory_order_acquire); }
@@ -188,8 +185,8 @@ class ProcessorTasklet final : public Tasklet {
   // fully drained.
   bool DrainOutbox();
 
-  // Moves items from one eligible inbound queue into the inbox. Returns
-  // true if any item was moved.
+  // Acts on the control items at the front of one eligible inbound queue,
+  // then attaches the data run behind them to the inbox in place.
   bool FillInbox();
 
   // Handles a control item popped from queue `q` of stream `stream`;
@@ -254,8 +251,9 @@ class ProcessorTasklet final : public Tasklet {
   std::atomic<int64_t> completed_snapshot_id_{0};  // polled by the commit gate
   State resume_state_after_snapshot_ = State::kProcess;
 
-  // Which input stream the inbox was filled from.
+  // Which input stream, and which of its queues, the inbox's run is in.
   int32_t current_ordinal_ = 0;
+  ItemQueue* run_queue_ = nullptr;
   size_t fill_cursor_ = 0;  // round-robin over (stream, queue)
 
   // FillInbox's list of the queues it may drain, kept to reuse its storage.

@@ -410,6 +410,159 @@ TEST(TimeSliceTest, OneCallHandsTheProcessorAtMost256Items) {
 }
 
 // ---------------------------------------------------------------------------
+// In-place inbox: the processor reads its run in the inbound ring
+// ---------------------------------------------------------------------------
+
+// A sink that takes at most `per_call` items per Process call, as a
+// processor whose outbox filled up would, and logs every data payload and
+// (as -wm) every watermark it is handed, in order.
+class StingySinkP final : public Processor {
+ public:
+  StingySinkP(size_t per_call, std::vector<int64_t>* log) : per_call_(per_call), log_(log) {}
+
+  void Process(int, Inbox* inbox) override {
+    for (size_t n = 0; n < per_call_ && !inbox->Empty(); ++n) {
+      log_->push_back(inbox->Peek()->payload.As<int64_t>());
+      inbox->RemoveFront();
+    }
+  }
+
+  bool TryProcessWatermark(Nanos wm) override {
+    log_->push_back(-wm);
+    return true;
+  }
+
+ private:
+  size_t per_call_;
+  std::vector<int64_t>* log_;
+};
+
+Item DataItem(int64_t v) { return Item::Data<int64_t>(v, 0); }
+
+// One sink tasklet on `queues` inbound queues of one stream.
+std::unique_ptr<ProcessorTasklet> MakeSinkTasklet(
+    const std::vector<ItemQueuePtr>& queues, std::unique_ptr<Processor> processor,
+    ProcessingGuarantee guarantee, SnapshotControl* snapshot_control,
+    ManualClock* clock) {
+  ProcessorContext context;
+  context.clock = clock;
+  std::vector<InboundStream> inputs(1);
+  for (const auto& q : queues) inputs[0].queues.push_back(InboundQueue{q});
+  auto tasklet = std::make_unique<ProcessorTasklet>("sink", std::move(processor), context,
+                                                    std::move(inputs),
+                                                    std::vector<OutboundCollector>{},
+                                                    guarantee, snapshot_control);
+  EXPECT_TRUE(tasklet->Init().ok());
+  return tasklet;
+}
+
+// Items the processor leaves stay in their ring slots, holding the
+// producer back, and are re-offered in order on the next call.
+TEST(InPlaceInboxTest, ItemsLeftByTheProcessorAreReofferedInOrder) {
+  ManualClock clock(0);
+  auto queue = std::make_shared<ItemQueue>(8);
+  for (int64_t v = 0; v < 8; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  std::vector<int64_t> log;
+  auto tasklet = MakeSinkTasklet({queue}, std::make_unique<StingySinkP>(3, &log),
+                                 ProcessingGuarantee::kNone, nullptr, &clock);
+
+  tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2}));
+  // Only the 3 consumed slots were freed: the 5 left are still in the ring.
+  EXPECT_EQ(queue->SizeApprox(), 5u);
+  EXPECT_EQ(queue->Peek()->payload.As<int64_t>(), 3);
+  for (int64_t v = 8; v < 11; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  EXPECT_FALSE(queue->TryPush(DataItem(99)));
+
+  tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(queue->SizeApprox(), 5u);
+  for (int call = 0; call < 10; ++call) tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  EXPECT_EQ(tasklet->items_processed(), 11);
+  EXPECT_TRUE(queue->EmptyApprox());
+}
+
+// A watermark queued behind a data run reaches the processor only once the
+// whole run ahead of it was consumed, however many calls that takes.
+TEST(InPlaceInboxTest, WatermarkBehindARunWaitsForTheRun) {
+  ManualClock clock(0);
+  auto queue = std::make_shared<ItemQueue>(16);
+  for (int64_t v = 0; v < 5; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  ASSERT_TRUE(queue->TryPush(Item::WatermarkAt(100)));
+  ASSERT_TRUE(queue->TryPush(DataItem(5)));
+  std::vector<int64_t> log;
+  auto tasklet = MakeSinkTasklet({queue}, std::make_unique<StingySinkP>(2, &log),
+                                 ProcessingGuarantee::kNone, nullptr, &clock);
+
+  for (int call = 0; call < 20; ++call) tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3, 4, -100, 5}));
+}
+
+// A processor that re-stages its inbox (drains it and Adds the items back,
+// as perfbench's timing wrapper does) moves the run out of the ring into
+// the inbox's own storage: every ring slot is freed, and each item still
+// reaches the processor once, in order.
+class RestagingSinkP final : public Processor {
+ public:
+  explicit RestagingSinkP(std::vector<int64_t>* log) : inner_(2, log) {}
+
+  void Process(int ordinal, Inbox* inbox) override {
+    staged_.clear();
+    inbox->DrainTo(&staged_, inbox->Size());
+    for (Item& item : staged_) inbox->Add(std::move(item));
+    inner_.Process(ordinal, inbox);
+  }
+
+ private:
+  StingySinkP inner_;
+  std::vector<Item> staged_;
+};
+
+TEST(InPlaceInboxTest, RestagedRunLeavesTheRingAndIsConsumedOnce) {
+  ManualClock clock(0);
+  auto queue = std::make_shared<ItemQueue>(8);
+  for (int64_t v = 0; v < 5; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  std::vector<int64_t> log;
+  auto tasklet = MakeSinkTasklet({queue}, std::make_unique<RestagingSinkP>(&log),
+                                 ProcessingGuarantee::kNone, nullptr, &clock);
+
+  tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1}));
+  EXPECT_TRUE(queue->EmptyApprox());  // the 3 left were moved out of the ring
+  for (int64_t v = 5; v < 13; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  for (int call = 0; call < 20; ++call) tasklet->Call();
+  std::vector<int64_t> expected(13);
+  for (int64_t v = 0; v < 13; ++v) expected[static_cast<size_t>(v)] = v;
+  EXPECT_EQ(log, expected);
+  EXPECT_TRUE(queue->EmptyApprox());
+}
+
+// An at-least-once barrier does not block its queue: the items behind it
+// are processed before the other queue delivers the barrier. Under
+// exactly-once the same queue waits for alignment.
+TEST(InPlaceInboxTest, AtLeastOnceBarrierDoesNotBlock) {
+  auto run = [](ProcessingGuarantee guarantee) {
+    ManualClock clock(0);
+    SnapshotControl control;
+    auto q0 = std::make_shared<ItemQueue>(16);
+    auto q1 = std::make_shared<ItemQueue>(16);
+    for (int64_t v : {0, 1}) EXPECT_TRUE(q0->TryPush(DataItem(v)));
+    EXPECT_TRUE(q0->TryPush(Item::BarrierFor(1)));
+    for (int64_t v : {2, 3}) EXPECT_TRUE(q0->TryPush(DataItem(v)));
+    EXPECT_TRUE(q1->TryPush(DataItem(10)));
+    std::vector<int64_t> log;
+    auto tasklet = MakeSinkTasklet({q0, q1}, std::make_unique<StingySinkP>(256, &log),
+                                   guarantee, &control, &clock);
+    for (int call = 0; call < 20; ++call) tasklet->Call();
+    EXPECT_EQ(tasklet->completed_snapshot_id(), 0);  // q1 never sent the barrier
+    return std::set<int64_t>(log.begin(), log.end());
+  };
+  EXPECT_EQ(run(ProcessingGuarantee::kAtLeastOnce), (std::set<int64_t>{0, 1, 2, 3, 10}));
+  EXPECT_EQ(run(ProcessingGuarantee::kExactlyOnce), (std::set<int64_t>{0, 1, 10}));
+}
+
+// ---------------------------------------------------------------------------
 // Non-cooperative processors (§3.2: dedicated threads)
 // ---------------------------------------------------------------------------
 

@@ -12,8 +12,10 @@
 // guard is compiled out (DISABLED_ test, run via tools/check.sh --demo).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -582,6 +584,103 @@ TEST(RaceStressTest, SingleWriterOwnedPartitionsSurviveRebalanceStorm) {
   EXPECT_EQ(grid.ownership().owned_count(), kTasklets * kPartitionsEach);
   for (auto& t : tasklets) t->ReleaseClaims();
   EXPECT_EQ(grid.ownership().owned_count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// In-place inbox across worker handoffs: the tasklet's inbox points into
+// its inbound ring between calls, so the ring slots, the consumer role and
+// the pending release all move to the next worker with the tasklet. TSan
+// checks the handoff edges; the assertions check that every item arrives
+// exactly once, in order.
+// ---------------------------------------------------------------------------
+
+// Takes at most 5 items per call, so the inbox nearly always still holds
+// part of a run (in the ring) when the tasklet changes worker.
+class NibblingSinkP final : public core::Processor {
+ public:
+  explicit NibblingSinkP(std::vector<int64_t>* seen) : seen_(seen) {}
+
+  void Process(int, core::Inbox* inbox) override {
+    for (int n = 0; n < 5 && !inbox->Empty(); ++n) {
+      seen_->push_back(inbox->Poll().payload.As<int64_t>());
+    }
+    left_in_inbox_ = inbox->Size();
+  }
+
+  size_t left_in_inbox() const { return left_in_inbox_; }
+
+ private:
+  std::vector<int64_t>* seen_;
+  size_t left_in_inbox_ = 0;
+};
+
+TEST(RaceStressTest, InPlaceInboxDeliversEveryItemOnceAcrossHandoffs) {
+  const int64_t kItems = kTsan ? 20'000 : 200'000;
+  auto queue = std::make_shared<core::ItemQueue>(64);
+  std::vector<int64_t> seen;  // touched only by the tasklet's current worker
+  auto sink = std::make_unique<NibblingSinkP>(&seen);
+  NibblingSinkP* nibbler = sink.get();
+  ManualClock clock(0);
+  core::ProcessorContext context;
+  context.clock = &clock;
+  std::vector<core::InboundStream> inputs(1);
+  inputs[0].queues.push_back(core::InboundQueue{queue});
+  core::ProcessorTasklet tasklet("nibbler", std::move(sink), context, std::move(inputs), {},
+                                 core::ProcessingGuarantee::kNone, nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+  tasklet.PrepareWorkerHandoff();  // the first worker binds the roles afresh
+
+  std::thread producer([&queue, kItems]() {
+    for (int64_t i = 0; i < kItems;) {
+      if (queue->TryPush(core::Item::Data<int64_t>(i, 0))) ++i;
+    }
+    while (!queue->TryPush(core::Item::Done())) {
+    }
+  });
+
+  // Two workers hand the tasklet back and forth after 1-7 calls each; the
+  // mutex orders one worker's PrepareWorkerHandoff before the other's next
+  // Call, as the scheduler's mailbox does.
+  std::mutex mu;
+  std::condition_variable cv;
+  int turn = 0;
+  bool finished = false;
+  int64_t handoffs = 0;
+  int64_t handoffs_holding_a_run = 0;
+  auto worker = [&](int me) {
+    for (;;) {
+      int64_t calls = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&]() { return turn == me || finished; });
+        if (finished) return;
+        calls = 1 + handoffs % 7;
+      }
+      bool done = false;
+      for (int64_t c = 0; c < calls && !done; ++c) done = tasklet.Call().done;
+      const bool holding = nibbler->left_in_inbox() > 0;
+      tasklet.PrepareWorkerHandoff();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++handoffs;
+        if (holding) ++handoffs_holding_a_run;
+        turn = 1 - me;
+        finished = done;
+      }
+      cv.notify_all();
+    }
+  };
+  std::thread w0(worker, 0);
+  std::thread w1(worker, 1);
+  w0.join();
+  w1.join();
+  producer.join();
+
+  ASSERT_EQ(seen.size(), static_cast<size_t>(kItems));
+  for (int64_t i = 0; i < kItems; ++i) ASSERT_EQ(seen[static_cast<size_t>(i)], i);
+  EXPECT_TRUE(queue->EmptyApprox());
+  EXPECT_GT(handoffs_holding_a_run, 0) << "no handoff happened mid-run";
+  EXPECT_EQ(tasklet.items_processed(), kItems);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +128,77 @@ TEST(SpscQueueTest, SizeApproxNeverExceedsCapacityUnderConcurrency) {
   observer.join();
 }
 
+// In-place consumption: FrontRun hands out the front run in its slots and
+// Release frees a prefix of it with one tail publish.
+TEST(SpscQueueTest, FrontRunStopsAtARejectedItemAndAtTheLimit) {
+  SpscQueue<int> q(8);
+  for (int v : {1, 2, 3, -1, 4}) EXPECT_TRUE(q.TryPush(v));
+  auto non_negative = [](const int& v) { return v >= 0; };
+
+  std::span<int> run = q.FrontRun(non_negative, 10);
+  ASSERT_EQ(run.size(), 3u);  // stops before the rejected -1
+  EXPECT_EQ(run.data(), q.Peek());  // in place: the front slot itself
+  EXPECT_EQ(std::vector<int>(run.begin(), run.end()), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.FrontRun(non_negative, 2).size(), 2u);  // stops at the limit
+  EXPECT_EQ(q.SizeApprox(), 5u);  // nothing was removed
+
+  q.Release(3);
+  EXPECT_TRUE(q.FrontRun(non_negative, 10).empty());  // -1 is at the front
+  ASSERT_NE(q.Peek(), nullptr);
+  EXPECT_EQ(*q.Peek(), -1);
+  q.PopFront();
+  run = q.FrontRun(non_negative, 10);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0], 4);
+  q.Release(1);
+  EXPECT_TRUE(q.FrontRun(non_negative, 10).empty());
+  EXPECT_TRUE(q.EmptyApprox());
+}
+
+TEST(SpscQueueWrapTest, FrontRunStopsAtTheEndOfTheSlotArray) {
+  SpscQueue<int> q(8);
+  // Index SIZE_MAX - 2 is slot 5: three slots before the array wraps to
+  // slot 0, at the same point where the index wraps past SIZE_MAX.
+  q.SeedIndexesForTest(std::numeric_limits<size_t>::max() - 2);
+  std::vector<int> in = {0, 1, 2, 3, 4, 5};
+  ASSERT_EQ(q.PushBatch(in.begin(), in.end()), 6u);
+  auto all = [](const int&) { return true; };
+
+  std::span<int> first = q.FrontRun(all, 10);
+  EXPECT_EQ(std::vector<int>(first.begin(), first.end()), (std::vector<int>{0, 1, 2}));
+  // Until released, a second call returns the same run.
+  EXPECT_EQ(q.FrontRun(all, 10).data(), first.data());
+  q.Release(first.size());
+  std::span<int> rest = q.FrontRun(all, 10);
+  EXPECT_EQ(std::vector<int>(rest.begin(), rest.end()), (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(rest.data() + 5, first.data());  // slot 0 vs slot 5
+  q.Release(rest.size());
+  EXPECT_TRUE(q.EmptyApprox());
+}
+
+TEST(SpscQueueTest, ProducerSeesExactlyTheReleasedSlotsFree) {
+  SpscQueue<int> q(4);
+  for (int v = 0; v < 4; ++v) EXPECT_TRUE(q.TryPush(v));
+  std::span<int> run = q.FrontRun([](const int&) { return true; }, 4);
+  ASSERT_EQ(run.size(), 4u);
+  int sum = 0;
+  for (int v : run) sum += v;  // consumed in place
+  EXPECT_EQ(sum, 6);
+  // Consumed but not released: every slot is still taken.
+  int extra = 9;
+  EXPECT_FALSE(q.TryPush(extra));
+  std::vector<int> more = {10, 11, 12, 13, 14};
+  EXPECT_EQ(q.PushBatch(more.begin(), more.end()), 0u);
+
+  q.Release(3);
+  EXPECT_EQ(q.SizeApprox(), 1u);
+  EXPECT_EQ(q.PushBatch(more.begin(), more.end()), 3u);  // exactly the 3 freed
+  EXPECT_FALSE(q.TryPush(extra));
+  std::vector<int> out;
+  for (int v; q.TryPop(v);) out.push_back(v);
+  EXPECT_EQ(out, (std::vector<int>{3, 10, 11, 12}));
+}
+
 // Element type that tracks every live instance, so a test can prove the
 // queue constructs each slot exactly once per push and destroys it exactly
 // once per pop (or at queue destruction). No default constructor: the queue
@@ -194,9 +266,10 @@ TEST(SpscQueueTest, SlotsAreBuiltOnPushAndDestroyedOnPopAcrossWraparound) {
 
     // The indices have wrapped past SIZE_MAX; refill and drain again.
     for (int v = 6; v <= 8; ++v) EXPECT_TRUE(q.TryPush(Counted(v)));
-    EXPECT_EQ(q.DrainWhile([](const Counted& c) { return c.value() < 7; },
-                           [&got](Counted&& c) { got.push_back(c.value()); }, 10),
-              1u);
+    std::span<Counted> run = q.FrontRun([](const Counted& c) { return c.value() < 7; }, 10);
+    EXPECT_EQ(run.size(), 1u);
+    for (const Counted& c : run) got.push_back(c.value());
+    q.Release(run.size());
     EXPECT_EQ(q.PushBatch(batch.begin() + 2, batch.end()), 1u);
     EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 6}));
     EXPECT_EQ(q.SizeApprox(), 3u);
