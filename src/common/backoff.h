@@ -58,6 +58,7 @@ class RetryBackoff {
       if (span > 0) delay += static_cast<Nanos>(jitter_.NextBounded(span));
     }
     ++consecutive_failures_;
+    last_delay_ = delay;
     return delay;
   }
 
@@ -68,12 +69,14 @@ class RetryBackoff {
 
   int32_t budget_remaining() const { return budget_remaining_; }
   int32_t consecutive_failures() const { return consecutive_failures_; }
+  Nanos last_delay() const { return last_delay_; }
 
  private:
   BackoffOptions options_;
   Rng jitter_;
   int32_t budget_remaining_ = 0;
   int32_t consecutive_failures_ = 0;
+  Nanos last_delay_ = 0;
 };
 
 }  // namespace jet

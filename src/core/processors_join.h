@@ -62,6 +62,8 @@ class HashJoinP final : public Processor {
     }
   }
 
+  size_t build_table_size() const { return table_.size(); }
+
  private:
 
   std::function<uint64_t(const Build&)> build_key_;

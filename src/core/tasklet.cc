@@ -287,24 +287,25 @@ bool ProcessorTasklet::FillInbox() {
     QueueRef ref = eligible_[(fill_cursor_ + attempt) % eligible_.size()];
     InboundStream& stream = inputs_[ref.stream];
     InboundQueue& q = stream.queues[ref.queue];
-    if (q.queue->Peek() == nullptr) continue;
+    Item* front = q.queue->Peek();
+    if (front == nullptr) continue;
     fill_cursor_ = (fill_cursor_ + attempt + 1) % eligible_.size();
 
     // Control items at the front are acted on here; the data run behind
-    // them is handed to the processor in place, in its ring slots.
+    // them is handed to the processor in place, in its ring slots. Data or
+    // control is decided on the item Peek returned, so an item the producer
+    // pushes meanwhile is never taken for a control item.
     auto budget = static_cast<size_t>(kMaxInboxBatch);
-    while (budget > 0) {
-      std::span<Item> run =
-          q.queue->FrontRun([](const Item& it) { return it.IsData(); }, budget);
-      if (!run.empty()) {
+    for (; front != nullptr && budget > 0; front = q.queue->Peek()) {
+      if (front->IsData()) {
+        std::span<Item> run =
+            q.queue->FrontRun([](const Item& it) { return it.IsData(); }, budget);
         inbox_.AttachRun(run.data(), run.data() + run.size());
         run_queue_ = q.queue.get();
         current_ordinal_ = stream.ordinal;
         MarkProgress();
         return true;
       }
-      Item* front = q.queue->Peek();
-      if (front == nullptr) break;
       Item control = std::move(*front);
       q.queue->PopFront();
       --budget;

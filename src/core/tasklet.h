@@ -148,6 +148,9 @@ class ProcessorTasklet final : public Tasklet {
   /// Total Call() invocations.
   int64_t calls() const { return calls_.Value(); }
 
+  /// Call() invocations that made no progress.
+  int64_t idle_calls() const { return idle_calls_.Value(); }
+
   /// True once the tasklet reached its terminal state. Safe from any thread.
   bool IsDone() const { return done_flag_.load(std::memory_order_acquire); }
 

@@ -233,6 +233,7 @@ class ReceiverProcessor final : public core::Processor {
   void ReleaseWorkerOwnership() override { channel_->wire->ReleaseDrainer(); }
 
   int64_t items_forwarded() const { return forwarded_seq_; }
+  int64_t current_window() const { return window_ctl_.window(); }
 
  private:
   std::shared_ptr<ExchangeChannel> channel_;

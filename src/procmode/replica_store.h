@@ -74,6 +74,12 @@ class ReplicaStore {
     return it == pending_.end() ? 0 : static_cast<int64_t>(it->second.size());
   }
 
+  int64_t committed_entry_count(int64_t snapshot_id) const {
+    MutexLock lock(mu_);
+    auto it = committed_.find(snapshot_id);
+    return it == committed_.end() ? -1 : static_cast<int64_t>(it->second.size());
+  }
+
   int64_t last_committed() const {
     MutexLock lock(mu_);
     return committed_.empty() ? 0 : committed_.rbegin()->first;

@@ -69,7 +69,14 @@ std::shared_ptr<net::FrameLink> SocketExchangeRegistry::MakeLink(
 }
 
 void SocketExchangeRegistry::RouteInbound(net::DecodedFrame&& frame) {
-  if (frame.header.epoch != options().epoch) return;  // a straggler
+  if (frame.header.epoch != options().epoch) {
+    // jet-verify: allow(single-writer) — monotonic stats counter; fetch_add
+    // is a full RMW so concurrent I/O threads never lose increments, and
+    // readers only inspect the total for diagnostics.
+    stale_frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+
+    return;
+  }
   auto channel = GetOrCreate(frame.header.edge_index, frame.header.from_node,
                              frame.header.to_node);
   switch (frame.header.type) {

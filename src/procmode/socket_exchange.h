@@ -42,6 +42,11 @@ class SocketExchangeRegistry final : public net::ExchangeRegistry {
   /// attempt — are dropped. Called on a data connection's I/O thread.
   void RouteInbound(net::DecodedFrame&& frame);
 
+  /// Stragglers dropped by the epoch filter (tests).
+  int64_t stale_frames_dropped() const {
+    return stale_frames_dropped_.load(std::memory_order_relaxed);
+  }
+
  protected:
   std::shared_ptr<net::FrameLink> MakeLink(const net::ExchangeChannel& channel,
                                            int32_t edge_index, int32_t from_node,
@@ -50,6 +55,7 @@ class SocketExchangeRegistry final : public net::ExchangeRegistry {
  private:
   int32_t my_node_;
   std::vector<std::shared_ptr<net::SocketConnection>> peer_conns_;
+  std::atomic<int64_t> stale_frames_dropped_{0};
 };
 
 }  // namespace jet::procmode

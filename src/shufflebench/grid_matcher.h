@@ -168,6 +168,9 @@ class GridMatcherP final : public core::Processor {
   /// Items dropped because their frame had already been flushed.
   int64_t late_events_dropped() const { return late_events_dropped_; }
 
+  /// Grid partitions this instance owns (post-Init).
+  size_t owned_partition_count() const { return handles_.size(); }
+
  private:
   imdg::DataGrid* grid_;
   std::string map_name_;

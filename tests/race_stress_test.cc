@@ -683,6 +683,47 @@ TEST(RaceStressTest, InPlaceInboxDeliversEveryItemOnceAcrossHandoffs) {
   EXPECT_EQ(tasklet.items_processed(), kItems);
 }
 
+// An at-least-once barrier does not stop the refill, so right after popping
+// one the tasklet looks at the queue again, often just as the producer
+// pushes the data item behind it. That item must reach the processor, not
+// be taken for a control item and dropped.
+TEST(RaceStressTest, DataPushedRightAfterAnAtLeastOnceBarrierIsNotLost) {
+  const int64_t kItems = kTsan ? 20'000 : 200'000;
+  auto queue = std::make_shared<core::ItemQueue>(64);
+  std::vector<int64_t> seen;
+  ManualClock clock(0);
+  core::ProcessorContext context;
+  context.clock = &clock;
+  std::vector<core::InboundStream> inputs(1);
+  inputs[0].queues.push_back(core::InboundQueue{queue});
+  core::ProcessorTasklet tasklet("sink", std::make_unique<NibblingSinkP>(&seen), context,
+                                 std::move(inputs), {}, core::ProcessingGuarantee::kAtLeastOnce,
+                                 nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+
+  std::thread producer([&queue, kItems]() {
+    auto push = [&queue](core::Item item) {
+      while (!queue->TryPush(std::move(item))) {
+      }
+    };
+    for (int64_t i = 0; i < kItems; ++i) {
+      push(core::Item::BarrierFor(1));
+      // Push the data item just as the tasklet takes the barrier.
+      while (!queue->EmptyApprox()) {
+      }
+      push(core::Item::Data<int64_t>(i, 0));
+    }
+    push(core::Item::Done());
+  });
+  while (!tasklet.Call().done) {
+  }
+  producer.join();
+
+  ASSERT_EQ(static_cast<int64_t>(seen.size()), kItems);
+  for (int64_t i = 0; i < kItems; ++i) ASSERT_EQ(seen[static_cast<size_t>(i)], i);
+  EXPECT_TRUE(queue->EmptyApprox());
+}
+
 // ---------------------------------------------------------------------------
 // Deliberate misuse demos (ISSUE 1 acceptance): a second concurrent
 // producer on an SpscQueue.
