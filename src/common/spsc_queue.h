@@ -23,14 +23,14 @@ namespace jet {
 /// algorithms." Producer and consumer each cache the other side's index to
 /// avoid cache-line ping-pong; indices live on separate cache lines.
 ///
-/// Exactly one thread may call the producer methods (TryPush/PushBatch) and
-/// exactly one thread the consumer methods (TryPop/DrainTo/...). Capacity is
-/// rounded up to a power of two. Slot storage is raw: an element is
-/// constructed in its slot on push and destroyed on pop, so creating a queue
-/// costs one allocation however large T is, and an empty slot holds no
-/// object. Under JETSIM_DEBUG_CHECKS each side's role binds to the first
-/// thread that exercises it and any second thread aborts (see
-/// debug::ThreadOwnershipGuard).
+/// Exactly one thread may call the producer methods (TryPush/PushBatch/
+/// FreeRun/Publish) and exactly one thread the consumer methods
+/// (TryPop/DrainTo/...). Capacity is rounded up to a power of two. Slot
+/// storage is raw: an element is constructed in its slot on push and
+/// destroyed on pop, so creating a queue costs one allocation however large
+/// T is, and an empty slot holds no object. Under JETSIM_DEBUG_CHECKS each
+/// side's role binds to the first thread that exercises it and any second
+/// thread aborts (see debug::ThreadOwnershipGuard).
 template <typename T>
 class SpscQueue {
  public:
@@ -93,6 +93,35 @@ class SpscQueue {
     }
     head_.store(head + n, std::memory_order_release);
     return n;
+  }
+
+  /// Producer: returns the free slots at head, in place, for the caller to
+  /// build items in (std::construct_at) and then Publish. The run stops
+  /// after `limit` slots and at the end of the slot array; it is empty when
+  /// the queue is full. Tail is re-read only when the cached view has fewer
+  /// than `limit` free slots. Items built but not yet published are
+  /// invisible to the consumer.
+  std::span<T> FreeRun(size_t limit) {
+    JET_DCHECK_SINGLE_THREAD(producer_guard_, "SpscQueue producer (FreeRun)");
+    const size_t head = head_.load(std::memory_order_relaxed);
+    const size_t to_wrap = capacity_ - (head & mask_);
+    if (to_wrap < limit) limit = to_wrap;
+    if (capacity_ - (head - cached_tail_) < limit) {
+      cached_tail_ = tail_.load(std::memory_order_acquire);
+    }
+    const size_t free_slots = capacity_ - (head - cached_tail_);
+    return {&slots_[head & mask_], free_slots < limit ? free_slots : limit};
+  }
+
+  /// Producer: makes the `n` items built at the front of the last FreeRun
+  /// visible to the consumer with one head publish.
+  void Publish(size_t n) {
+    JET_DCHECK_SINGLE_THREAD(producer_guard_, "SpscQueue producer (Publish)");
+    if (n == 0) return;
+    const size_t head = head_.load(std::memory_order_relaxed);
+    JET_DCHECK(capacity_ - (head - cached_tail_) >= n &&
+               "Publish past the producer's view of tail");
+    head_.store(head + n, std::memory_order_release);
   }
 
   /// Consumer: attempts to dequeue into `out`. Returns false if empty.

@@ -1,12 +1,15 @@
 #ifndef JETSIM_CORE_COLLECTORS_H_
 #define JETSIM_CORE_COLLECTORS_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/debug_check.h"
 #include "common/spsc_queue.h"
 #include "core/dag.h"
 #include "core/item.h"
@@ -91,6 +94,7 @@ class OutboundCollector {
   /// the next one. Partitioned, broadcast and remote routes offer item by
   /// item.
   size_t OfferRun(Item* first, Item* last) {
+    JET_DCHECK(window_queue_ == kNoWindow && "OfferRun while a window is open");
     if (routing_ == RoutingPolicy::kIsolated) {
       return queues_[static_cast<size_t>(isolated_index_)]->PushBatch(first, last);
     }
@@ -104,7 +108,47 @@ class OutboundCollector {
 
   /// Delivers a control item to every local queue and every remote node.
   /// Safe to call repeatedly with the same item until it returns true.
-  bool OfferControl(const Item& item) { return OfferEverywhere(item); }
+  bool OfferControl(const Item& item) {
+    JET_DCHECK(window_queue_ == kNoWindow && "OfferControl while a window is open");
+    return OfferEverywhere(item);
+  }
+
+  /// True on the routes that OfferRun moves a whole run with one publish,
+  /// the only ones that hand out windows.
+  bool EmitsInPlace() const {
+    return routing_ == RoutingPolicy::kIsolated ||
+           (routing_ == RoutingPolicy::kUnicast && remotes_.empty() && !queues_.empty());
+  }
+
+  /// Claims a window of up to `limit` free slots in one local queue, in
+  /// place, for the caller to build data items in: the isolated queue, or
+  /// the unicast round-robin queue, falling through to the next one with
+  /// room. Empty when the route does not emit in place or no queue has
+  /// room. Nothing else may be offered until PublishWindow.
+  std::span<Item> ClaimWindow(size_t limit) {
+    JET_DCHECK(window_queue_ == kNoWindow && "ClaimWindow while a window is open");
+    if (routing_ == RoutingPolicy::kIsolated) {
+      return ClaimWindowIn(static_cast<size_t>(isolated_index_), limit);
+    }
+    if (!EmitsInPlace()) return {};
+    for (size_t attempt = 0; attempt < queues_.size(); ++attempt) {
+      std::span<Item> slots = ClaimWindowIn((cursor_ + attempt) % queues_.size(), limit);
+      if (!slots.empty()) return slots;
+    }
+    return {};
+  }
+
+  /// Publishes the first `n` slots of the claimed window, which must hold
+  /// built items, and closes it. Unicast round-robin moves past the
+  /// window's queue when the window was not empty.
+  void PublishWindow(size_t n) {
+    JET_DCHECK(window_queue_ != kNoWindow && "PublishWindow without a window");
+    queues_[window_queue_]->Publish(n);
+    if (n > 0 && routing_ == RoutingPolicy::kUnicast) {
+      cursor_ = (window_queue_ + 1) % queues_.size();
+    }
+    window_queue_ = kNoWindow;
+  }
 
   /// Unbinds the producer guards of every local queue (and asks every
   /// remote sink to do the same) so this collector can be driven from a
@@ -137,6 +181,12 @@ class OutboundCollector {
         return TryLocal(static_cast<size_t>(isolated_index_), item, &item);
     }
     return false;
+  }
+
+  std::span<Item> ClaimWindowIn(size_t index, size_t limit) {
+    std::span<Item> slots = queues_[index]->FreeRun(limit);
+    if (!slots.empty()) window_queue_ = index;
+    return slots;
   }
 
   // Unicast run into local queues only: as much of the run as fits goes
@@ -221,6 +271,9 @@ class OutboundCollector {
   int32_t isolated_index_;
   size_t cursor_ = 0;
   size_t broadcast_progress_ = 0;
+  // The queue of the claimed window; kNoWindow while none is open.
+  static constexpr size_t kNoWindow = SIZE_MAX;
+  size_t window_queue_ = kNoWindow;
 };
 
 }  // namespace jet::core

@@ -5,11 +5,15 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/debug_check.h"
 #include "common/serde.h"
+#include "core/collectors.h"
 #include "core/item.h"
 
 namespace jet::core {
@@ -153,33 +157,59 @@ struct StateEntry {
 /// of consecutive data items at a time (DrainRuns), so a local queue can
 /// take a whole run with a single index publish.
 ///
+/// In-place emission: on an edge whose collector emits in place (see
+/// AttachCollectors), a data item offered while the edge's bucket is empty
+/// is built straight in a window of free slots of the downstream ring, at
+/// most `bucket_capacity` of them; a full window is published and the next
+/// one claimed. A control item, an item offered while the bucket holds
+/// items, and one that finds the ring full go to the bucket, so the order
+/// of offers is kept as long as the tasklet publishes the windows
+/// (PublishWindows) before it drains the buckets. In-place items never
+/// appear in bucket() and do not count against HasRoom().
+///
 /// Not thread-safe: offers and drains must all come from the owning
 /// tasklet's worker thread (checked under JETSIM_DEBUG_CHECKS).
 class Outbox {
  public:
   /// Creates an outbox with `edge_count` edge buckets; `bucket_capacity`
-  /// is the backpressure threshold and the per-pass drain bound.
+  /// is the backpressure threshold, the per-pass drain bound and the
+  /// in-place window size.
   explicit Outbox(int edge_count, size_t bucket_capacity = 128)
       : buckets_(static_cast<size_t>(edge_count)),
         heads_(static_cast<size_t>(edge_count), 0),
+        windows_(static_cast<size_t>(edge_count)),
         capacity_(bucket_capacity) {}
+
+  /// Tasklet side: lets edge i emit in place through `collectors[i]` when
+  /// that collector's route allows it. The collectors must outlive the
+  /// outbox's use, and every window must be published before anything
+  /// else is offered to them.
+  void AttachCollectors(std::vector<OutboundCollector>& collectors) {
+    JET_DCHECK(collectors.size() == windows_.size());
+    for (size_t i = 0; i < windows_.size(); ++i) {
+      windows_[i].collector = collectors[i].EmitsInPlace() ? &collectors[i] : nullptr;
+    }
+  }
 
   /// Appends an item to one output edge.
   void Offer(int ordinal, Item item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (Offer)");
     JET_DCHECK(ordinal >= 0 && ordinal < edge_count());
-    buckets_[static_cast<size_t>(ordinal)].push_back(std::move(item));
+    const auto o = static_cast<size_t>(ordinal);
+    if (!BuildInPlace(o, item)) buckets_[o].push_back(std::move(item));
   }
 
   /// Appends an item to every output edge. The item is *moved* into the
-  /// last bucket and copied into the first n-1 (a byte copy of an inline
+  /// last edge and copied into the first n-1 (a byte copy of an inline
   /// payload, a refcount bump of a boxed one), so the caller's item is
   /// consumed (left empty).
   void OfferToAll(Item&& item) {
     JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (OfferToAll)");
     const size_t n = buckets_.size();
-    for (size_t i = 0; i + 1 < n; ++i) buckets_[i].push_back(item);
-    if (n > 0) buckets_[n - 1].push_back(std::move(item));
+    for (size_t i = 0; i + 1 < n; ++i) {
+      if (!BuildInPlace(i, std::as_const(item))) buckets_[i].push_back(item);
+    }
+    if (n > 0 && !BuildInPlace(n - 1, item)) buckets_[n - 1].push_back(std::move(item));
   }
 
   /// Appends a state entry to the snapshot bucket, which has no cap.
@@ -210,6 +240,15 @@ class Outbox {
     size_t n = 0;
     for (size_t i = 0; i < buckets_.size(); ++i) n += buckets_[i].size() - heads_[i];
     return n;
+  }
+
+  /// Tasklet side: publishes every open in-place window to its ring and
+  /// closes it. Returns the number of items published.
+  size_t PublishWindows() {
+    JET_DCHECK_SINGLE_THREAD(owner_guard_, "Outbox owner (PublishWindows)");
+    size_t published = 0;
+    for (Window& w : windows_) published += PublishWindow(w);
+    return published;
   }
 
   /// Tasklet side: hands the undelivered items of edge bucket `ordinal`,
@@ -264,14 +303,21 @@ class Outbox {
   }
 
   /// Raw storage of one edge bucket. Items before the drain cursor were
-  /// already delivered; a processor's offers append at the tail.
+  /// already delivered; a processor's offers append at the tail. Items
+  /// built in place in a downstream ring never appear here.
   std::vector<Item>& bucket(int ordinal) { return buckets_[static_cast<size_t>(ordinal)]; }
 
   /// Raw storage of the snapshot bucket (same layout as bucket()).
   std::vector<StateEntry>& snapshot_bucket() { return snapshot_bucket_; }
 
   /// Unbinds the owner guard for tasklet migration (see Inbox::ReleaseOwner).
-  void ReleaseOwner() { owner_guard_.Release(); }
+  /// Every in-place window must be published by then.
+  void ReleaseOwner() {
+    for (const Window& w : windows_) {
+      JET_DCHECK(w.first == nullptr && "in-place window open at a worker handoff");
+    }
+    owner_guard_.Release();
+  }
 
  private:
   // Resets a drained bucket, or drops its delivered prefix once that
@@ -289,8 +335,54 @@ class Outbox {
     }
   }
 
+  // An edge's in-place window: items are built in [first, next), and
+  // [next, end) is still free. All null while no window is claimed.
+  struct Window {
+    OutboundCollector* collector = nullptr;  // null: the edge never emits in place
+    Item* first = nullptr;
+    Item* next = nullptr;
+    Item* end = nullptr;
+  };
+
+  // Builds `item` in edge o's window, copying a const item and moving from
+  // any other, when it is a data item and the edge's bucket is empty; a
+  // full window is published and the next one claimed. Returns false, with
+  // `item` untouched, when the item must go to the bucket instead.
+  template <typename I>
+  bool BuildInPlace(size_t o, I& item) {
+    if (!item.IsData() || heads_[o] != buckets_[o].size()) return false;
+    Window& w = windows_[o];
+    if (w.next == w.end && !ClaimWindow(w)) return false;
+    if constexpr (std::is_const_v<I>) {
+      std::construct_at(w.next, item);
+    } else {
+      std::construct_at(w.next, std::move(item));
+    }
+    ++w.next;
+    return true;
+  }
+
+  bool ClaimWindow(Window& w) {
+    if (w.collector == nullptr) return false;
+    PublishWindow(w);
+    const std::span<Item> slots = w.collector->ClaimWindow(capacity_);
+    if (slots.empty()) return false;
+    w.first = w.next = slots.data();
+    w.end = w.first + slots.size();
+    return true;
+  }
+
+  size_t PublishWindow(Window& w) {
+    if (w.first == nullptr) return 0;
+    const auto n = static_cast<size_t>(w.next - w.first);
+    w.collector->PublishWindow(n);
+    w.first = w.next = w.end = nullptr;
+    return n;
+  }
+
   std::vector<std::vector<Item>> buckets_;
   std::vector<size_t> heads_;
+  std::vector<Window> windows_;
   std::vector<StateEntry> snapshot_bucket_;
   size_t snapshot_head_ = 0;
   size_t capacity_;

@@ -32,6 +32,7 @@ ProcessorTasklet::ProcessorTasklet(std::string name, std::unique_ptr<Processor> 
       snapshot_control_(snapshot_control),
       coalescer_(TotalQueueCount(inputs_)) {
   context_.outbox = &outbox_;
+  outbox_.AttachCollectors(collectors_);
   stream_queue_base_.reserve(inputs_.size());
   size_t base = 0;
   for (const auto& s : inputs_) {
@@ -173,6 +174,9 @@ void ProcessorTasklet::OnWorkerAdopted(int32_t worker_index) {
 }
 
 bool ProcessorTasklet::DrainOutbox() {
+  // Items built in place go out first: they were offered before anything
+  // in the buckets, and no other push may land on their ring until then.
+  if (outbox_.PublishWindows() > 0) MarkProgress();
   for (int o = 0; o < outbox_.edge_count(); ++o) {
     // Runs of data items are *moved* into their target queues, a whole run
     // per index publish on isolated and local unicast edges.
@@ -312,9 +316,7 @@ bool ProcessorTasklet::FillInbox() {
       MarkProgress();
       if (HandleControlItem(stream, ref.queue, control)) break;
     }
-    // Only control items were consumed; the control state machine will
-    // react on this same Call.
-    return false;
+    return false;  // control items only
   }
   return false;
 }
@@ -346,22 +348,13 @@ void ProcessorTasklet::DoFinishRestore() {
   state_ = inputs_.empty() ? State::kComplete : State::kProcess;
 }
 
-void ProcessorTasklet::DoProcess() {
-  if (inbox_.Empty()) {
-    // Control transitions fire only at a batch boundary, i.e. when the
-    // processor has fully consumed the items that preceded the control
-    // item in its queue.
-    if (wm_armed_) {
-      state_ = State::kWatermark;
-      MarkProgress();
-      return;
-    }
-    if (pending_snapshot_id_ >= 0) {
-      resume_state_after_snapshot_ = State::kProcess;
-      state_ = State::kSnapshotSave;
-      MarkProgress();
-      return;
-    }
+bool ProcessorTasklet::TakeControlTransition() {
+  if (wm_armed_) {
+    state_ = State::kWatermark;
+  } else if (pending_snapshot_id_ >= 0) {
+    resume_state_after_snapshot_ = State::kProcess;
+    state_ = State::kSnapshotSave;
+  } else {
     for (auto& s : inputs_) {
       if (s.AllDone() && !s.completed_delivered) {
         s.completed_delivered = true;
@@ -370,15 +363,27 @@ void ProcessorTasklet::DoProcess() {
     }
     if (!edges_to_complete_.empty()) {
       state_ = State::kCompleteEdge;
-      MarkProgress();
-      return;
-    }
-    if (AllStreamsDone()) {
+    } else if (AllStreamsDone()) {
       state_ = State::kComplete;
-      MarkProgress();
-      return;
+    } else {
+      return false;
     }
+  }
+  MarkProgress();
+  return true;
+}
+
+void ProcessorTasklet::DoProcess() {
+  if (inbox_.Empty()) {
+    // Control transitions fire only at a batch boundary, i.e. when the
+    // processor has fully consumed the items that preceded the control
+    // item in its queue.
+    if (TakeControlTransition()) return;
     if (!FillInbox()) {
+      // The fill may have consumed control items alone. A watermark,
+      // snapshot or completion they armed is switched to on this same
+      // Call, so its step runs on the next one.
+      if (TakeControlTransition()) return;
       // Idle: give the processor its periodic time-driven slice (Jet's
       // tryProcess()).
       processor_->TryProcess();

@@ -183,14 +183,20 @@ class ProcessorTasklet final : public Tasklet {
     kDone,
   };
 
-  // One delivery pass: moves up to outbox_capacity items per bucket into
-  // the collectors / the snapshot store. Returns true when the outbox is
-  // fully drained.
+  // One delivery pass: publishes the outbox's in-place windows, then moves
+  // up to outbox_capacity items per bucket into the collectors / the
+  // snapshot store. Returns true when the outbox is fully drained.
   bool DrainOutbox();
 
   // Acts on the control items at the front of one eligible inbound queue,
-  // then attaches the data run behind them to the inbox in place.
+  // then attaches the data run behind them to the inbox in place. Returns
+  // true when a run is attached.
   bool FillInbox();
+
+  // Switches to the step an armed watermark, an aligned snapshot or a
+  // completed input calls for; false when none is pending. Runs only
+  // while the inbox is empty.
+  bool TakeControlTransition();
 
   // Handles a control item popped from queue `q` of stream `stream`;
   // returns true if draining of this queue must stop.

@@ -499,6 +499,26 @@ TEST(InPlaceInboxTest, WatermarkBehindARunWaitsForTheRun) {
   EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3, 4, -100, 5}));
 }
 
+// The fill that consumes only the watermark switches to the watermark step
+// on its own Call, so the processor gets the watermark on the next one.
+TEST(InPlaceInboxTest, WatermarkBehindAConsumedRunReachesTheProcessorOnTheNextCall) {
+  ManualClock clock(0);
+  auto queue = std::make_shared<ItemQueue>(16);
+  for (int64_t v = 0; v < 4; ++v) ASSERT_TRUE(queue->TryPush(DataItem(v)));
+  ASSERT_TRUE(queue->TryPush(Item::WatermarkAt(100)));
+  std::vector<int64_t> log;
+  auto tasklet = MakeSinkTasklet({queue}, std::make_unique<StingySinkP>(2, &log),
+                                 ProcessingGuarantee::kNone, nullptr, &clock);
+
+  tasklet->Call();
+  tasklet->Call();
+  ASSERT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3}));  // the run is consumed
+  tasklet->Call();  // pops the watermark
+  EXPECT_EQ(log.size(), 4u);
+  tasklet->Call();
+  EXPECT_EQ(log, (std::vector<int64_t>{0, 1, 2, 3, -100}));
+}
+
 // A processor that re-stages its inbox (drains it and Adds the items back,
 // as perfbench's timing wrapper does) moves the run out of the ring into
 // the inbox's own storage: every ring slot is freed, and each item still
@@ -560,6 +580,67 @@ TEST(InPlaceInboxTest, AtLeastOnceBarrierDoesNotBlock) {
   };
   EXPECT_EQ(run(ProcessingGuarantee::kAtLeastOnce), (std::set<int64_t>{0, 1, 2, 3, 10}));
   EXPECT_EQ(run(ProcessingGuarantee::kExactlyOnce), (std::set<int64_t>{0, 1, 10}));
+}
+
+// ---------------------------------------------------------------------------
+// In-place outbox: a source builds its items in the downstream ring
+// ---------------------------------------------------------------------------
+
+// A source's watermark emitted mid-batch goes to the outbox bucket, and so
+// does every item after it until the bucket drains; the items before it
+// were built in the ring. Each watermark must still arrive right behind
+// the data item that triggered it, and every item exactly once, in order.
+TEST(InPlaceOutboxTest, GeneratorWatermarkArrivesBehindTheDataEmittedBeforeIt) {
+  constexpr int64_t kEvents = 2'000;
+  ManualClock clock(kNanosPerSecond);  // every event is due at once
+  GeneratorSourceP<int64_t>::Options options;
+  options.events_per_second = 1e6;
+  options.duration = kEvents * 1'000;
+  options.watermark_interval = 37'000;  // one watermark per 37 events
+  options.start_time = 0;
+  options.virtual_partitions = 1;
+  auto source = std::make_unique<GeneratorSourceP<int64_t>>(
+      [](int64_t seq) { return std::pair<int64_t, uint64_t>{seq, 0}; }, options);
+  ProcessorContext context;
+  context.clock = &clock;
+  context.meta.total_parallelism = 1;
+  context.meta.global_index = 0;
+  context.config.outbox_capacity = 64;
+  auto queue = std::make_shared<ItemQueue>(256);
+  std::vector<OutboundCollector> collectors;
+  collectors.emplace_back(RoutingPolicy::kIsolated, std::vector<ItemQueuePtr>{queue},
+                          std::vector<RemoteSink>{}, 1, 1, 0, 0);
+  ProcessorTasklet tasklet("source", std::move(source), context, {}, std::move(collectors),
+                           ProcessingGuarantee::kNone, nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+
+  std::vector<int64_t> data;
+  std::vector<std::pair<size_t, Nanos>> watermarks;  // (data items ahead, value)
+  bool done = false;
+  for (int call = 0; call < 10'000 && !done; ++call) {
+    tasklet.Call();
+    Item item;
+    while (queue->TryPop(item)) {
+      if (item.IsData()) {
+        data.push_back(item.payload.As<int64_t>());
+      } else if (item.IsWatermark()) {
+        watermarks.emplace_back(data.size(), item.timestamp);
+      } else {
+        done = item.kind == ItemKind::kDone;
+      }
+    }
+  }
+  ASSERT_TRUE(done);
+  ASSERT_EQ(data.size(), static_cast<size_t>(kEvents));
+  for (int64_t i = 0; i < kEvents; ++i) ASSERT_EQ(data[static_cast<size_t>(i)], i);
+  ASSERT_GT(watermarks.size(), 20u);
+  for (const auto& [ahead, wm] : watermarks) {
+    if (wm == kMaxWatermark) continue;
+    // Event i is stamped i µs: the one that triggered this watermark is
+    // the last data item ahead of it.
+    ASSERT_GT(ahead, 0u);
+    EXPECT_EQ(wm, static_cast<Nanos>(ahead - 1) * 1'000) << "watermark after " << ahead;
+  }
 }
 
 // ---------------------------------------------------------------------------

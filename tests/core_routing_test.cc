@@ -419,6 +419,147 @@ TEST(RunDeliveryTest, PartitionedAndBroadcastDeliverAsItemByItemOffers) {
 }
 
 // ---------------------------------------------------------------------------
+// In-place outbox: data items built straight in the downstream ring
+// ---------------------------------------------------------------------------
+
+// One delivery pass as ProcessorTasklet::DrainOutbox makes it: the windows
+// are published first, then the buckets drain.
+void Deliver(Outbox* outbox, std::vector<OutboundCollector>* collectors) {
+  outbox->PublishWindows();
+  for (int o = 0; o < outbox->edge_count(); ++o) {
+    outbox->DrainRuns(o, (*collectors)[static_cast<size_t>(o)]);
+  }
+}
+
+TEST(InPlaceOutboxTest, DataWatermarkDataArriveInOfferOrder) {
+  for (RoutingPolicy routing : {RoutingPolicy::kIsolated, RoutingPolicy::kUnicast}) {
+    SCOPED_TRACE(static_cast<int>(routing));
+    auto queues = MakeQueues(1, /*capacity=*/16);
+    std::vector<OutboundCollector> collectors;
+    collectors.emplace_back(routing, queues, std::vector<RemoteSink>{}, 1, 1, 0, 0);
+    Outbox outbox(1, /*bucket_capacity=*/8);
+    outbox.AttachCollectors(collectors);
+    outbox.Offer(0, Item::Data<int>(0, 0));
+    outbox.Offer(0, Item::Data<int>(1, 0));
+    outbox.OfferToAll(Item::WatermarkAt(5));
+    outbox.Offer(0, Item::Data<int>(2, 0));
+    // The two items ahead of the watermark were built in place; the
+    // watermark and the item behind it wait in the bucket.
+    EXPECT_EQ(outbox.bucket(0).size(), 2u);
+    EXPECT_TRUE(queues[0]->EmptyApprox());  // nothing published yet
+
+    Deliver(&outbox, &collectors);
+    EXPECT_TRUE(outbox.Empty());
+    EXPECT_EQ(PopAll(queues[0].get()), (std::vector<int>{0, 1, -6, 2}));
+  }
+}
+
+TEST(InPlaceOutboxTest, ItemsSpilledWhenTheRingFillsArriveAfterTheInPlaceOnes) {
+  auto queues = MakeQueues(1, /*capacity=*/8);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queues[0]->TryPush(Item::Data<int>(100 + i, 0)));
+  std::vector<OutboundCollector> collectors;
+  collectors.emplace_back(RoutingPolicy::kIsolated, queues, std::vector<RemoteSink>{}, 1, 1,
+                          0, 0);
+  Outbox outbox(1, /*bucket_capacity=*/64);
+  outbox.AttachCollectors(collectors);
+  // 4 free slots: the ring fills after 4 offers, the next 2 spill.
+  for (int i = 0; i < 6; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.bucket(0).size(), 2u);
+  EXPECT_TRUE(outbox.HasRoom());
+  // The consumer frees the 4 old slots mid-step: what is offered next
+  // still queues up behind the spilled items.
+  Item item;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(queues[0]->TryPop(item));
+    EXPECT_EQ(item.payload.As<int>(), 100 + i);
+  }
+  for (int i = 6; i < 8; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.bucket(0).size(), 4u);
+
+  Deliver(&outbox, &collectors);
+  EXPECT_TRUE(outbox.Empty());
+  EXPECT_EQ(PopAll(queues[0].get()), Range(0, 8));
+}
+
+TEST(InPlaceOutboxTest, UnicastOverTwoQueuesAlternatesPerPublishedWindow) {
+  auto queues = MakeQueues(2, /*capacity=*/16);
+  std::vector<OutboundCollector> collectors;
+  collectors.emplace_back(RoutingPolicy::kUnicast, queues, std::vector<RemoteSink>{}, 2, 1, 0);
+  Outbox outbox(1, /*bucket_capacity=*/4);
+  outbox.AttachCollectors(collectors);
+  for (int i = 0; i < 3; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  Deliver(&outbox, &collectors);
+  for (int i = 3; i < 5; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  Deliver(&outbox, &collectors);
+  // A full window (bucket_capacity = 4) is published and the next one is
+  // claimed in the other queue.
+  for (int i = 5; i < 10; ++i) outbox.Offer(0, Item::Data<int>(i, 0));
+  EXPECT_EQ(outbox.bucket(0).size(), 0u);
+  Deliver(&outbox, &collectors);
+
+  EXPECT_EQ(PopAll(queues[0].get()), (std::vector<int>{0, 1, 2, 5, 6, 7, 8}));
+  EXPECT_EQ(PopAll(queues[1].get()), (std::vector<int>{3, 4, 9}));
+}
+
+TEST(InPlaceOutboxTest, PartitionedBroadcastAndRemoteRoutesNeverClaimSlots) {
+  std::vector<Item> remote;
+  const RemoteSink sink = [&remote](const Item& item) {
+    remote.push_back(item);
+    return true;
+  };
+  struct Route {
+    RoutingPolicy routing;
+    std::vector<RemoteSink> remotes;
+  };
+  for (const Route& route : {Route{RoutingPolicy::kPartitioned, {}},
+                             Route{RoutingPolicy::kBroadcast, {}},
+                             Route{RoutingPolicy::kUnicast, {sink}},
+                             Route{RoutingPolicy::kPartitioned, {sink}}}) {
+    SCOPED_TRACE(static_cast<int>(route.routing));
+    remote.clear();
+    auto queues = MakeQueues(2, /*capacity=*/16);
+    const int32_t nodes = route.remotes.empty() ? 1 : 2;
+    std::vector<OutboundCollector> collectors;
+    collectors.emplace_back(route.routing, queues, route.remotes, 2 * nodes, nodes, 0);
+    EXPECT_FALSE(collectors[0].EmitsInPlace());
+    EXPECT_TRUE(collectors[0].ClaimWindow(8).empty());
+    Outbox outbox(1, /*bucket_capacity=*/8);
+    outbox.AttachCollectors(collectors);
+    for (int i = 0; i < 6; ++i) {
+      outbox.Offer(0, Item::Data<int>(i, 0, HashU64(static_cast<uint64_t>(i))));
+    }
+    EXPECT_EQ(outbox.bucket(0).size(), 6u);
+    EXPECT_EQ(outbox.PublishWindows(), 0u);
+    EXPECT_TRUE(queues[0]->EmptyApprox());
+    EXPECT_TRUE(queues[1]->EmptyApprox());
+    Deliver(&outbox, &collectors);
+    EXPECT_TRUE(outbox.Empty());
+    const size_t copies = route.routing == RoutingPolicy::kBroadcast ? 2 : 1;
+    EXPECT_EQ(queues[0]->SizeApprox() + queues[1]->SizeApprox() + remote.size(), 6 * copies);
+  }
+}
+
+#if JETSIM_DEBUG_CHECKS
+
+TEST(InPlaceOutboxDeathTest, HandoffWithAnOpenWindowAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ASSERT_DEATH(
+      {
+        auto queues = MakeQueues(1, /*capacity=*/8);
+        std::vector<OutboundCollector> collectors;
+        collectors.emplace_back(RoutingPolicy::kIsolated, queues, std::vector<RemoteSink>{},
+                                1, 1, 0, 0);
+        Outbox outbox(1);
+        outbox.AttachCollectors(collectors);
+        outbox.Offer(0, Item::Data<int>(1, 0));
+        outbox.ReleaseOwner();  // the window was never published
+      },
+      "window open at a worker handoff");
+}
+
+#endif  // JETSIM_DEBUG_CHECKS
+
+// ---------------------------------------------------------------------------
 // Property sweep: every routing policy delivers every item exactly once
 // end-to-end across parallelism combinations.
 // ---------------------------------------------------------------------------

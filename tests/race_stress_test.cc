@@ -11,6 +11,7 @@
 // JETSIM_DEBUG_CHECKS is on (death test), and reported by TSan when the
 // guard is compiled out (DISABLED_ test, run via tools/check.sh --demo).
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -722,6 +723,106 @@ TEST(RaceStressTest, DataPushedRightAfterAnAtLeastOnceBarrierIsNotLost) {
   ASSERT_EQ(static_cast<int64_t>(seen.size()), kItems);
   for (int64_t i = 0; i < kItems; ++i) ASSERT_EQ(seen[static_cast<size_t>(i)], i);
   EXPECT_TRUE(queue->EmptyApprox());
+}
+
+// A source that offers sequence numbers to every edge, at most 50 per call
+// and only while the outbox has room, with a watermark after every 37th so
+// the bucket path interleaves with in-place emission.
+class CountingSourceP final : public core::Processor {
+ public:
+  explicit CountingSourceP(int64_t count) : count_(count) {}
+
+  bool Complete() override {
+    core::Outbox* outbox = ctx()->outbox;
+    for (int n = 0; n < 50 && next_ < count_ && outbox->HasRoom(); ++n) {
+      outbox->OfferToAll(core::Item::Data<int64_t>(next_, next_));
+      if (++next_ % 37 == 0) outbox->OfferToAll(core::Item::WatermarkAt(next_));
+    }
+    return next_ >= count_;
+  }
+
+ private:
+  int64_t count_;
+  int64_t next_ = 0;
+};
+
+// A source tasklet building its items in place in two unicast rings is
+// handed between two workers every few calls while each ring's consumer
+// thread pops: every item arrives exactly once, in order within each ring.
+TEST(RaceStressTest, InPlaceOutboxDeliversEveryItemOnceAcrossHandoffs) {
+  const int64_t kItems = kTsan ? 20'000 : 200'000;
+  std::vector<core::ItemQueuePtr> queues = {std::make_shared<core::ItemQueue>(64),
+                                            std::make_shared<core::ItemQueue>(64)};
+  ManualClock clock(0);
+  core::ProcessorContext context;
+  context.clock = &clock;
+  context.config.outbox_capacity = 16;
+  std::vector<core::OutboundCollector> collectors;
+  collectors.emplace_back(core::RoutingPolicy::kUnicast, queues,
+                          std::vector<core::RemoteSink>{}, 2, 1, 0);
+  core::ProcessorTasklet tasklet("source", std::make_unique<CountingSourceP>(kItems), context,
+                                 {}, std::move(collectors), core::ProcessingGuarantee::kNone,
+                                 nullptr);
+  ASSERT_TRUE(tasklet.Init().ok());
+  tasklet.PrepareWorkerHandoff();  // the first worker binds the roles afresh
+
+  std::vector<std::vector<int64_t>> seen(queues.size());
+  std::vector<std::thread> consumers;
+  for (size_t q = 0; q < queues.size(); ++q) {
+    consumers.emplace_back([&queue = *queues[q], &out = seen[q]]() {
+      core::Item item;
+      for (;;) {
+        if (!queue.TryPop(item)) continue;
+        if (item.IsDone()) return;
+        if (item.IsData()) out.push_back(item.payload.As<int64_t>());
+      }
+    });
+  }
+
+  // Two workers hand the tasklet back and forth after 1-7 calls each, the
+  // mutex standing in for the scheduler's mailbox.
+  std::mutex mu;
+  std::condition_variable cv;
+  int turn = 0;
+  bool finished = false;
+  int64_t handoffs = 0;
+  auto worker = [&](int me) {
+    for (;;) {
+      int64_t calls = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&]() { return turn == me || finished; });
+        if (finished) return;
+        calls = 1 + handoffs % 7;
+      }
+      bool done = false;
+      for (int64_t c = 0; c < calls && !done; ++c) done = tasklet.Call().done;
+      tasklet.PrepareWorkerHandoff();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++handoffs;
+        turn = 1 - me;
+        finished = done;
+      }
+      cv.notify_all();
+    }
+  };
+  std::thread w0(worker, 0);
+  std::thread w1(worker, 1);
+  w0.join();
+  w1.join();
+  for (auto& c : consumers) c.join();
+
+  std::vector<int64_t> all;
+  for (const auto& ring : seen) {
+    EXPECT_FALSE(ring.empty());
+    for (size_t i = 1; i < ring.size(); ++i) ASSERT_LT(ring[i - 1], ring[i]);
+    all.insert(all.end(), ring.begin(), ring.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), static_cast<size_t>(kItems));
+  for (int64_t i = 0; i < kItems; ++i) ASSERT_EQ(all[static_cast<size_t>(i)], i);
+  EXPECT_GT(handoffs, 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -280,9 +280,99 @@ TEST(SpscQueueTest, SlotsAreBuiltOnPushAndDestroyedOnPopAcrossWraparound) {
   EXPECT_TRUE(Counted::live().empty());
 }
 
+// In-place production: FreeRun hands out the free slots at head, and
+// Publish makes the items built in them visible with one head publish.
+TEST(SpscQueueWrapTest, FreeRunStopsAtTheEndOfTheSlotArray) {
+  SpscQueue<std::string> q(8);
+  // Index SIZE_MAX - 2 is slot 5: three slots before the array wraps to
+  // slot 0, at the same point where the index wraps past SIZE_MAX.
+  q.SeedIndexesForTest(std::numeric_limits<size_t>::max() - 2);
+  std::span<std::string> first = q.FreeRun(10);
+  ASSERT_EQ(first.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) std::construct_at(&first[i], std::to_string(i));
+  q.Publish(3);
+  EXPECT_EQ(q.SizeApprox(), 3u);  // head wrapped past SIZE_MAX to 0
+
+  std::span<std::string> rest = q.FreeRun(10);
+  ASSERT_EQ(rest.size(), 5u);  // slots 0-4
+  EXPECT_EQ(rest.data() + 5, first.data());
+  for (size_t i = 0; i < 5; ++i) std::construct_at(&rest[i], std::to_string(3 + i));
+  q.Publish(5);
+  EXPECT_EQ(q.SizeApprox(), 8u);
+
+  std::vector<std::string> out;
+  EXPECT_EQ(q.DrainTo([&out](std::string&& v) { out.push_back(v); }, 100), 8u);
+  EXPECT_EQ(out, (std::vector<std::string>{"0", "1", "2", "3", "4", "5", "6", "7"}));
+}
+
+TEST(SpscQueueTest, FreeRunOnAFullRingGivesNoSlots) {
+  SpscQueue<int> q(4);
+  for (int v = 0; v < 4; ++v) EXPECT_TRUE(q.TryPush(v));
+  EXPECT_TRUE(q.FreeRun(4).empty());
+  EXPECT_TRUE(q.FreeRun(1).empty());
+  int out = 0;
+  ASSERT_TRUE(q.TryPop(out));
+  std::span<int> one = q.FreeRun(4);
+  ASSERT_EQ(one.size(), 1u);
+  std::construct_at(&one[0], 9);
+  q.Publish(1);
+  EXPECT_TRUE(q.FreeRun(4).empty());
+}
+
+TEST(SpscQueueTest, FreeRunRefreshesAStaleCachedTail) {
+  SpscQueue<int> q(8);
+  std::span<int> all = q.FreeRun(8);
+  ASSERT_EQ(all.size(), 8u);
+  for (int i = 0; i < 8; ++i) std::construct_at(&all[static_cast<size_t>(i)], i);
+  q.Publish(8);
+  std::vector<int> out;
+  auto drain = [&out](int&& v) { out.push_back(v); };
+  // The consumer frees 3 slots; the producer's cached tail still says full.
+  EXPECT_EQ(q.DrainTo(drain, 3), 3u);
+  EXPECT_EQ(q.FreeRun(8).size(), 3u);
+  // 3 more freed: a request the cached view can serve does not need them,
+  // a longer one re-reads tail and sees all 6.
+  EXPECT_EQ(q.DrainTo(drain, 3), 3u);
+  EXPECT_EQ(q.FreeRun(2).size(), 2u);
+  EXPECT_EQ(q.FreeRun(8).size(), 6u);
+}
+
+TEST(SpscQueueTest, ItemsBuiltButNotPublishedAreInvisible) {
+  SpscQueue<std::string> q(4);
+  auto all = [](const std::string&) { return true; };
+  std::span<std::string> window = q.FreeRun(4);
+  ASSERT_EQ(window.size(), 4u);
+  std::construct_at(&window[0], "a");
+  std::construct_at(&window[1], "b");
+  EXPECT_EQ(q.Peek(), nullptr);
+  EXPECT_TRUE(q.FrontRun(all, 4).empty());
+  EXPECT_EQ(q.SizeApprox(), 0u);
+
+  q.Publish(2);
+  ASSERT_NE(q.Peek(), nullptr);
+  EXPECT_EQ(*q.Peek(), "a");
+  std::span<std::string> run = q.FrontRun(all, 4);
+  EXPECT_EQ(std::vector<std::string>(run.begin(), run.end()),
+            (std::vector<std::string>{"a", "b"}));
+  q.Release(run.size());
+  EXPECT_TRUE(q.EmptyApprox());
+}
+
 #if JETSIM_DEBUG_CHECKS
 
 using SpscQueueDeathTest = ::testing::Test;
+
+TEST(SpscQueueDeathTest, FreeRunFromASecondProducerThreadAborts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ASSERT_DEATH(
+      {
+        SpscQueue<int> q(4);
+        (void)q.FreeRun(1);  // binds the producer role to this thread
+        std::thread second([&q]() { (void)q.FreeRun(1); });
+        second.join();
+      },
+      "ownership.*SpscQueue producer \\(FreeRun\\)");
+}
 
 TEST(SpscQueueDeathTest, PopFrontWithoutPeekAborts) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
