@@ -1,7 +1,6 @@
 #include "cluster/health_monitor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 namespace jet::cluster {
@@ -104,114 +103,89 @@ bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report)
   return true;
 }
 
-ClusterHealthMonitor::ClusterHealthMonitor(
-    net::Network* network, core::LivenessOptions options,
-    std::function<void(const HealthReport&)> on_change)
-    : network_(network), options_(options), on_change_(std::move(on_change)) {}
-
-ClusterHealthMonitor::~ClusterHealthMonitor() { Stop(); }
+ClusterHealthMonitor::ClusterHealthMonitor(net::Network* network,
+                                           core::LivenessOptions options,
+                                           const Clock* clock)
+    : network_(network),
+      options_(options),
+      clock_(clock != nullptr ? clock : &WallClock::Global()) {}
 
 void ClusterHealthMonitor::AddMember(int32_t member) {
-  std::shared_ptr<MemberState> stale;
-  {
-    jet::MutexLock lock(mutex_);
-    auto it = members_.find(member);
-    if (it != members_.end()) {
-      if (!it->second->stop.load(std::memory_order_acquire)) return;
-      stale = it->second;  // rejoin after StopHeartbeats: replace the pump
-      members_.erase(it);
-    }
-  }
-  if (stale != nullptr && stale->pump.joinable()) stale->pump.join();
-
-  std::shared_ptr<MemberState> state;
-  {
-    jet::MutexLock lock(mutex_);
-    if (members_.count(member) != 0) return;
-    // Fresh link state in both directions with every existing member, so a
-    // (re)joining member does not start out down or broken.
-    Nanos now = clock_.Now();
-    for (const auto& [peer, unused] : members_) {
-      for (auto key : {std::make_pair(member, peer), std::make_pair(peer, member)}) {
-        Link& link = links_[key];
-        if (link.last_rx == nullptr) {
-          link.channel = network_->OpenChannel(key.first, key.second);
-          link.last_rx = std::make_shared<std::atomic<Nanos>>(now);
-        } else {
-          link.last_rx->store(now, std::memory_order_release);
-        }
+  jet::MutexLock lock(mutex_);
+  auto it = beating_.find(member);
+  if (it != beating_.end() && it->second) return;
+  // Fresh link state in both directions with every existing member, so a
+  // (re)joining member does not start out down or broken.
+  const Nanos now = clock_->Now();
+  for (const auto& [peer, unused] : beating_) {
+    if (peer == member) continue;
+    for (auto key : {std::make_pair(member, peer), std::make_pair(peer, member)}) {
+      Link& link = links_[key];
+      if (link.last_rx == nullptr) {
+        link.channel = network_->OpenChannel(key.first, key.second);
+        link.last_rx = std::make_shared<std::atomic<Nanos>>(now);
+      } else {
+        link.last_rx->store(now, std::memory_order_release);
       }
     }
-    state = std::make_shared<MemberState>();
-    members_[member] = state;
   }
-  state->pump = std::thread([this, member, state]() { PumpLoop(member, state); });
+  beating_[member] = true;
 }
 
 void ClusterHealthMonitor::StopHeartbeats(int32_t member) {
-  std::shared_ptr<MemberState> state;
+  jet::MutexLock lock(mutex_);
+  auto it = beating_.find(member);
+  if (it != beating_.end()) it->second = false;
+}
+
+Nanos ClusterHealthMonitor::Tick(Nanos now) {
+  std::vector<Link> out;
+  Nanos next_due = 0;
   {
     jet::MutexLock lock(mutex_);
-    auto it = members_.find(member);
-    if (it == members_.end()) return;
-    state = it->second;
-  }
-  state->stop.store(true, std::memory_order_release);
-  if (state->pump.joinable()) state->pump.join();
-}
-
-void ClusterHealthMonitor::Start() {
-  if (running_.exchange(true)) return;
-  monitor_ = std::thread([this]() { MonitorLoop(); });
-}
-
-void ClusterHealthMonitor::Stop() {
-  running_.store(false, std::memory_order_release);
-  if (monitor_.joinable()) monitor_.join();
-  std::vector<std::shared_ptr<MemberState>> states;
-  {
-    jet::MutexLock lock(mutex_);
-    for (auto& [id, state] : members_) states.push_back(state);
-  }
-  for (auto& state : states) {
-    state->stop.store(true, std::memory_order_release);
-    if (state->pump.joinable()) state->pump.join();
-  }
-}
-
-void ClusterHealthMonitor::PumpLoop(int32_t member,
-                                    std::shared_ptr<MemberState> state) {
-  while (!state->stop.load(std::memory_order_acquire)) {
-    // Snapshot the outbound links each round so heartbeats reach members
-    // that joined after this pump started.
-    std::vector<Link> out;
-    {
-      jet::MutexLock lock(mutex_);
+    if (now - last_tick_ > options_.heartbeat_interval) resumed_at_ = now;
+    last_tick_ = now;
+    if (now >= next_beat_) {
       for (const auto& [key, link] : links_) {
-        if (key.first == member) out.push_back(link);
+        if (beating_.at(key.first)) out.push_back(link);
       }
+      next_beat_ = now + options_.heartbeat_interval;
     }
-    for (const Link& link : out) {
-      auto cell = link.last_rx;
-      WallClock* clock = &clock_;
-      network_->Send(link.channel, [cell, clock]() {
-        cell->store(clock->Now(), std::memory_order_release);
-      });
+    if (now >= next_fold_) {
+      HealthReport report = Evaluate(now);
+      for (int32_t m : report_.suspected) {
+        if (std::find(report.suspected.begin(), report.suspected.end(), m) ==
+                report.suspected.end() &&
+            std::find(report.down.begin(), report.down.end(), m) == report.down.end()) {
+          ++refutations_;  // fresh heartbeat withdrew the suspicion
+        }
+      }
+      report_ = std::move(report);
+      next_fold_ = now + options_.heartbeat_interval / 2;
     }
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.heartbeat_interval));
+    next_due = std::min(next_beat_, next_fold_);
   }
+  // One batch per tick: every link's heartbeat leaves at the same time.
+  for (const Link& link : out) {
+    auto cell = link.last_rx;
+    const Clock* clock = clock_;
+    network_->Send(link.channel, [cell, clock]() {
+      cell->store(clock->Now(), std::memory_order_release);
+    });
+  }
+  return next_due;
 }
 
 HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
   HealthReport r;
   std::vector<int32_t> ids;
-  for (const auto& [id, state] : members_) ids.push_back(id);
+  for (const auto& [id, beating] : beating_) ids.push_back(id);
   auto judge = [this, now](int32_t from, int32_t to) {
     auto it = links_.find({from, to});
     if (it == links_.end()) return core::Liveness::kFresh;
-    return core::JudgeHeartbeat(now - it->second.last_rx->load(std::memory_order_acquire),
-                                options_);
+    const Nanos heard =
+        std::max(it->second.last_rx->load(std::memory_order_acquire), resumed_at_);
+    return core::JudgeHeartbeat(now - heard, options_);
   };
   std::set<int32_t> down;
   for (int32_t m : ids) {
@@ -249,40 +223,19 @@ HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
   return r;
 }
 
-void ClusterHealthMonitor::MonitorLoop() {
-  HealthReport last;
-  while (running_.load(std::memory_order_acquire)) {
-    HealthReport report;
-    {
-      jet::MutexLock lock(mutex_);
-      report = Evaluate(clock_.Now());
-      std::set<int32_t> now_suspected(report.suspected.begin(),
-                                      report.suspected.end());
-      std::set<int32_t> now_down(report.down.begin(), report.down.end());
-      for (int32_t m : last_suspected_) {
-        if (now_suspected.count(m) == 0 && now_down.count(m) == 0) {
-          ++refutations_;  // fresh heartbeat withdrew the suspicion
-        }
-      }
-      last_suspected_ = std::move(now_suspected);
-    }
-    if (report != last) {
-      last = report;
-      if (on_change_) on_change_(report);
-    }
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(options_.heartbeat_interval / 2));
-  }
+HealthReport ClusterHealthMonitor::Report() const {
+  jet::MutexLock lock(mutex_);
+  return report_;
 }
 
 HealthReport ClusterHealthMonitor::Snapshot() const {
   jet::MutexLock lock(mutex_);
-  return Evaluate(clock_.Now());
+  return Evaluate(clock_->Now());
 }
 
 std::vector<int32_t> ClusterHealthMonitor::SuspectedMembers() const {
   jet::MutexLock lock(mutex_);
-  return std::vector<int32_t>(last_suspected_.begin(), last_suspected_.end());
+  return report_.suspected;
 }
 
 int64_t ClusterHealthMonitor::refutation_count() const {

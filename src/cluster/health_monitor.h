@@ -2,13 +2,11 @@
 #define JETSIM_CLUSTER_HEALTH_MONITOR_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -53,93 +51,91 @@ std::optional<std::vector<int32_t>> QuorumSubset(const std::vector<int32_t>& mem
 /// link between two of them is broken.
 bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report);
 
-/// Full-mesh heartbeat health monitor: every registered member runs a pump
-/// thread that periodically heartbeats every *other* member over a channel
-/// tagged (member -> observer), so testkit link faults starve exactly the
-/// observations that a real partition would. A monitor thread folds the
-/// per-link freshness matrix into a HealthReport and invokes `on_change`
-/// (from the monitor thread) whenever the report changes.
+/// Full-mesh heartbeat health monitor, without a thread of its own: the
+/// owner's control loop calls Tick(now), which sends every registered
+/// member's heartbeat to every *other* member over a channel tagged
+/// (member -> observer), so testkit link faults starve exactly the
+/// observations that a real partition would, and folds the per-link
+/// freshness matrix into a HealthReport (Report()).
 ///
 /// This is the detection layer of the self-healing control plane: the
 /// mesh view distinguishes "process down" (stale to all peers) from "link
 /// down" (stale to some), which is what quorum decisions need. A member
 /// whose heartbeats return — e.g. after a partition heals — simply leaves
 /// the `down` set; nothing is latched.
+///
+/// The loop that sends the heartbeats also judges them, so it does not
+/// blame members for its own silence: a tick that begins more than a
+/// heartbeat interval after the one before it (the loop was blocked, say
+/// by a restart) marks a resumption, and no link's age counts from before
+/// the latest resumption.
 class ClusterHealthMonitor {
  public:
   /// Each link's heartbeat age is judged by core::JudgeHeartbeat against
-  /// `options`. `on_change(report)` runs on the monitor thread whenever the
-  /// folded report changes; it must not destroy the monitor. May be null.
+  /// `options`, in the time of `clock` (nullptr = the global wall clock),
+  /// which Tick's `now` must share.
   ClusterHealthMonitor(net::Network* network, core::LivenessOptions options,
-                       std::function<void(const HealthReport&)> on_change);
-  ~ClusterHealthMonitor();
+                       const Clock* clock = nullptr);
 
   ClusterHealthMonitor(const ClusterHealthMonitor&) = delete;
   ClusterHealthMonitor& operator=(const ClusterHealthMonitor&) = delete;
 
-  /// Registers a member and starts its heartbeat pump. Re-registering a
-  /// member whose pump was stopped restarts it with fresh link state (a
-  /// rejoin); re-registering a live member is a no-op. Every (member,
-  /// peer) link in both directions starts out fresh.
-  void AddMember(int32_t member);
+  /// Registers a member; its heartbeats go out from the next Tick.
+  /// Re-registering a member whose heartbeats were stopped resumes them
+  /// with fresh link state (a rejoin); re-registering a live member is a
+  /// no-op. Every (member, peer) link in both directions starts out fresh.
+  void AddMember(int32_t member) JET_EXCLUDES(mutex_);
 
   /// Simulates the member's process dying: its outbound heartbeats cease
   /// and every peer's observation of it goes stale. The member stays
   /// registered — a dead process never refutes, so it stays `down`.
-  void StopHeartbeats(int32_t member);
+  void StopHeartbeats(int32_t member) JET_EXCLUDES(mutex_);
 
-  /// Starts the monitor thread.
-  void Start();
+  /// One tick at `now`: sends the heartbeats that are due (every
+  /// `heartbeat_interval`, all members in one batch) and, every half
+  /// interval, folds the matrix into the report Report() returns. Returns
+  /// when the next tick is due. One thread ticks at a time.
+  Nanos Tick(Nanos now) JET_EXCLUDES(mutex_);
 
-  /// Stops the monitor thread and every pump.
-  void Stop();
+  /// The report folded by the latest Tick (empty before the first fold).
+  HealthReport Report() const JET_EXCLUDES(mutex_);
 
-  /// Latest folded report (recomputed on demand).
+  /// The report as of now (recomputed on demand).
   HealthReport Snapshot() const JET_EXCLUDES(mutex_);
 
-  /// Members currently suspected somewhere in the mesh.
+  /// Members suspected somewhere in the mesh as of the latest fold.
   std::vector<int32_t> SuspectedMembers() const JET_EXCLUDES(mutex_);
 
   /// Times a suspicion was withdrawn because a fresh heartbeat arrived.
-  int64_t refutation_count() const;
+  int64_t refutation_count() const JET_EXCLUDES(mutex_);
 
  private:
-  struct MemberState {
-    std::atomic<bool> stop{false};
-    std::thread pump;
-  };
   struct Link {
     net::ChannelId channel = 0;
-    // Written by the network delivery thread, read by the monitor.
+    // Written by the network delivery thread, read under mutex_.
     std::shared_ptr<std::atomic<Nanos>> last_rx;
   };
 
-  // Dedicated heartbeat thread per member; sleeps between beats.
-  void PumpLoop(int32_t member, std::shared_ptr<MemberState> state)
-      JET_EXCLUDES(mutex_);
-  // Monitor thread body. Audited callback scope: on_change_ is invoked
-  // AFTER mutex_ is released (the report is folded under the lock, copied
-  // out, and the callback — which re-enters JetCluster's control mutex —
-  // runs lock-free), so monitor-internal and callback-side locks never
-  // nest.
-  void MonitorLoop() JET_EXCLUDES(mutex_);
   // Folds the freshness matrix into a report.
   HealthReport Evaluate(Nanos now) const JET_REQUIRES(mutex_);
 
   net::Network* network_;
   core::LivenessOptions options_;
-  std::function<void(const HealthReport&)> on_change_;
-  WallClock clock_;
+  const Clock* clock_;
 
   mutable jet::Mutex mutex_;
-  std::map<int32_t, std::shared_ptr<MemberState>> members_ JET_GUARDED_BY(mutex_);
+  // Registered members -> whether they still heartbeat.
+  std::map<int32_t, bool> beating_ JET_GUARDED_BY(mutex_);
   // (from, to)
   std::map<std::pair<int32_t, int32_t>, Link> links_ JET_GUARDED_BY(mutex_);
-  std::set<int32_t> last_suspected_ JET_GUARDED_BY(mutex_);
+  Nanos last_tick_ JET_GUARDED_BY(mutex_) = 0;
+  // Start of the latest tick that came more than a heartbeat interval
+  // after the one before it; no link age counts from before it.
+  Nanos resumed_at_ JET_GUARDED_BY(mutex_) = 0;
+  Nanos next_beat_ JET_GUARDED_BY(mutex_) = 0;
+  Nanos next_fold_ JET_GUARDED_BY(mutex_) = 0;
+  HealthReport report_ JET_GUARDED_BY(mutex_);
   int64_t refutations_ JET_GUARDED_BY(mutex_) = 0;
-
-  std::atomic<bool> running_{false};
-  std::thread monitor_;
 };
 
 }  // namespace jet::cluster

@@ -4,12 +4,21 @@
 #include <chrono>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 
 #include "common/logging.h"
 
 namespace jet::cluster {
 
 namespace {
+
+// The control loop's cadences: restart policies are reconciled every
+// kReconcileTick while supervised; a tick that found mutex_ held retries
+// after kLockRetry; an idle loop ticks at least every kIdleTick.
+constexpr Nanos kReconcileTick = 2 * kNanosPerMilli;
+constexpr Nanos kLockRetry = kNanosPerMilli;
+constexpr Nanos kIdleTick = 100 * kNanosPerMilli;
+constexpr Nanos kNeverDue = std::numeric_limits<Nanos>::max();
 
 obs::MetricTags JobTags(imdg::JobId job_id) {
   obs::MetricTags tags;
@@ -35,29 +44,19 @@ JetCluster::JetCluster(ClusterConfig config)
   }
   if (config_.supervisor.enabled) {
     monitor_ = std::make_unique<ClusterHealthMonitor>(
-        &network_, config_.supervisor.liveness, [this](const HealthReport& report) {
-          jet::MutexLock lock(control_mutex_);
-          ControlEvent e;
-          e.report = report;
-          events_.push_back(std::move(e));
-          control_cv_.NotifyAll();
-        });
+        &network_, config_.supervisor.liveness, &clock_);
     for (int32_t id : alive_nodes_) monitor_->AddMember(id);
-    monitor_->Start();
-    control_ = std::thread([this]() { ControlLoop(); });
   }
+  control_ = std::thread([this]() { ControlLoop(); });
 }
 
 JetCluster::~JetCluster() {
-  if (control_.joinable()) {
-    {
-      jet::MutexLock lock(control_mutex_);
-      control_stop_ = true;
-      control_cv_.NotifyAll();
-    }
-    control_.join();
+  {
+    jet::MutexLock lock(loop_mutex_);
+    loop_stop_ = true;
+    loop_cv_.NotifyAll();
   }
-  if (monitor_ != nullptr) monitor_->Stop();
+  control_.join();
   std::vector<ClusterJob*> jobs;
   {
     jet::MutexLock lock(mutex_);
@@ -74,7 +73,7 @@ Result<ClusterJob*> JetCluster::SubmitJob(const core::Dag* dag, core::JobConfig 
                                           imdg::JobId job_id) {
   JET_RETURN_IF_ERROR(dag->Validate());
   // Supervised jobs get the snapshot watchdog by default: an unbounded ack
-  // wait would otherwise hang the coordinator when a participant dies.
+  // wait would otherwise hang the epoch when a participant dies.
   if (config_.supervisor.enabled && config.snapshot_ack_timeout == 0) {
     config.snapshot_ack_timeout = config_.supervisor.snapshot_ack_timeout;
   }
@@ -181,7 +180,7 @@ Result<int32_t> JetCluster::AddNode() {
   if (config_.supervisor.enabled) {
     // Under supervision the scale-out restart routes through the control
     // plane as a free (uncharged) restart, launched once the membership is
-    // healthy. The control thread's tick picks it up.
+    // healthy. The control loop's tick picks it up.
     Nanos now = clock_.Now();
     for (auto& job : jobs_) {
       if (job->StopForRecovery()) job->supervisor()->OnFreeRestart(now);
@@ -264,44 +263,64 @@ JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
 }
 
 // ---------------------------------------------------------------------------
-// Self-healing control plane (supervisor mode)
+// The control loop, and the self-healing control plane it runs when supervised
 // ---------------------------------------------------------------------------
 
-void JetCluster::NotifySnapshotTimeout(ClusterJob* job, const void* attempt) {
-  if (!config_.supervisor.enabled) return;
-  jet::MutexLock lock(control_mutex_);
-  ControlEvent e;
-  e.type = ControlEvent::Type::kSnapshotTimeout;
-  e.job = job;
-  e.attempt = attempt;
-  events_.push_back(std::move(e));
-  control_cv_.NotifyAll();
+void JetCluster::ControlLoop() {
+  Nanos due = 0;
+  while (true) {
+    {
+      jet::MutexLock lock(loop_mutex_);
+      const Nanos wait = std::min(due - clock_.Now(), kIdleTick);
+      if (wait > 0) {
+        loop_cv_.WaitFor(loop_mutex_, std::chrono::nanoseconds(wait),
+                         [this]() JET_REQUIRES(loop_mutex_) {
+                           return loop_stop_ || loop_wake_;
+                         });
+      }
+      if (loop_stop_) return;
+      loop_wake_ = false;
+    }
+    due = Tick(clock_.Now());
+  }
 }
 
-void JetCluster::ControlLoop() {
-  while (true) {
-    std::vector<ControlEvent> batch;
-    {
-      jet::MutexLock lock(control_mutex_);
-      control_cv_.WaitFor(control_mutex_, std::chrono::milliseconds(2), [this]() {
-        return control_stop_ || !events_.empty();
-      });
-      if (control_stop_) return;
-      batch.assign(std::make_move_iterator(events_.begin()),
-                   std::make_move_iterator(events_.end()));
-      events_.clear();
+void JetCluster::Wake() {
+  jet::MutexLock lock(loop_mutex_);
+  loop_wake_ = true;
+  loop_cv_.NotifyAll();
+}
+
+Nanos JetCluster::Tick(Nanos now) {
+  Nanos due = now + kIdleTick;
+  // Heartbeats go out even while a user call holds mutex_.
+  if (monitor_ != nullptr) due = std::min(monitor_->Tick(now), now + kReconcileTick);
+  if (!mutex_.try_lock()) return std::min(due, now + kLockRetry);
+  due = std::min(due, TickLocked(now));
+  mutex_.unlock();
+  return due;
+}
+
+Nanos JetCluster::TickLocked(Nanos now) {
+  if (monitor_ != nullptr) {
+    HealthReport report = monitor_->Report();
+    if (report != last_report_) {
+      last_report_ = report;
+      HandleHealthReport(report);
     }
-    jet::MutexLock lock(mutex_);
-    for (const ControlEvent& e : batch) {
-      if (e.type == ControlEvent::Type::kHealth) {
-        last_report_ = e.report;
-        HandleHealthReport(e.report);
-      } else {
-        HandleSnapshotTimeout(e.job, e.attempt);
-      }
-    }
-    ReconcileJobs(clock_.Now());
   }
+  Nanos due = kNeverDue;
+  for (auto& job : jobs_) {
+    const core::SnapshotStep step = job->StepSnapshot(now);
+    due = std::min(due, step.next_due);
+    // A stuck or dead participant: supervised, the attempt is charged one
+    // failure-class restart; the next epoch re-arms on schedule either way.
+    if (step.watchdog_aborted && monitor_ != nullptr && job->StopForRecovery()) {
+      ChargeFailure(job.get(), now, "snapshot watchdog timeouts");
+    }
+  }
+  if (monitor_ != nullptr) ReconcileJobs(clock_.Now());
+  return due;
 }
 
 void JetCluster::HandleHealthReport(const HealthReport& report) {
@@ -406,14 +425,6 @@ void JetCluster::HandleHealthReport(const HealthReport& report) {
   }
 }
 
-void JetCluster::HandleSnapshotTimeout(ClusterJob* job, const void* attempt) {
-  {
-    jet::MutexLock job_lock(job->job_mutex_);
-    if (job->attempt_.get() != attempt) return;  // stale: attempt replaced
-  }
-  if (job->StopForRecovery()) ChargeFailure(job, clock_.Now(), "snapshot watchdog timeouts");
-}
-
 void JetCluster::ChargeFailure(ClusterJob* job, Nanos now, const char* what) {
   core::RestartPolicy* policy = job->supervisor();
   if (!policy->OnFailure(now).has_value() && policy->state() == core::JobState::kFailed) {
@@ -484,8 +495,6 @@ void ClusterJob::Attempt::StopAll() {
   cancelled.store(true, std::memory_order_release);
   for (auto& m : members) m->service()->Cancel();
   for (auto& m : members) (void)m->service()->AwaitCompletion();
-  coordinator_stop.store(true, std::memory_order_release);
-  if (coordinator.joinable()) coordinator.join();
 }
 
 Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snapshot) {
@@ -545,27 +554,28 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
   for (auto& member : attempt->members) JET_RETURN_IF_ERROR(member->Start());
 
   if (sc != nullptr) {
-    Attempt* raw = attempt.get();
-    attempt->coordinator = std::thread([this, raw, restore_snapshot]() {
-      core::SnapshotParticipants participants;
-      for (const auto& member : raw->members) participants.Add(*member->plan());
-      core::RunSnapshotLoop(
-          &snapshots_, std::max<int64_t>(restore_snapshot, 0) + 1, &raw->snapshot_control,
-          participants,
-          [raw]() {
-            return raw->coordinator_stop.load(std::memory_order_acquire) ||
-                   raw->AllComplete();
-          },
-          // Hand the incident to the control plane; the next epoch re-arms
-          // on schedule.
-          [this, raw]() { cluster_->NotifySnapshotTimeout(this, raw); });
-    });
+    for (const auto& member : attempt->members) attempt->participants.Add(*member->plan());
   }
 
   attempt_count_.fetch_add(1, std::memory_order_acq_rel);
-  jet::MutexLock lock(job_mutex_);
-  attempt_ = std::move(attempt);
+  {
+    jet::MutexLock lock(job_mutex_);
+    snapshots_.StartAttempt(std::max<int64_t>(restore_snapshot, 0) + 1,
+                            cluster_->clock_.Now());
+    attempt_ = std::move(attempt);
+  }
+  cluster_->Wake();
   return Status::OK();
+}
+
+core::SnapshotStep ClusterJob::StepSnapshot(Nanos now) {
+  jet::MutexLock lock(job_mutex_);
+  if (config_.guarantee == core::ProcessingGuarantee::kNone || attempt_ == nullptr ||
+      attempt_->AllComplete()) {
+    return core::SnapshotStep{kNeverDue, false};
+  }
+  return core::StepSnapshot(&snapshots_, &attempt_->snapshot_control,
+                            attempt_->participants, now);
 }
 
 void ClusterJob::StopCurrentAttempt() {

@@ -2,7 +2,6 @@
 #define JETSIM_CLUSTER_JET_CLUSTER_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
@@ -66,6 +65,16 @@ class ClusterJob;
 /// multi-VM deployments — all inter-node data still flows through the
 /// flow-controlled network channels and all state through the replicated
 /// grid, so the distributed protocols (§3.3, §4) execute for real.
+///
+/// Besides the members' workers and the network's delivery thread, the
+/// cluster runs one control loop, started by the constructor, supervised
+/// or not. Each tick it sends the due heartbeats and folds the health
+/// report (supervised), steps every job's current attempt through one
+/// snapshot step, and — supervised — acts on a changed report, charges
+/// watchdog aborts and reconciles the jobs' restart policies. It never
+/// waits on the membership lock a user call holds (KillNode holds it
+/// across `failure_detection_delay`): it skips that part of the tick and
+/// comes back to it.
 class JetCluster {
  public:
   explicit JetCluster(ClusterConfig config);
@@ -135,31 +144,23 @@ class JetCluster {
  private:
   friend class ClusterJob;
 
-  // An event for the control thread (supervisor mode).
-  struct ControlEvent {
-    enum class Type { kHealth, kSnapshotTimeout };
-    Type type = Type::kHealth;
-    HealthReport report;               // kHealth
-    ClusterJob* job = nullptr;         // kSnapshotTimeout
-    const void* attempt = nullptr;     // kSnapshotTimeout: attempt identity
-  };
-
-  // Coordinator threads report watchdog-aborted snapshots here; the control
-  // thread turns them into a failure-class restart. No-op when the
-  // supervisor is disabled.
-  void NotifySnapshotTimeout(ClusterJob* job, const void* attempt)
-      JET_EXCLUDES(control_mutex_);
-
   // Applies `fn` to `node_id`'s execution service in every job's current
   // attempt.
   void ForEachService(int32_t node_id,
                       const std::function<void(core::ExecutionService*)>& fn)
       JET_REQUIRES(mutex_);
 
-  void ControlLoop() JET_EXCLUDES(mutex_, control_mutex_);
+  // The control loop's thread: ticks whenever a tick is due or Wake() was
+  // called, until the destructor stops it.
+  void ControlLoop() JET_EXCLUDES(mutex_, loop_mutex_);
+  // One tick at `now`; returns when the next is due. The part under mutex_
+  // runs only if mutex_ is free (TickLocked); heartbeats go out regardless.
+  Nanos Tick(Nanos now) JET_EXCLUDES(mutex_);
+  Nanos TickLocked(Nanos now) JET_REQUIRES(mutex_);
+  // Makes the loop tick at once (an attempt started and its snapshot
+  // schedule is new).
+  void Wake() JET_EXCLUDES(loop_mutex_);
   void HandleHealthReport(const HealthReport& report) JET_REQUIRES(mutex_);
-  void HandleSnapshotTimeout(ClusterJob* job, const void* attempt)
-      JET_REQUIRES(mutex_);
   void ReconcileJobs(Nanos now) JET_REQUIRES(mutex_);
   // Feeds a failure-class incident to the job's policy; fails the job when
   // the retry budget is exhausted.
@@ -173,25 +174,26 @@ class JetCluster {
   WallClock clock_;
 
   // Cluster membership/job lock. Lock order: mutex_ → ClusterJob::job_mutex_
-  // (KillNode, ReconcileJobs); never the reverse. The control loop drains
-  // events under control_mutex_, releases it, then takes mutex_ — the two
-  // are never nested.
+  // (KillNode, ReconcileJobs, the snapshot steps); never the reverse. The
+  // control loop only ever try-locks it.
   mutable jet::Mutex mutex_;
   std::vector<int32_t> alive_nodes_ JET_GUARDED_BY(mutex_);
   // evicted by the control plane, may rejoin
   std::set<int32_t> evicted_ JET_GUARDED_BY(mutex_);
-  // latest report processed by the control loop
+  // latest report acted on by the control loop
   HealthReport last_report_ JET_GUARDED_BY(mutex_);
   int32_t next_node_id_ JET_GUARDED_BY(mutex_) = 0;
   std::vector<std::unique_ptr<ClusterJob>> jobs_ JET_GUARDED_BY(mutex_);
 
-  // Supervisor-mode control plane (null / not started when disabled).
+  // Heartbeat mesh, ticked by the control loop (null when unsupervised).
   std::unique_ptr<ClusterHealthMonitor> monitor_;
+  // The control loop waits on loop_cv_ until its next tick is due, a
+  // Wake() or the stop.
   std::thread control_;
-  jet::Mutex control_mutex_;
-  jet::CondVar control_cv_;
-  std::deque<ControlEvent> events_ JET_GUARDED_BY(control_mutex_);
-  bool control_stop_ JET_GUARDED_BY(control_mutex_) = false;
+  jet::Mutex loop_mutex_;
+  jet::CondVar loop_cv_;
+  bool loop_wake_ JET_GUARDED_BY(loop_mutex_) = false;
+  bool loop_stop_ JET_GUARDED_BY(loop_mutex_) = false;
 };
 
 /// A job running on a JetCluster. A job execution is a sequence of
@@ -229,7 +231,7 @@ class ClusterJob {
   std::vector<obs::MetricSnapshot> MetricSnapshots() const;
 
   /// Restart policy; set exactly when the cluster is supervised, so the
-  /// control thread's handlers never see nullptr.
+  /// control loop's handlers never see nullptr.
   core::RestartPolicy* supervisor() const { return supervisor_.get(); }
 
   /// Snapshots aborted (watchdog or failed commit), across attempts.
@@ -261,8 +263,8 @@ class ClusterJob {
     std::unique_ptr<imdg::OwnershipRegistry> ownership;
     std::unique_ptr<net::ExchangeRegistry> exchange;
     std::vector<std::unique_ptr<core::MemberExecution>> members;  // index = plan node id
-    std::thread coordinator;
-    std::atomic<bool> coordinator_stop{false};
+    // The commit gate of the attempt's epochs (empty without a guarantee).
+    core::SnapshotParticipants participants;
 
     bool AllComplete() const;
     void StopAll();
@@ -281,6 +283,13 @@ class ClusterJob {
   // annotated.)
   Status StartAttempt(std::vector<int32_t> nodes, int64_t restore_snapshot)
      ;
+
+  // One snapshot step of the current attempt at `now` (see
+  // core::StepSnapshot); next_due is kNeverDue when there is nothing to
+  // step. Runs under job_mutex_, so no step reaches an attempt once
+  // StopCurrentAttempt took it: a restart that reads the last committed
+  // epoch never races a late commit.
+  core::SnapshotStep StepSnapshot(Nanos now) JET_EXCLUDES(job_mutex_);
 
   // Stops the current attempt (cancel + join threads). Touches only
   // job_mutex_-guarded state; also reachable from Join(), which does not
@@ -307,8 +316,8 @@ class ClusterJob {
   const core::Dag* dag_;
   core::JobConfig config_;
   imdg::JobId job_id_;
-  // Epoch policy across attempts; driven by the current attempt's
-  // coordinator thread only.
+  // Epoch policy across attempts: reset by StartAttempt and stepped by the
+  // cluster's control loop, both under the cluster mutex.
   core::SnapshotCoordinator snapshots_;
 
   // mutable: MetricSnapshots() is logically const but must lock to read
@@ -327,7 +336,7 @@ class ClusterJob {
   // Ownership transfers folded in from stopped attempts (the live
   // attempt's registry is added on read).
   std::atomic<int64_t> ownership_transfers_base_{0};
-  // Supervised only. Driven by the control thread; its metrics live in
+  // Supervised only. Driven by the control loop; its metrics live in
   // their own registry so they survive attempt churn.
   std::unique_ptr<core::RestartPolicy> supervisor_;
   obs::MetricsRegistry supervisor_metrics_;

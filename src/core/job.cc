@@ -1,53 +1,11 @@
 #include "core/job.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
 
 namespace jet::core {
-
-void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
-                     SnapshotControl* control, const SnapshotParticipants& participants,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& on_watchdog_abort) {
-  using std::chrono::nanoseconds;
-  const Clock& clock = WallClock::Global();
-  coordinator->StartAttempt(first_id, clock.Now());
-  while (!stop()) {
-    const Nanos now = clock.Now();
-    const int64_t id = coordinator->in_flight();
-    if (id == 0) {
-      const int64_t begun = coordinator->MaybeBegin(now);
-      if (begun != 0) {
-        control->requested.store(begun, std::memory_order_release);
-      } else {
-        // Sleep toward the next epoch in small steps so a stop is prompt.
-        std::this_thread::sleep_for(
-            nanoseconds(std::min<Nanos>(coordinator->next_begin() - now, kNanosPerMilli)));
-      }
-      continue;
-    }
-    if (participants.AllCompleted(id)) {
-      Status s = coordinator->Commit(now);
-      if (s.ok()) {
-        control->committed.store(id, std::memory_order_release);
-      } else {
-        JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
-        control->aborted.store(id, std::memory_order_release);
-      }
-      continue;
-    }
-    if (coordinator->Overdue(now)) {
-      // Watchdog: a participant is stuck (or dead); drop the epoch and
-      // re-arm the next one instead of stalling this thread forever.
-      coordinator->Abort(now);
-      control->aborted.store(id, std::memory_order_release);
-      if (on_watchdog_abort) on_watchdog_abort();
-      continue;
-    }
-    std::this_thread::sleep_for(nanoseconds(100 * kNanosPerMicro));
-  }
-}
 
 Result<std::unique_ptr<MemberExecution>> MemberExecution::Create(
     const MemberParams& params) {
@@ -148,16 +106,20 @@ Status Job::Start() {
   JET_RETURN_IF_ERROR(member_->Start());
   if (params_.config.guarantee != ProcessingGuarantee::kNone) {
     coordinator_ = std::thread([this]() {
+      using std::chrono::nanoseconds;
+      const Clock& clock = WallClock::Global();
       SnapshotParticipants participants;
       participants.Add(*member_->plan());
-      RunSnapshotLoop(
-          snapshots_.get(), params_.restore_snapshot_id.value_or(0) + 1,
-          &snapshot_control_, participants,
-          [this]() {
-            return coordinator_stop_.load(std::memory_order_acquire) ||
-                   member_->service()->IsComplete();
-          },
-          nullptr);
+      snapshots_->StartAttempt(params_.restore_snapshot_id.value_or(0) + 1, clock.Now());
+      while (!coordinator_stop_.load(std::memory_order_acquire) &&
+             !member_->service()->IsComplete()) {
+        const Nanos now = clock.Now();
+        const SnapshotStep step =
+            StepSnapshot(snapshots_.get(), &snapshot_control_, participants, now);
+        // Sleep toward the next step in small steps so a stop is prompt.
+        std::this_thread::sleep_for(
+            nanoseconds(std::clamp<Nanos>(step.next_due - now, 0, kNanosPerMilli)));
+      }
     });
   }
   return Status::OK();

@@ -2,7 +2,6 @@
 #define JETSIM_CORE_JOB_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -19,17 +18,6 @@
 #include "obs/metrics_registry.h"
 
 namespace jet::core {
-
-/// The snapshot loop of core::Job and cluster::ClusterJob: starts an
-/// attempt of `coordinator` numbered from `first_id` and drives it on the
-/// calling thread until `stop()` — 1 ms sleeps while idle, 100 µs polls
-/// while an epoch is in flight, which commits once every participant
-/// completed it. `on_watchdog_abort` (may be null) runs after a watchdog
-/// abort. An epoch still in flight at `stop()` stays uncommitted.
-void RunSnapshotLoop(SnapshotCoordinator* coordinator, int64_t first_id,
-                     SnapshotControl* control, const SnapshotParticipants& participants,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& on_watchdog_abort);
 
 /// One member's execution of a job (§3.1): the whole DAG instantiated as
 /// one plan — processor tasklets plus the exchange tasklets of distributed

@@ -48,6 +48,34 @@ void SnapshotCoordinator::Abort(Nanos now) {
   last_end_ = now;
 }
 
+SnapshotStep StepSnapshot(SnapshotCoordinator* coordinator, SnapshotControl* control,
+                          const SnapshotParticipants& participants, Nanos now) {
+  constexpr Nanos kInFlightPoll = 100 * kNanosPerMicro;
+  SnapshotStep step;
+  const int64_t id = coordinator->in_flight();
+  if (id != 0 && participants.AllCompleted(id)) {
+    Status s = coordinator->Commit(now);
+    if (s.ok()) {
+      control->committed.store(id, std::memory_order_release);
+    } else {
+      JET_LOG(kError) << "snapshot commit failed: " << s.ToString();
+      control->aborted.store(id, std::memory_order_release);
+    }
+  } else if (coordinator->Overdue(now)) {
+    // Drop the epoch and re-arm the next one instead of waiting forever.
+    coordinator->Abort(now);
+    control->aborted.store(id, std::memory_order_release);
+    step.watchdog_aborted = true;
+  }
+  if (coordinator->in_flight() == 0) {
+    const int64_t begun = coordinator->MaybeBegin(now);
+    if (begun != 0) control->requested.store(begun, std::memory_order_release);
+  }
+  step.next_due = coordinator->in_flight() != 0 ? now + kInFlightPoll
+                                                : coordinator->next_begin();
+  return step;
+}
+
 SnapshotWriterFn StoreSnapshotWriter(imdg::SnapshotStore* store, imdg::JobId job) {
   return [store, job](int64_t snapshot_id, VertexId vertex, int32_t writer_index,
                       StateEntry&& entry) {

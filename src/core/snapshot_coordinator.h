@@ -93,6 +93,25 @@ class SnapshotParticipants {
   std::vector<const ProcessorTasklet*> tasklets_;
 };
 
+/// What one StepSnapshot did.
+struct SnapshotStep {
+  /// When the next step is due: the next epoch's start while idle, the
+  /// next completion poll (100 µs on) while an epoch is in flight.
+  Nanos next_due = 0;
+  /// The watchdog aborted the in-flight epoch in this step.
+  bool watchdog_aborted = false;
+};
+
+/// One step of the in-process snapshot loop (core::Job, cluster::ClusterJob)
+/// at `now`: commits the in-flight epoch once every participant completed
+/// it, aborts it once it is overdue (the watchdog: a participant is stuck
+/// or dead), or begins the next epoch when it is due; each outcome is
+/// published in `control`. No thread, lock or clock of its own: the
+/// caller's control loop calls it again at `next_due`, and never once the
+/// attempt is stopped, so an epoch still in flight then stays uncommitted.
+SnapshotStep StepSnapshot(SnapshotCoordinator* coordinator, SnapshotControl* control,
+                          const SnapshotParticipants& participants, Nanos now);
+
 /// Routes restored state entries of vertex V to the plan instance with
 /// global index `key_hash % total_parallelism(V)`; entries owned by other
 /// members' instances are dropped. Apply() hands every instance its

@@ -10,13 +10,11 @@
 
 namespace jet::procmode {
 
-using std::chrono::microseconds;
-using std::chrono::milliseconds;
-
 namespace {
 
 constexpr Nanos kPumpPollInterval = 200 * kNanosPerMicro;
-constexpr Nanos kDonePollInterval = kNanosPerMilli;
+// The helper loop's wait with no attempt to pump and no heartbeat due.
+constexpr Nanos kHelperIdleWait = 100 * kNanosPerMilli;
 
 /// Retry policy for connecting to the coordinator's control socket and to
 /// peers' data sockets. Peers are spawned together and their servers come
@@ -35,8 +33,12 @@ BackoffOptions ConnectBackoff() {
 }  // namespace
 
 ProcessMember::~ProcessMember() {
-  heartbeat_stop_.store(true, std::memory_order_release);
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
+  {
+    jet::MutexLock lock(helper_mu_);
+    helper_stop_ = true;
+    helper_cv_.NotifyAll();
+  }
+  if (helper_.joinable()) helper_.join();
   TeardownAttempt();
   {
     jet::MutexLock lock(data_conns_mu_);
@@ -81,24 +83,7 @@ Status ProcessMember::Run() {
   hello.data_path = data_path_;
   JET_RETURN_IF_ERROR(SendControl(hello));
 
-  // Heartbeats ride the control socket from a dedicated thread: they prove
-  // the process is scheduling even while the Run() thread is busy tearing
-  // an attempt down. A SIGSTOP freezes this thread too — which is exactly
-  // what lets the coordinator's liveness pass notice the hang.
-  if (options_.heartbeat_interval > 0) {
-    auto control_conn = control_;
-    const Nanos interval = options_.heartbeat_interval;
-    heartbeat_thread_ = std::thread([this, control_conn, interval]() {
-      ProcMsg beat;
-      beat.type = ProcMsgType::kHeartbeat;
-      const Bytes frame = EncodeControlMessage(beat);
-      while (!heartbeat_stop_.load(std::memory_order_acquire)) {
-        if (!control_conn->SendFrame(frame).ok()) return;  // control gone
-        std::this_thread::sleep_for(milliseconds(
-            std::max<int64_t>(1, interval / kNanosPerMilli)));
-      }
-    });
-  }
+  helper_ = std::thread([this]() { HelperLoop(); });
 
   // Serve control messages until Shutdown (or the coordinator vanished —
   // an orphaned member must not outlive the test that spawned it).
@@ -378,41 +363,52 @@ Status ProcessMember::HandleGo() {
 
   JET_RETURN_IF_ERROR(attempt->member->Start());
 
-  // Snapshot pump: acks a requested snapshot once every local participant
-  // has persisted it — the in-process coordinator's commit gate.
-  core::SnapshotParticipants participants;
-  participants.Add(*attempt->member->plan());
-  Attempt* raw = attempt.get();
-  auto control = control_;
-  attempt->snapshot_pump = std::thread([raw, control, participants]() {
-    int64_t last_acked = 0;
-    while (!raw->stopping.load(std::memory_order_acquire)) {
-      const int64_t id = raw->snapshot_control.requested.load(std::memory_order_acquire);
-      if (id > last_acked && participants.AllCompleted(id)) {
-        ProcMsg ack;
-        ack.type = ProcMsgType::kSnapshotAck;
-        ack.epoch = raw->epoch;
-        ack.snapshot_id = id;
-        (void)control->SendFrame(EncodeControlMessage(ack));
-        last_acked = id;
-      }
-      std::this_thread::sleep_for(microseconds(kPumpPollInterval / kNanosPerMicro));
-    }
-  });
-
-  attempt->done_monitor = std::thread([raw, control]() {
-    while (!raw->stopping.load(std::memory_order_acquire)) {
-      if (raw->member->service()->IsComplete()) {
-        ProcMsg done;
-        done.type = ProcMsgType::kAttemptDone;
-        done.epoch = raw->epoch;
-        (void)control->SendFrame(EncodeControlMessage(done));
-        return;
-      }
-      std::this_thread::sleep_for(milliseconds(kDonePollInterval / kNanosPerMilli));
-    }
-  });
+  attempt->participants.Add(*attempt->member->plan());
+  {
+    jet::MutexLock lock(helper_mu_);
+    pumped_ = attempt;
+    helper_cv_.NotifyAll();
+  }
   return Status::OK();
+}
+
+void ProcessMember::HelperLoop() {
+  ProcMsg beat;
+  beat.type = ProcMsgType::kHeartbeat;
+  const Bytes beat_frame = EncodeControlMessage(beat);
+  const Nanos interval = options_.heartbeat_interval;
+  Nanos next_beat = 0;
+  jet::MutexLock lock(helper_mu_);
+  while (!helper_stop_) {
+    const Nanos now = SharedMonotonicClock::RawNow();
+    if (interval > 0 && now >= next_beat) {
+      if (!control_->SendFrame(beat_frame).ok()) return;  // control gone
+      next_beat = now + interval;
+    }
+    if (pumped_ != nullptr) PumpAttempt(*pumped_);
+    Nanos wait = interval > 0 ? next_beat - now : kHelperIdleWait;
+    if (pumped_ != nullptr) wait = std::min(wait, kPumpPollInterval);
+    helper_cv_.WaitFor(helper_mu_, std::chrono::nanoseconds(wait));
+  }
+}
+
+void ProcessMember::PumpAttempt(Attempt& attempt) {
+  const int64_t id = attempt.snapshot_control.requested.load(std::memory_order_acquire);
+  if (id > attempt.last_acked && attempt.participants.AllCompleted(id)) {
+    ProcMsg ack;
+    ack.type = ProcMsgType::kSnapshotAck;
+    ack.epoch = attempt.epoch;
+    ack.snapshot_id = id;
+    (void)control_->SendFrame(EncodeControlMessage(ack));
+    attempt.last_acked = id;
+  }
+  if (!attempt.done_sent && attempt.member->service()->IsComplete()) {
+    ProcMsg done;
+    done.type = ProcMsgType::kAttemptDone;
+    done.epoch = attempt.epoch;
+    (void)control_->SendFrame(EncodeControlMessage(done));
+    attempt.done_sent = true;
+  }
 }
 
 void ProcessMember::TeardownAttempt() {
@@ -422,14 +418,15 @@ void ProcessMember::TeardownAttempt() {
     attempt = std::move(attempt_);
   }
   if (attempt == nullptr) return;
-  attempt->stopping.store(true, std::memory_order_release);
+  {
+    jet::MutexLock lock(helper_mu_);
+    if (pumped_ == attempt) pumped_.reset();
+  }
   attempt->cancelled.store(true, std::memory_order_release);
   if (attempt->running) {
     attempt->member->service()->Cancel();
     (void)attempt->member->service()->AwaitCompletion();
   }
-  if (attempt->snapshot_pump.joinable()) attempt->snapshot_pump.join();
-  if (attempt->done_monitor.joinable()) attempt->done_monitor.join();
   for (auto& conn : attempt->peer_conns) {
     if (conn != nullptr) conn->Close();
   }

@@ -48,9 +48,10 @@ class SharedMonotonicClock final : public Clock {
 };
 
 /// One Jet member as an OS process: owns this member's data-socket server,
-/// a control connection to the coordinator, and — per attempt — the
-/// member's slice of the execution (a core::MemberExecution whose exchange
-/// runs over SocketExchangeRegistry, snapshot pump, completion monitor).
+/// a control connection to the coordinator, one helper loop (heartbeats,
+/// snapshot acks, completion report) and — per attempt — the member's
+/// slice of the execution (a core::MemberExecution whose exchange runs over
+/// SocketExchangeRegistry).
 /// The process persists across attempts; each StartJob assigns it a fresh
 /// plan-local node id for that epoch. jet_member's main() is a thin
 /// wrapper around Run().
@@ -95,7 +96,6 @@ class ProcessMember {
     std::shared_ptr<SocketExchangeRegistry> registry;
     core::SnapshotControl snapshot_control;
     std::atomic<bool> cancelled{false};
-    std::atomic<bool> stopping{false};
     /// Declared after everything its tasklets point into, so it goes first.
     std::unique_ptr<core::MemberExecution> member;
     int64_t restore_remaining = 0;
@@ -103,8 +103,11 @@ class ProcessMember {
     /// store) as they arrive; null when the attempt restores nothing.
     std::unique_ptr<core::RestoreRouter> restore;
     bool running = false;  // Go received, service started
-    std::thread snapshot_pump;
-    std::thread done_monitor;
+    // Set by HandleGo before the helper loop gets the attempt; then the
+    // helper's alone (under helper_mu_).
+    core::SnapshotParticipants participants;
+    int64_t last_acked = 0;
+    bool done_sent = false;
   };
 
   // Control-plane plumbing. HandleControlFrame runs on the control
@@ -122,6 +125,14 @@ class ProcessMember {
   Status FinishBringUp();  // restore applied -> Ready
   Status HandleGo();
   void TeardownAttempt();
+
+  // The helper loop's thread body: heartbeats every heartbeat_interval and,
+  // every kPumpPollInterval while an attempt runs, PumpAttempt.
+  void HelperLoop() JET_EXCLUDES(helper_mu_);
+  // Acks the attempt's requested snapshot once every local participant
+  // persisted it (the in-process coordinator's commit gate) and reports
+  // the attempt done once its service completed.
+  void PumpAttempt(Attempt& attempt) JET_REQUIRES(helper_mu_);
 
   // Data-plane: inbound frames from peer members.
   void DispatchDataFrame(Bytes frame);
@@ -141,10 +152,18 @@ class ProcessMember {
   /// (plus introspection), see replica_store.h.
   ReplicaStore replica_store_;
 
-  /// Liveness: proves the process is scheduling, not just connected — a
-  /// SIGSTOP'd member keeps its socket open but stops beating.
-  std::thread heartbeat_thread_;
-  std::atomic<bool> heartbeat_stop_{false};
+  /// The helper loop, kept apart from Run() so heartbeats go on while Run()
+  /// tears an attempt down. Its heartbeats prove the process is
+  /// scheduling, not just connected: a SIGSTOP'd member keeps its socket
+  /// open but stops beating.
+  std::thread helper_;
+  jet::Mutex helper_mu_;
+  jet::CondVar helper_cv_;
+  bool helper_stop_ JET_GUARDED_BY(helper_mu_) = false;
+  /// The running attempt the helper pumps. TeardownAttempt takes it back
+  /// under helper_mu_, so nothing of an attempt is sent once its teardown
+  /// began, and in particular nothing after its kAttemptStopped reply.
+  std::shared_ptr<Attempt> pumped_ JET_GUARDED_BY(helper_mu_);
 
   jet::Mutex attempt_mu_;
   std::shared_ptr<Attempt> attempt_ JET_GUARDED_BY(attempt_mu_);

@@ -397,9 +397,16 @@ Status ClusterFixture::VerifyDeliveryAccounting() {
   net::Network& network = cluster_->network();
   // Flush: after Shutdown every message is either delivered or dropped.
   network.Shutdown();
-  int64_t sent = network.sent_count();
-  int64_t delivered = network.delivered_count();
-  int64_t dropped = network.dropped_count();
+  // The control loop may still send (and so drop) heartbeats while the
+  // counters are read: read again until no send fell between the reads.
+  int64_t sent = 0;
+  int64_t delivered = 0;
+  int64_t dropped = 0;
+  do {
+    sent = network.sent_count();
+    delivered = network.delivered_count();
+    dropped = network.dropped_count();
+  } while (network.sent_count() != sent);
   if (sent != delivered + dropped) {
     return InternalError("delivery accounting leak: sent=" + std::to_string(sent) +
                          " delivered=" + std::to_string(delivered) +

@@ -1,7 +1,8 @@
-// ClusterHealthMonitor driven directly: heartbeat pumps over an in-process
-// network, link faults from the network's fault injection, and the folded
-// HealthReport read through Snapshot(). SupervisorTest covers detection
-// driving recovery end to end.
+// ClusterHealthMonitor driven directly: the test ticks it (from a thread of
+// its own, or in virtual time), heartbeats cross an in-process network,
+// link faults come from the network's fault injection, and the folded
+// HealthReport is read through Snapshot() and Report(). SupervisorTest
+// covers detection driving recovery end to end.
 
 #include <atomic>
 #include <chrono>
@@ -38,16 +39,45 @@ std::vector<int32_t> Down(const ClusterHealthMonitor& monitor) {
   return monitor.Snapshot().down;
 }
 
+// Ticks the monitor from a thread every millisecond, well inside a
+// heartbeat interval, as a cluster's control loop would; counts the
+// changes of the folded report in `changes` (may be null).
+class Ticker {
+ public:
+  explicit Ticker(ClusterHealthMonitor* monitor, std::atomic<int>* changes = nullptr)
+      : thread_([this, monitor, changes]() {
+          HealthReport last;
+          while (!stop_.load(std::memory_order_acquire)) {
+            monitor->Tick(WallClock::Global().Now());
+            HealthReport report = monitor->Report();
+            if (report != last) {
+              last = std::move(report);
+              if (changes != nullptr) changes->fetch_add(1);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }) {}
+  ~Ticker() { Stop(); }
+
+  void Stop() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(HealthMonitorTest, HealthyMeshReportsNothing) {
   net::Network network;
   std::atomic<int> changes{0};
-  ClusterHealthMonitor monitor(&network, TestOptions(),
-                               [&changes](const HealthReport&) { changes.fetch_add(1); });
+  ClusterHealthMonitor monitor(&network, TestOptions());
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor, &changes);
   EXPECT_TRUE(HeldFalseFor([&monitor]() { return monitor.Snapshot() != HealthReport{}; },
                            300 * kNanosPerMilli));
-  monitor.Stop();
+  ticker.Stop();
   EXPECT_EQ(changes.load(), 0);
   EXPECT_EQ(monitor.refutation_count(), 0);
   network.Shutdown();
@@ -57,7 +87,7 @@ TEST(HealthMonitorTest, StoppedMemberGoesDownAndStaysDown) {
   net::Network network;
   ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
   monitor.StopHeartbeats(1);
   const std::vector<int32_t> expected{1};
   ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
@@ -65,7 +95,7 @@ TEST(HealthMonitorTest, StoppedMemberGoesDownAndStaysDown) {
   EXPECT_TRUE(HeldFalseFor([&]() { return Down(monitor) != expected; },
                            300 * kNanosPerMilli));
   EXPECT_TRUE(monitor.Snapshot().broken_links.empty());
-  monitor.Stop();
+  ticker.Stop();
   network.Shutdown();
 }
 
@@ -79,7 +109,7 @@ TEST(HealthMonitorTest, LateHeartbeatRefutesSuspicion) {
   options.dead_after = 5 * kNanosPerSecond;  // far away: suspicion only
   ClusterHealthMonitor monitor(&network, options, nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
 
   network.Partition(1, 0);
   ASSERT_TRUE(WaitUntil(
@@ -91,7 +121,7 @@ TEST(HealthMonitorTest, LateHeartbeatRefutesSuspicion) {
   ASSERT_TRUE(WaitUntil([&monitor]() { return monitor.refutation_count() >= 1; }, kWait));
   ASSERT_TRUE(WaitUntil([&monitor]() { return monitor.SuspectedMembers().empty(); }, kWait));
   EXPECT_EQ(monitor.Snapshot(), HealthReport{});
-  monitor.Stop();
+  ticker.Stop();
   network.Shutdown();
 }
 
@@ -99,13 +129,13 @@ TEST(HealthMonitorTest, TwoSilencedMembersAreBothDown) {
   net::Network network;
   ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
   for (int32_t m : {0, 1, 2, 3}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
   monitor.StopHeartbeats(1);
   monitor.StopHeartbeats(2);
   const std::vector<int32_t> expected{1, 2};
   ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
   EXPECT_TRUE(monitor.Snapshot().broken_links.empty());
-  monitor.Stop();
+  ticker.Stop();
   network.Shutdown();
 }
 
@@ -115,7 +145,7 @@ TEST(HealthMonitorTest, TwoWayPartitionIsABrokenLinkNotADeath) {
   net::Network network;
   ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
   const int64_t dropped_before = network.dropped_count();
   network.Partition(0, 1);
   const std::vector<std::pair<int32_t, int32_t>> expected{{0, 1}};
@@ -124,17 +154,17 @@ TEST(HealthMonitorTest, TwoWayPartitionIsABrokenLinkNotADeath) {
       kWait));
   EXPECT_TRUE(monitor.Snapshot().down.empty());
   EXPECT_GT(network.dropped_count(), dropped_before);  // heartbeats were eaten
-  monitor.Stop();
+  ticker.Stop();
   network.Shutdown();
 }
 
-// Rejoin: re-adding a member whose heartbeats stopped restarts its pump
-// with fresh links, and a second death is reported again.
+// Rejoin: re-adding a member whose heartbeats stopped resumes them with
+// fresh links, and a second death is reported again.
 TEST(HealthMonitorTest, RejoinedMemberComesBackAndCanGoDownAgain) {
   net::Network network;
   ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
   const std::vector<int32_t> expected{1};
   monitor.StopHeartbeats(1);
   ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
@@ -145,17 +175,18 @@ TEST(HealthMonitorTest, RejoinedMemberComesBackAndCanGoDownAgain) {
 
   monitor.StopHeartbeats(1);
   ASSERT_TRUE(WaitUntil([&]() { return Down(monitor) == expected; }, kWait));
-  monitor.Stop();
+  ticker.Stop();
   network.Shutdown();
 }
 
 // Snapshot() and the other accessors are polled from a thread other than
-// the monitor's while pumps stop and restart (run under the tsan preset).
+// the ticking one while heartbeats stop and resume (run under the tsan
+// preset).
 TEST(HealthMonitorTest, SnapshotCanBePolledFromAnotherThread) {
   net::Network network;
   ClusterHealthMonitor monitor(&network, TestOptions(), nullptr);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  monitor.Start();
+  Ticker ticker(&monitor);
 
   std::atomic<bool> saw_down{false};
   std::atomic<bool> stop_polling{false};
@@ -178,7 +209,46 @@ TEST(HealthMonitorTest, SnapshotCanBePolledFromAnotherThread) {
   EXPECT_TRUE(WaitUntil([&]() { return Down(monitor).empty(); }, kWait));
   stop_polling.store(true, std::memory_order_release);
   poller.join();
-  monitor.Stop();
+  ticker.Stop();
+  network.Shutdown();
+}
+
+// The loop that sends the heartbeats also judges them. In virtual time:
+// after steady ticks, one tick that comes `dead_after` late (the loop was
+// blocked, say by a restart) blames nobody for the loop's own silence, and
+// a member that really went silent is still found down afterwards.
+TEST(HealthMonitorTest, LateTickBlamesNobodyForTheLoopsSilence) {
+  ManualClock clock(kNanosPerSecond);
+  net::Network network;
+  const core::LivenessOptions options = TestOptions();
+  ClusterHealthMonitor monitor(&network, options, &clock);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  // Every tick's heartbeats land (in real time) before virtual time moves.
+  auto tick = [&]() {
+    monitor.Tick(clock.Now());
+    ASSERT_TRUE(WaitUntil(
+        [&network]() { return network.delivered_count() == network.sent_count(); }, kWait));
+  };
+  const Nanos steady = options.heartbeat_interval / 2;
+  for (int i = 0; i < 8; ++i) {
+    tick();
+    clock.Advance(steady);
+  }
+  ASSERT_EQ(monitor.Report(), HealthReport{});
+
+  clock.Advance(options.dead_after);  // the next tick comes dead_after late
+  tick();
+  EXPECT_TRUE(monitor.Report().down.empty());
+  EXPECT_TRUE(monitor.Report().suspected.empty());
+  EXPECT_EQ(monitor.Snapshot(), HealthReport{});
+
+  monitor.StopHeartbeats(1);
+  const std::vector<int32_t> expected{1};
+  for (Nanos waited = 0; waited <= options.dead_after + steady; waited += steady) {
+    clock.Advance(steady);
+    tick();
+  }
+  EXPECT_EQ(monitor.Report().down, expected);
   network.Shutdown();
 }
 
