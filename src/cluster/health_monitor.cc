@@ -108,7 +108,8 @@ ClusterHealthMonitor::ClusterHealthMonitor(net::Network* network,
                                            const Clock* clock)
     : network_(network),
       options_(options),
-      clock_(clock != nullptr ? clock : &WallClock::Global()) {}
+      clock_(clock != nullptr ? clock : &WallClock::Global()),
+      last_tick_(clock_->Now()) {}
 
 void ClusterHealthMonitor::AddMember(int32_t member) {
   jet::MutexLock lock(mutex_);
@@ -138,12 +139,23 @@ void ClusterHealthMonitor::StopHeartbeats(int32_t member) {
   if (it != beating_.end()) it->second = false;
 }
 
-Nanos ClusterHealthMonitor::Tick(Nanos now) {
+ClusterHealthMonitor::TickResult ClusterHealthMonitor::Tick(Nanos now) {
   std::vector<Link> out;
-  Nanos next_due = 0;
+  TickResult result;
   {
     jet::MutexLock lock(mutex_);
-    if (now - last_tick_ > options_.heartbeat_interval) resumed_at_ = now;
+    // The loop sent nothing while it was stalled, so the stall is no
+    // evidence against anybody: credit it to every link, never past now
+    // (nor over a heartbeat the delivery thread stores meanwhile).
+    const Nanos stall = now - last_tick_ - options_.heartbeat_interval;
+    if (stall > 0) {
+      for (auto& [key, link] : links_) {
+        Nanos heard = link.last_rx->load();
+        while (heard < now &&
+               !link.last_rx->compare_exchange_weak(heard, std::min(heard + stall, now))) {
+        }
+      }
+    }
     last_tick_ = now;
     if (now >= next_beat_) {
       for (const auto& [key, link] : links_) {
@@ -160,10 +172,10 @@ Nanos ClusterHealthMonitor::Tick(Nanos now) {
           ++refutations_;  // fresh heartbeat withdrew the suspicion
         }
       }
-      report_ = std::move(report);
+      if (report != report_) result.changed = report_ = std::move(report);
       next_fold_ = now + options_.heartbeat_interval / 2;
     }
-    next_due = std::min(next_beat_, next_fold_);
+    result.next_due = std::min(next_beat_, next_fold_);
   }
   // One batch per tick: every link's heartbeat leaves at the same time.
   for (const Link& link : out) {
@@ -173,7 +185,7 @@ Nanos ClusterHealthMonitor::Tick(Nanos now) {
       cell->store(clock->Now(), std::memory_order_release);
     });
   }
-  return next_due;
+  return result;
 }
 
 HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
@@ -183,9 +195,8 @@ HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
   auto judge = [this, now](int32_t from, int32_t to) {
     auto it = links_.find({from, to});
     if (it == links_.end()) return core::Liveness::kFresh;
-    const Nanos heard =
-        std::max(it->second.last_rx->load(std::memory_order_acquire), resumed_at_);
-    return core::JudgeHeartbeat(now - heard, options_);
+    return core::JudgeHeartbeat(
+        now - it->second.last_rx->load(std::memory_order_acquire), options_);
   };
   std::set<int32_t> down;
   for (int32_t m : ids) {
@@ -221,11 +232,6 @@ HealthReport ClusterHealthMonitor::Evaluate(Nanos now) const {
     }
   }
   return r;
-}
-
-HealthReport ClusterHealthMonitor::Report() const {
-  jet::MutexLock lock(mutex_);
-  return report_;
 }
 
 HealthReport ClusterHealthMonitor::Snapshot() const {

@@ -56,7 +56,7 @@ bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report)
 /// member's heartbeat to every *other* member over a channel tagged
 /// (member -> observer), so testkit link faults starve exactly the
 /// observations that a real partition would, and folds the per-link
-/// freshness matrix into a HealthReport (Report()).
+/// freshness matrix into a HealthReport, which it returns when it changed.
 ///
 /// This is the detection layer of the self-healing control plane: the
 /// mesh view distinguishes "process down" (stale to all peers) from "link
@@ -65,10 +65,11 @@ bool AllHealthy(const std::vector<int32_t>& members, const HealthReport& report)
 /// the `down` set; nothing is latched.
 ///
 /// The loop that sends the heartbeats also judges them, so it does not
-/// blame members for its own silence: a tick that begins more than a
+/// blame members for its own silence: when a tick begins more than a
 /// heartbeat interval after the one before it (the loop was blocked, say
-/// by a restart) marks a resumption, and no link's age counts from before
-/// the latest resumption.
+/// by a restart), every link is credited the excess, as if its last
+/// heartbeat had come that much later: staleness from before the stall
+/// survives it, so a dead member stays down and a cut link stays broken.
 class ClusterHealthMonitor {
  public:
   /// Each link's heartbeat age is judged by core::JudgeHeartbeat against
@@ -91,14 +92,15 @@ class ClusterHealthMonitor {
   /// registered — a dead process never refutes, so it stays `down`.
   void StopHeartbeats(int32_t member) JET_EXCLUDES(mutex_);
 
+  struct TickResult {
+    Nanos next_due = 0;                   ///< when the next tick is due
+    std::optional<HealthReport> changed;  ///< a fold's report, if it changed
+  };
+
   /// One tick at `now`: sends the heartbeats that are due (every
   /// `heartbeat_interval`, all members in one batch) and, every half
-  /// interval, folds the matrix into the report Report() returns. Returns
-  /// when the next tick is due. One thread ticks at a time.
-  Nanos Tick(Nanos now) JET_EXCLUDES(mutex_);
-
-  /// The report folded by the latest Tick (empty before the first fold).
-  HealthReport Report() const JET_EXCLUDES(mutex_);
+  /// interval, folds the matrix into a report. One thread ticks at a time.
+  TickResult Tick(Nanos now) JET_EXCLUDES(mutex_);
 
   /// The report as of now (recomputed on demand).
   HealthReport Snapshot() const JET_EXCLUDES(mutex_);
@@ -128,10 +130,7 @@ class ClusterHealthMonitor {
   std::map<int32_t, bool> beating_ JET_GUARDED_BY(mutex_);
   // (from, to)
   std::map<std::pair<int32_t, int32_t>, Link> links_ JET_GUARDED_BY(mutex_);
-  Nanos last_tick_ JET_GUARDED_BY(mutex_) = 0;
-  // Start of the latest tick that came more than a heartbeat interval
-  // after the one before it; no link age counts from before it.
-  Nanos resumed_at_ JET_GUARDED_BY(mutex_) = 0;
+  Nanos last_tick_ JET_GUARDED_BY(mutex_);
   Nanos next_beat_ JET_GUARDED_BY(mutex_) = 0;
   Nanos next_fold_ JET_GUARDED_BY(mutex_) = 0;
   HealthReport report_ JET_GUARDED_BY(mutex_);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -293,8 +294,13 @@ void JetCluster::Wake() {
 
 Nanos JetCluster::Tick(Nanos now) {
   Nanos due = now + kIdleTick;
-  // Heartbeats go out even while a user call holds mutex_.
-  if (monitor_ != nullptr) due = std::min(monitor_->Tick(now), now + kReconcileTick);
+  // Heartbeats go out even while a user call holds mutex_; a changed
+  // report waits for the lock.
+  if (monitor_ != nullptr) {
+    ClusterHealthMonitor::TickResult beat = monitor_->Tick(now);
+    due = std::min(beat.next_due, now + kReconcileTick);
+    if (beat.changed.has_value()) pending_report_ = std::move(beat.changed);
+  }
   if (!mutex_.try_lock()) return std::min(due, now + kLockRetry);
   due = std::min(due, TickLocked(now));
   mutex_.unlock();
@@ -302,12 +308,9 @@ Nanos JetCluster::Tick(Nanos now) {
 }
 
 Nanos JetCluster::TickLocked(Nanos now) {
-  if (monitor_ != nullptr) {
-    HealthReport report = monitor_->Report();
-    if (report != last_report_) {
-      last_report_ = report;
-      HandleHealthReport(report);
-    }
+  if (pending_report_.has_value()) {
+    last_report_ = *std::exchange(pending_report_, std::nullopt);
+    HandleHealthReport(last_report_);
   }
   Nanos due = kNeverDue;
   for (auto& job : jobs_) {

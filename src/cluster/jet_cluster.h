@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -182,6 +183,8 @@ class JetCluster {
   std::set<int32_t> evicted_ JET_GUARDED_BY(mutex_);
   // latest report acted on by the control loop
   HealthReport last_report_ JET_GUARDED_BY(mutex_);
+  // A changed report not acted on yet (control thread only).
+  std::optional<HealthReport> pending_report_;
   int32_t next_node_id_ JET_GUARDED_BY(mutex_) = 0;
   std::vector<std::unique_ptr<ClusterJob>> jobs_ JET_GUARDED_BY(mutex_);
 

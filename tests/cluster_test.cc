@@ -290,7 +290,9 @@ TEST(ClusterTest, ControlPlaneRunsOnOneLoopBesidesTheDeliveryThread) {
     const int workers = config.initial_nodes * config.threads_per_node;
     const int non_workers = CountThreads() - before - workers;
     EXPECT_LE(non_workers, 2);
-    if (!supervised) EXPECT_EQ(non_workers, 2);
+    if (!supervised) {
+      EXPECT_EQ(non_workers, 2);
+    }
 
     ASSERT_TRUE(cluster.RecoverAfterFault(nullptr).ok());
     ASSERT_EQ((*job)->attempts_started(), 2);

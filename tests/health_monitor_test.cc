@@ -1,7 +1,7 @@
 // ClusterHealthMonitor driven directly: the test ticks it (from a thread of
 // its own, or in virtual time), heartbeats cross an in-process network,
 // link faults come from the network's fault injection, and the folded
-// HealthReport is read through Snapshot() and Report(). SupervisorTest
+// HealthReport is read through Snapshot() or as Tick returns it. SupervisorTest
 // covers detection driving recovery end to end.
 
 #include <atomic>
@@ -46,13 +46,10 @@ class Ticker {
  public:
   explicit Ticker(ClusterHealthMonitor* monitor, std::atomic<int>* changes = nullptr)
       : thread_([this, monitor, changes]() {
-          HealthReport last;
           while (!stop_.load(std::memory_order_acquire)) {
-            monitor->Tick(WallClock::Global().Now());
-            HealthReport report = monitor->Report();
-            if (report != last) {
-              last = std::move(report);
-              if (changes != nullptr) changes->fetch_add(1);
+            if (monitor->Tick(WallClock::Global().Now()).changed.has_value() &&
+                changes != nullptr) {
+              changes->fetch_add(1);
             }
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
@@ -213,6 +210,33 @@ TEST(HealthMonitorTest, SnapshotCanBePolledFromAnotherThread) {
   network.Shutdown();
 }
 
+// Ticks a monitor in virtual time: each tick's heartbeats land (in real
+// time) before virtual time moves on, and `report` follows the reports
+// Tick returns.
+class VirtualTicker {
+ public:
+  VirtualTicker(ManualClock* clock, net::Network* network, ClusterHealthMonitor* monitor)
+      : clock_(clock), network_(network), monitor_(monitor) {}
+
+  // Advances virtual time by `after`, then ticks.
+  void TickAfter(Nanos after) {
+    clock_->Advance(after);
+    ClusterHealthMonitor::TickResult result = monitor_->Tick(clock_->Now());
+    if (result.changed.has_value()) report = std::move(*result.changed);
+    ASSERT_TRUE(WaitUntil(
+        [this]() { return network_->delivered_count() + network_->dropped_count() ==
+                              network_->sent_count(); },
+        kWait));
+  }
+
+  HealthReport report;
+
+ private:
+  ManualClock* clock_;
+  net::Network* network_;
+  ClusterHealthMonitor* monitor_;
+};
+
 // The loop that sends the heartbeats also judges them. In virtual time:
 // after steady ticks, one tick that comes `dead_after` late (the loop was
 // blocked, say by a restart) blames nobody for the loop's own silence, and
@@ -223,32 +247,82 @@ TEST(HealthMonitorTest, LateTickBlamesNobodyForTheLoopsSilence) {
   const core::LivenessOptions options = TestOptions();
   ClusterHealthMonitor monitor(&network, options, &clock);
   for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
-  // Every tick's heartbeats land (in real time) before virtual time moves.
-  auto tick = [&]() {
-    monitor.Tick(clock.Now());
-    ASSERT_TRUE(WaitUntil(
-        [&network]() { return network.delivered_count() == network.sent_count(); }, kWait));
-  };
+  VirtualTicker ticker(&clock, &network, &monitor);
   const Nanos steady = options.heartbeat_interval / 2;
-  for (int i = 0; i < 8; ++i) {
-    tick();
-    clock.Advance(steady);
-  }
-  ASSERT_EQ(monitor.Report(), HealthReport{});
+  for (int i = 0; i < 8; ++i) ticker.TickAfter(steady);
+  ASSERT_EQ(ticker.report, HealthReport{});
 
-  clock.Advance(options.dead_after);  // the next tick comes dead_after late
-  tick();
-  EXPECT_TRUE(monitor.Report().down.empty());
-  EXPECT_TRUE(monitor.Report().suspected.empty());
+  ticker.TickAfter(options.dead_after);  // the next tick comes dead_after late
+  EXPECT_TRUE(ticker.report.down.empty());
+  EXPECT_TRUE(ticker.report.suspected.empty());
   EXPECT_EQ(monitor.Snapshot(), HealthReport{});
 
   monitor.StopHeartbeats(1);
   const std::vector<int32_t> expected{1};
   for (Nanos waited = 0; waited <= options.dead_after + steady; waited += steady) {
-    clock.Advance(steady);
-    tick();
+    ticker.TickAfter(steady);
   }
-  EXPECT_EQ(monitor.Report().down, expected);
+  EXPECT_EQ(ticker.report.down, expected);
+  network.Shutdown();
+}
+
+// The stall is credited, not a reset: what the monitor knew before a late
+// tick survives it. A member already down stays down (a dead process never
+// refutes), and a link already broken stays broken.
+TEST(HealthMonitorTest, LateTickKeepsWhatWasKnownBeforeIt) {
+  ManualClock clock(kNanosPerSecond);
+  net::Network network;
+  const core::LivenessOptions options = TestOptions();
+  ClusterHealthMonitor monitor(&network, options, &clock);
+  for (int32_t m : {0, 1, 2, 3}) monitor.AddMember(m);
+  VirtualTicker ticker(&clock, &network, &monitor);
+  const Nanos steady = options.heartbeat_interval / 2;
+  for (int i = 0; i < 8; ++i) ticker.TickAfter(steady);
+
+  monitor.StopHeartbeats(1);
+  network.Partition(2, 3);
+  for (Nanos waited = 0; waited <= options.dead_after + steady; waited += steady) {
+    ticker.TickAfter(steady);
+  }
+  const HealthReport expected{{1}, {}, {{2, 3}}};
+  ASSERT_EQ(ticker.report, expected);
+
+  ticker.TickAfter(options.dead_after);
+  EXPECT_EQ(ticker.report, expected);
+  EXPECT_EQ(monitor.Snapshot(), expected);
+  for (int i = 0; i < 4; ++i) ticker.TickAfter(steady);
+  EXPECT_EQ(ticker.report, expected);
+  network.Shutdown();
+}
+
+// Stalls that keep coming only slow detection down, by the time they
+// credit: a member that dies while every tick is late is still found down
+// once the un-credited time since its last heartbeat passes dead_after.
+TEST(HealthMonitorTest, RecurringStallsDelayDetectionByTheCreditedTimeOnly) {
+  ManualClock clock(kNanosPerSecond);
+  net::Network network;
+  const core::LivenessOptions options = TestOptions();
+  ClusterHealthMonitor monitor(&network, options, &clock);
+  for (int32_t m : {0, 1, 2}) monitor.AddMember(m);
+  VirtualTicker ticker(&clock, &network, &monitor);
+  const Nanos steady = options.heartbeat_interval / 2;
+  for (int i = 0; i < 8; ++i) ticker.TickAfter(steady);
+
+  monitor.StopHeartbeats(1);
+  // Every tick now comes 3 intervals late, of which 2 are credited.
+  const Nanos late = 3 * options.heartbeat_interval;
+  const Nanos credit = late - options.heartbeat_interval;
+  Nanos waited = 0;
+  while (ticker.report.down.empty() && waited < 10 * kNanosPerSecond) {
+    ticker.TickAfter(late);
+    waited += late;
+  }
+  ASSERT_EQ(ticker.report.down, std::vector<int32_t>{1});
+  // Detection took dead_after plus the credited stalls, give or take the
+  // age of 1's last heartbeat and one tick's worth of ageing.
+  const Nanos credited = waited / late * credit;
+  EXPECT_GE(waited - credited, options.dead_after);
+  EXPECT_LE(waited - credited, options.dead_after + 2 * options.heartbeat_interval);
   network.Shutdown();
 }
 
