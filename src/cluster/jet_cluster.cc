@@ -14,8 +14,8 @@ namespace jet::cluster {
 namespace {
 
 // The control loop's cadences: restart policies are reconciled every
-// kReconcileTick while supervised; a tick that found mutex_ held retries
-// after kLockRetry; an idle loop ticks at least every kIdleTick.
+// kReconcileTick; a tick that found mutex_ held retries after kLockRetry;
+// an idle loop ticks at least every kIdleTick.
 constexpr Nanos kReconcileTick = 2 * kNanosPerMilli;
 constexpr Nanos kLockRetry = kNanosPerMilli;
 constexpr Nanos kIdleTick = 100 * kNanosPerMilli;
@@ -36,17 +36,14 @@ obs::MetricTags JobTags(imdg::JobId job_id) {
 JetCluster::JetCluster(ClusterConfig config)
     : config_(config),
       grid_(config.backup_count),
-      store_(&grid_) {
+      store_(&grid_),
+      monitor_(&network_, config.supervisor.liveness, &clock_) {
   for (int32_t i = 0; i < config_.initial_nodes; ++i) {
     int32_t id = next_node_id_++;
     auto added = grid_.AddMember(id);
     JET_CHECK(added.ok()) << added.status().ToString();
     alive_nodes_.push_back(id);
-  }
-  if (config_.supervisor.enabled) {
-    monitor_ = std::make_unique<ClusterHealthMonitor>(
-        &network_, config_.supervisor.liveness, &clock_);
-    for (int32_t id : alive_nodes_) monitor_->AddMember(id);
+    monitor_.AddMember(id);
   }
   control_ = std::thread([this]() { ControlLoop(); });
 }
@@ -73,9 +70,9 @@ JetCluster::~JetCluster() {
 Result<ClusterJob*> JetCluster::SubmitJob(const core::Dag* dag, core::JobConfig config,
                                           imdg::JobId job_id) {
   JET_RETURN_IF_ERROR(dag->Validate());
-  // Supervised jobs get the snapshot watchdog by default: an unbounded ack
-  // wait would otherwise hang the epoch when a participant dies.
-  if (config_.supervisor.enabled && config.snapshot_ack_timeout == 0) {
+  // Jobs get the snapshot watchdog by default: an unbounded ack wait would
+  // otherwise hang the epoch when a participant dies.
+  if (config.snapshot_ack_timeout == 0) {
     config.snapshot_ack_timeout = config_.supervisor.snapshot_ack_timeout;
   }
   jet::MutexLock lock(mutex_);
@@ -97,7 +94,7 @@ Status JetCluster::KillNode(int32_t node_id) {
   // Fail-stop the member's workers immediately (its in-memory replicas and
   // execution state are gone).
   ForEachService(node_id, [](core::ExecutionService* s) { s->Cancel(); });
-  if (monitor_ != nullptr) monitor_->StopHeartbeats(node_id);
+  monitor_.StopHeartbeats(node_id);
   // The failure detector needs time to declare the member dead before the
   // cluster reacts (heartbeat timeout).
   if (config_.failure_detection_delay > 0) {
@@ -106,19 +103,16 @@ Status JetCluster::KillNode(int32_t node_id) {
   }
   // Promote backup replicas of the lost partitions (§4.2, Fig. 6).
   JET_RETURN_IF_ERROR(grid_.RemoveMember(node_id));
-  // Restart affected jobs from their last committed snapshot (§4.4).
+  // The control loop restarts affected jobs from their last committed
+  // snapshot (§4.4) once their backoff has passed.
+  const Nanos now = clock_.Now();
   for (auto& job : jobs_) {
-    Status s = job->RestartOnMembershipChange();
-    if (!s.ok()) return s;
+    if (job->StopForRecovery()) ChargeFailure(job.get(), now, "member failure");
   }
   return Status::OK();
 }
 
 Status JetCluster::CrashNode(int32_t node_id) {
-  if (!config_.supervisor.enabled) {
-    return FailedPreconditionError(
-        "CrashNode requires ClusterConfig::supervisor.enabled");
-  }
   jet::MutexLock lock(mutex_);
   if (std::find(alive_nodes_.begin(), alive_nodes_.end(), node_id) ==
       alive_nodes_.end()) {
@@ -128,22 +122,7 @@ Status JetCluster::CrashNode(int32_t node_id) {
   // all. Eviction, backup promotion and job restarts are the control
   // plane's problem, driven by heartbeat staleness like a real death.
   ForEachService(node_id, [](core::ExecutionService* s) { s->Cancel(); });
-  monitor_->StopHeartbeats(node_id);
-  return Status::OK();
-}
-
-Status JetCluster::RecoverAfterFault(const std::function<void()>& heal) {
-  jet::MutexLock lock(mutex_);
-  // Stop unfinished attempts while the links are still faulty so no late
-  // message can sneak a lossy attempt to "completion".
-  std::vector<ClusterJob*> stopped;
-  for (auto& job : jobs_) {
-    if (job->StopForRecovery()) stopped.push_back(job.get());
-  }
-  if (heal) heal();
-  for (ClusterJob* job : stopped) {
-    JET_RETURN_IF_ERROR(job->RestartFromLastSnapshot());
-  }
+  monitor_.StopHeartbeats(node_id);
   return Status::OK();
 }
 
@@ -177,19 +156,12 @@ Result<int32_t> JetCluster::AddNode() {
   auto migrated = grid_.AddMember(id);
   if (!migrated.ok()) return migrated.status();
   alive_nodes_.push_back(id);
-  if (monitor_ != nullptr) monitor_->AddMember(id);
-  if (config_.supervisor.enabled) {
-    // Under supervision the scale-out restart routes through the control
-    // plane as a free (uncharged) restart, launched once the membership is
-    // healthy. The control loop's tick picks it up.
-    Nanos now = clock_.Now();
-    for (auto& job : jobs_) {
-      if (job->StopForRecovery()) job->supervisor()->OnFreeRestart(now);
-    }
-  } else {
-    for (auto& job : jobs_) {
-      JET_RETURN_IF_ERROR(job->RestartOnMembershipChange());
-    }
+  monitor_.AddMember(id);
+  // The scale-out restart is free (uncharged), launched by the control
+  // loop once the membership is healthy.
+  const Nanos now = clock_.Now();
+  for (auto& job : jobs_) {
+    if (job->StopForRecovery()) job->supervisor()->OnFreeRestart(now);
   }
   return id;
 }
@@ -221,12 +193,10 @@ JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
     }
     add("cluster.alive_members", obs::MetricKind::kGauge,
         static_cast<int64_t>(alive_nodes_.size()));
-    if (monitor_ != nullptr) {
-      add("cluster.suspected_members", obs::MetricKind::kGauge,
-          static_cast<int64_t>(monitor_->SuspectedMembers().size()));
-      add("cluster.has_quorum", obs::MetricKind::kGauge,
-          QuorumSubset(alive_nodes_, last_report_).has_value() ? 1 : 0);
-    }
+    add("cluster.suspected_members", obs::MetricKind::kGauge,
+        static_cast<int64_t>(monitor_.SuspectedMembers().size()));
+    add("cluster.has_quorum", obs::MetricKind::kGauge,
+        QuorumSubset(alive_nodes_, last_report_).has_value() ? 1 : 0);
   }
   imdg::GridStats gs = grid_.stats();
   add("imdg.partition_count", obs::MetricKind::kGauge, grid_.partition_count());
@@ -264,7 +234,7 @@ JetCluster::Diagnostics JetCluster::DiagnosticsDump() const {
 }
 
 // ---------------------------------------------------------------------------
-// The control loop, and the self-healing control plane it runs when supervised
+// The control loop, and the self-healing control plane it runs
 // ---------------------------------------------------------------------------
 
 void JetCluster::ControlLoop() {
@@ -293,14 +263,11 @@ void JetCluster::Wake() {
 }
 
 Nanos JetCluster::Tick(Nanos now) {
-  Nanos due = now + kIdleTick;
   // Heartbeats go out even while a user call holds mutex_; a changed
   // report waits for the lock.
-  if (monitor_ != nullptr) {
-    ClusterHealthMonitor::TickResult beat = monitor_->Tick(now);
-    due = std::min(beat.next_due, now + kReconcileTick);
-    if (beat.changed.has_value()) pending_report_ = std::move(beat.changed);
-  }
+  ClusterHealthMonitor::TickResult beat = monitor_.Tick(now);
+  Nanos due = std::min(beat.next_due, now + kReconcileTick);
+  if (beat.changed.has_value()) pending_report_ = std::move(beat.changed);
   if (!mutex_.try_lock()) return std::min(due, now + kLockRetry);
   due = std::min(due, TickLocked(now));
   mutex_.unlock();
@@ -316,13 +283,14 @@ Nanos JetCluster::TickLocked(Nanos now) {
   for (auto& job : jobs_) {
     const core::SnapshotStep step = job->StepSnapshot(now);
     due = std::min(due, step.next_due);
-    // A stuck or dead participant: supervised, the attempt is charged one
-    // failure-class restart; the next epoch re-arms on schedule either way.
-    if (step.watchdog_aborted && monitor_ != nullptr && job->StopForRecovery()) {
-      ChargeFailure(job.get(), now, "snapshot watchdog timeouts");
-    }
+    // A stuck or dead participant, or a link that lost a frame: the
+    // attempt is charged one failure-class restart.
+    const char* what = step.watchdog_aborted ? "snapshot watchdog timeouts"
+                       : job->AttemptBroken() ? "a lost exchange frame"
+                                              : nullptr;
+    if (what != nullptr && job->StopForRecovery()) ChargeFailure(job.get(), now, what);
   }
-  if (monitor_ != nullptr) ReconcileJobs(clock_.Now());
+  ReconcileJobs(clock_.Now());
   return due;
 }
 
@@ -438,6 +406,8 @@ void JetCluster::ChargeFailure(ClusterJob* job, Nanos now, const char* what) {
 
 void JetCluster::ReconcileJobs(Nanos now) {
   for (auto& job : jobs_) {
+    // A cancelled job is never restarted.
+    if (job->job_cancelled_.load(std::memory_order_acquire)) continue;
     core::RestartPolicy* policy = job->supervisor();
     if (policy->state() == core::JobState::kRunning) {
       jet::MutexLock job_lock(job->job_mutex_);
@@ -459,7 +429,7 @@ void JetCluster::ReconcileJobs(Nanos now) {
     if (st.ok()) {
       policy->OnRestartLaunched(now);
     } else {
-      JET_LOG(kError) << "supervised restart failed: " << st.ToString();
+      JET_LOG(kError) << "restart failed: " << st.ToString();
       job->FailTerminally(st);
     }
   }
@@ -474,12 +444,9 @@ ClusterJob::ClusterJob(JetCluster* cluster, const core::Dag* dag,
     : cluster_(cluster), dag_(dag), config_(config), job_id_(job_id),
       snapshots_(&cluster->store_, job_id, config.snapshot_interval,
                  config.snapshot_ack_timeout),
-      supervisor_metrics_(JobTags(job_id)) {
-  if (cluster_->config_.supervisor.enabled) {
-    supervisor_ = std::make_unique<core::RestartPolicy>(
-        cluster_->config_.supervisor.restart, job_id_, cluster_->clock_.Now());
-    supervisor_->BindMetrics(&supervisor_metrics_);
-  }
+      supervisor_metrics_(JobTags(job_id)),
+      supervisor_(cluster->config_.supervisor.restart, job_id, cluster->clock_.Now()) {
+  supervisor_.BindMetrics(&supervisor_metrics_);
 }
 
 ClusterJob::~ClusterJob() {
@@ -494,9 +461,13 @@ bool ClusterJob::Attempt::AllComplete() const {
   return true;
 }
 
-void ClusterJob::Attempt::StopAll() {
+void ClusterJob::Attempt::Cancel() {
   cancelled.store(true, std::memory_order_release);
   for (auto& m : members) m->service()->Cancel();
+}
+
+void ClusterJob::Attempt::StopAll() {
+  Cancel();
   for (auto& m : members) (void)m->service()->AwaitCompletion();
 }
 
@@ -566,6 +537,8 @@ Status ClusterJob::StartAttempt(std::vector<int32_t> nodes, int64_t restore_snap
     snapshots_.StartAttempt(std::max<int64_t>(restore_snapshot, 0) + 1,
                             cluster_->clock_.Now());
     attempt_ = std::move(attempt);
+    // A Cancel() that ran while this attempt was built found none to cancel.
+    if (job_cancelled_.load(std::memory_order_acquire)) attempt_->Cancel();
   }
   cluster_->Wake();
   return Status::OK();
@@ -626,6 +599,11 @@ bool ClusterJob::StopForRecovery() {
   return true;
 }
 
+bool ClusterJob::AttemptBroken() const {
+  jet::MutexLock lock(job_mutex_);
+  return attempt_ != nullptr && attempt_->exchange->broken();
+}
+
 Status ClusterJob::RestartFromLastSnapshot() {
   int64_t restore = -1;
   if (config_.guarantee != core::ProcessingGuarantee::kNone) {
@@ -637,17 +615,12 @@ Status ClusterJob::RestartFromLastSnapshot() {
   return StartAttempt(cluster_->alive_nodes_, restore);
 }
 
-Status ClusterJob::RestartOnMembershipChange() {
-  if (!StopForRecovery()) return Status::OK();
-  return RestartFromLastSnapshot();
-}
-
 void ClusterJob::FailTerminally(Status error) {
   if (failed_.load(std::memory_order_acquire)) return;
   StopCurrentAttempt();
   first_error_ = std::move(error);
   failed_.store(true, std::memory_order_release);
-  if (supervisor_ != nullptr) supervisor_->OnFailed();
+  supervisor_.OnFailed();
 }
 
 std::vector<obs::MetricSnapshot> ClusterJob::MetricSnapshots() const {
@@ -711,10 +684,7 @@ Status ClusterJob::Join() {
 void ClusterJob::Cancel() {
   job_cancelled_.store(true, std::memory_order_release);
   jet::MutexLock lock(job_mutex_);
-  if (attempt_ != nullptr) {
-    attempt_->cancelled.store(true, std::memory_order_release);
-    for (auto& m : attempt_->members) m->service()->Cancel();
-  }
+  if (attempt_ != nullptr) attempt_->Cancel();
 }
 
 }  // namespace jet::cluster

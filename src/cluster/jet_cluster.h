@@ -25,16 +25,14 @@
 
 namespace jet::cluster {
 
-/// Knobs of the self-healing control plane. Disabled by default so scripted
-/// (test-driven) recovery keeps working unchanged.
+/// Knobs of the self-healing control plane, which every cluster runs.
 struct SupervisorOptions {
-  bool enabled = false;
   /// ClusterHealthMonitor thresholds.
   core::LivenessOptions liveness;
   /// Per-job restart policy.
   core::RestartOptions restart;
-  /// Default JobConfig::snapshot_ack_timeout applied to supervised jobs
-  /// that did not set one.
+  /// Default JobConfig::snapshot_ack_timeout applied to jobs that did not
+  /// set one.
   Nanos snapshot_ack_timeout = 250 * kNanosPerMilli;
 };
 
@@ -50,11 +48,10 @@ struct ClusterConfig {
   /// heartbeat failure-detector timeout; Hazelcast's default is several
   /// seconds). Applied inside KillNode before backup promotion.
   Nanos failure_detection_delay = 0;
-  /// Self-healing control plane (§4.4's autonomous recovery): when
-  /// enabled, a mesh heartbeat monitor detects member death and link
-  /// partitions, and per-job restart policies restart jobs from the last
-  /// committed snapshot with backoff + retry budget — no test-driven
-  /// KillNode/RecoverAfterFault calls needed. See CrashNode.
+  /// Self-healing control plane (§4.4's autonomous recovery): a mesh
+  /// heartbeat monitor detects member death and link partitions, and
+  /// per-job restart policies restart jobs from the last committed
+  /// snapshot with backoff and a retry budget. See CrashNode.
   SupervisorOptions supervisor;
 };
 
@@ -68,14 +65,15 @@ class ClusterJob;
 /// grid, so the distributed protocols (§3.3, §4) execute for real.
 ///
 /// Besides the members' workers and the network's delivery thread, the
-/// cluster runs one control loop, started by the constructor, supervised
-/// or not. Each tick it sends the due heartbeats and folds the health
-/// report (supervised), steps every job's current attempt through one
-/// snapshot step, and — supervised — acts on a changed report, charges
-/// watchdog aborts and reconciles the jobs' restart policies. It never
-/// waits on the membership lock a user call holds (KillNode holds it
-/// across `failure_detection_delay`): it skips that part of the tick and
-/// comes back to it.
+/// cluster runs one control loop, started by the constructor. Each tick it
+/// sends the due heartbeats and folds the health report, steps every job's
+/// current attempt through one snapshot step, acts on a changed report,
+/// charges a failure to each job whose attempt lost a frame or had an
+/// epoch aborted by the watchdog, and reconciles the jobs' restart
+/// policies: every restart is launched there, once the membership is
+/// healthy. It never waits on the membership lock a user call holds
+/// (KillNode holds it across `failure_detection_delay`): it skips that
+/// part of the tick and comes back to it.
 class JetCluster {
  public:
   explicit JetCluster(ClusterConfig config);
@@ -89,32 +87,22 @@ class JetCluster {
   Result<ClusterJob*> SubmitJob(const core::Dag* dag, core::JobConfig config,
                                 imdg::JobId job_id);
 
-  /// Fail-stops a member: its worker threads halt, the grid promotes the
-  /// backups of its partitions (§4.2, Fig. 6), and every running job
-  /// restarts from its last committed snapshot on the surviving members
-  /// (§4.4).
+  /// Fail-stops a member and evicts it at once: its worker threads halt,
+  /// the grid promotes the backups of its partitions (§4.2, Fig. 6), and
+  /// every running job is stopped and charged one failure; the control
+  /// loop restarts it from its last committed snapshot on the surviving
+  /// members (§4.4).
   Status KillNode(int32_t node_id);
 
-  /// Fail-stops a member *without* telling the cluster (supervisor mode
-  /// only): its worker threads halt and its heartbeats cease, but no
-  /// membership change happens here — the health monitor must detect the
-  /// death and the control plane must evict and recover on its own. This
-  /// is the unattended counterpart of KillNode.
+  /// Fail-stops a member *without* telling the cluster: its worker threads
+  /// halt and its heartbeats cease, but no membership change happens here
+  /// — the health monitor must detect the death and the control plane must
+  /// evict and recover on its own.
   Status CrashNode(int32_t node_id);
 
   /// Adds a member: the grid rebalances partitions onto it (§4.3) and
-  /// running jobs restart, rescaled to include it.
+  /// running jobs restart, free of charge, rescaled to include it.
   Result<int32_t> AddNode();
-
-  /// Recovers running jobs after a network fault (testkit): stops every
-  /// unfinished job's attempt *first*, then runs `heal` (typically
-  /// Network::Heal / HealAll), then restarts the stopped jobs from their
-  /// last committed snapshot. Ordering matters: while links are faulty no
-  /// snapshot spanning them can commit, so the restore point predates the
-  /// fault — but a done-marker or barrier that slipped through right after
-  /// healing could complete or checkpoint an attempt that lost messages.
-  /// Stopping before healing closes that window.
-  Status RecoverAfterFault(const std::function<void()>& heal);
 
   /// Freezes the worker threads of `node_id` across all running jobs for
   /// `duration` (GC-pause injection; see ExecutionService::InjectStall).
@@ -139,8 +127,8 @@ class JetCluster {
   imdg::SnapshotStore& snapshot_store() { return store_; }
   net::Network& network() { return network_; }
   const ClusterConfig& config() const { return config_; }
-  /// Health monitor, or nullptr when the supervisor is disabled.
-  ClusterHealthMonitor* health_monitor() { return monitor_.get(); }
+  /// The heartbeat mesh the control loop ticks.
+  ClusterHealthMonitor* health_monitor() { return &monitor_; }
 
  private:
   friend class ClusterJob;
@@ -188,8 +176,8 @@ class JetCluster {
   int32_t next_node_id_ JET_GUARDED_BY(mutex_) = 0;
   std::vector<std::unique_ptr<ClusterJob>> jobs_ JET_GUARDED_BY(mutex_);
 
-  // Heartbeat mesh, ticked by the control loop (null when unsupervised).
-  std::unique_ptr<ClusterHealthMonitor> monitor_;
+  // Heartbeat mesh, ticked by the control loop.
+  ClusterHealthMonitor monitor_;
   // The control loop waits on loop_cv_ until its next tick is due, a
   // Wake() or the stop.
   std::thread control_;
@@ -200,9 +188,9 @@ class JetCluster {
 };
 
 /// A job running on a JetCluster. A job execution is a sequence of
-/// *attempts*; node failure or scale-out cancels the current attempt and
-/// starts a new one restored from the last committed snapshot, exactly the
-/// §4.4 recovery protocol.
+/// *attempts*; node failure, a lost frame or scale-out cancels the current
+/// attempt, and the control loop starts a new one restored from the last
+/// committed snapshot, exactly the §4.4 recovery protocol.
 class ClusterJob {
  public:
   ~ClusterJob();
@@ -230,12 +218,11 @@ class ClusterJob {
 
   /// Concatenated registry snapshots of every member of the current (or
   /// last completed) attempt, plus the restart policy's job-lifecycle
-  /// metrics when supervised. Safe from any thread.
+  /// metrics. Safe from any thread.
   std::vector<obs::MetricSnapshot> MetricSnapshots() const;
 
-  /// Restart policy; set exactly when the cluster is supervised, so the
-  /// control loop's handlers never see nullptr.
-  core::RestartPolicy* supervisor() const { return supervisor_.get(); }
+  /// Restart policy, driven by the cluster's control loop.
+  core::RestartPolicy* supervisor() { return &supervisor_; }
 
   /// Snapshots aborted (watchdog or failed commit), across attempts.
   int64_t snapshots_aborted() const { return snapshots_.aborted(); }
@@ -270,6 +257,8 @@ class ClusterJob {
     core::SnapshotParticipants participants;
 
     bool AllComplete() const;
+    // Cancels every member's service; StopAll also waits for them.
+    void Cancel();
     void StopAll();
   };
 
@@ -304,12 +293,13 @@ class ClusterJob {
   // needs a restart). Caller holds cluster mutex.
   bool StopForRecovery();
 
+  // True when the current attempt's exchange dropped a frame (see
+  // net::ExchangeRegistry::broken).
+  bool AttemptBroken() const JET_EXCLUDES(job_mutex_);
+
   // Starts a fresh attempt on the cluster's alive nodes, restored from the
   // last committed snapshot (if any). Caller holds cluster mutex.
   Status RestartFromLastSnapshot();
-
-  // Reacts to a membership change. Caller holds cluster mutex.
-  Status RestartOnMembershipChange();
 
   // Terminal failure: stops the attempt, records the error, releases
   // Join(). Caller holds cluster mutex.
@@ -339,10 +329,10 @@ class ClusterJob {
   // Ownership transfers folded in from stopped attempts (the live
   // attempt's registry is added on read).
   std::atomic<int64_t> ownership_transfers_base_{0};
-  // Supervised only. Driven by the control loop; its metrics live in
-  // their own registry so they survive attempt churn.
-  std::unique_ptr<core::RestartPolicy> supervisor_;
+  // Driven by the control loop; its metrics live in their own registry so
+  // they survive attempt churn.
   obs::MetricsRegistry supervisor_metrics_;
+  core::RestartPolicy supervisor_;
   Status first_error_;
 };
 

@@ -34,7 +34,7 @@ inline Liveness JudgeHeartbeat(Nanos age, const LivenessOptions& options) {
   return Liveness::kFresh;
 }
 
-/// Lifecycle state of a supervised job (§4.4's autonomous recovery story):
+/// Lifecycle state of a job (§4.4's autonomous recovery story):
 ///
 ///                 failure (budget left)
 ///   RUNNING ───────────────────────────▶ RESTARTING ──▶ RUNNING
@@ -68,7 +68,7 @@ struct RestartOptions {
 };
 
 /// The member-loss half of §4.4: a job's restart state machine under a
-/// retry budget, shared by cluster::JetCluster (one per supervised job) and
+/// retry budget, shared by cluster::JetCluster (one per job) and
 /// procmode::ProcessCluster (its one job). The runtime feeds incidents in
 /// and launches a restart when RestartDue(now); what a launch is stays the
 /// runtime's business (a new attempt in-process, a re-fork in procmode).

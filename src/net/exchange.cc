@@ -11,24 +11,32 @@ namespace {
 /// With ExchangeOptions::serialize_frames the frame is encoded on the
 /// sending side and decoded inside the delivery closure — the in-process
 /// execution then pays the exact byte-level cost of the socket path.
+///
+/// A frame the bus drops resets the link, like a TCP connection reset: it
+/// carries nothing more in either direction, and it marks its registry
+/// broken. Nothing crosses the gap, so no later barrier, watermark or done
+/// marker can commit, close a window over or complete what the lost frame
+/// carried; the owner of the execution must restart it.
 class InProcessFrameLink final : public FrameLink {
  public:
   InProcessFrameLink(Network* network, const ExchangeChannel& channel, bool serialize,
-                     FrameHeader header)
+                     FrameHeader header, std::shared_ptr<std::atomic<bool>> broken)
       : network_(network),
         wire_(channel.wire),
         flow_(channel.flow),
         data_channel_(channel.data_channel),
         ack_channel_(channel.ack_channel),
         serialize_(serialize),
-        header_(header) {}
+        header_(header),
+        broken_(std::move(broken)) {}
 
   void SendData(std::vector<core::Item>&& frame) override {
+    if (reset_.load(std::memory_order_acquire)) return;
     if (serialize_) {
       BytesWriter w;
       Status s = EncodeDataFrame(header_, frame, &w);
       if (s.ok()) {
-        network_->Send(data_channel_, [wire = wire_, bytes = w.Take()]() {
+        Ship(data_channel_, [wire = wire_, bytes = w.Take()]() {
           auto decoded = DecodeFrame(bytes);
           JET_DCHECK(decoded.ok());
           if (decoded.ok()) wire->Push(std::move(decoded->items));
@@ -38,25 +46,32 @@ class InProcessFrameLink final : public FrameLink {
       // A payload type without a codec (local-only test jobs): ship the
       // in-memory frame instead — correctness over measured cost.
     }
-    network_->Send(data_channel_,
-                   [wire = wire_, b = std::move(frame)]() mutable { wire->Push(std::move(b)); });
+    Ship(data_channel_,
+         [wire = wire_, b = std::move(frame)]() mutable { wire->Push(std::move(b)); });
   }
 
   void SendAck(int64_t new_limit) override {
+    if (reset_.load(std::memory_order_acquire)) return;
     if (serialize_) {
       BytesWriter w;
       JET_DCHECK_OK(EncodeAckFrame(header_, new_limit, &w));
-      network_->Send(ack_channel_, [flow = flow_, bytes = w.Take()]() {
+      Ship(ack_channel_, [flow = flow_, bytes = w.Take()]() {
         auto decoded = DecodeFrame(bytes);
         JET_DCHECK(decoded.ok());
         if (decoded.ok()) flow->OnAck(decoded->ack_limit);
       });
       return;
     }
-    network_->Send(ack_channel_, [flow = flow_, new_limit]() { flow->OnAck(new_limit); });
+    Ship(ack_channel_, [flow = flow_, new_limit]() { flow->OnAck(new_limit); });
   }
 
  private:
+  void Ship(ChannelId channel, std::function<void()> deliver) {
+    if (network_->Send(channel, std::move(deliver))) return;
+    reset_.store(true, std::memory_order_release);
+    broken_->store(true, std::memory_order_release);
+  }
+
   Network* network_;
   std::shared_ptr<WireBuffer> wire_;
   std::shared_ptr<SenderFlowState> flow_;
@@ -64,6 +79,10 @@ class InProcessFrameLink final : public FrameLink {
   ChannelId ack_channel_;
   bool serialize_;
   FrameHeader header_;
+  // The sender tasklet ships data, the receiver tasklet acks: either may
+  // reset the link.
+  std::atomic<bool> reset_{false};
+  std::shared_ptr<std::atomic<bool>> broken_;
 };
 
 }  // namespace
@@ -96,7 +115,7 @@ std::shared_ptr<FrameLink> ExchangeRegistry::MakeLink(const ExchangeChannel& cha
   header.to_node = to_node;
   header.epoch = options_.epoch;
   return std::make_shared<InProcessFrameLink>(network_, channel, options_.serialize_frames,
-                                              header);
+                                              header, broken_);
 }
 
 int32_t ExchangeRegistry::PhysicalIdOf(int32_t plan_node) const {

@@ -1,6 +1,7 @@
 #ifndef JETSIM_NET_EXCHANGE_H_
 #define JETSIM_NET_EXCHANGE_H_
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -158,6 +159,11 @@ class ExchangeRegistry {
 
   Network* network() const { return network_; }
 
+  /// True once the bus dropped a frame of one of this execution's
+  /// in-process links. That link carries nothing more, so the execution
+  /// can neither commit nor complete past the loss: its owner restarts it.
+  bool broken() const { return broken_->load(std::memory_order_acquire); }
+
  protected:
   /// Builds the transport for a freshly created channel. Called with the
   /// registry mutex held — implementations must not re-enter GetOrCreate.
@@ -174,6 +180,8 @@ class ExchangeRegistry {
   Network* network_;
   std::vector<int32_t> physical_node_ids_;
   ExchangeOptions options_;
+  // Shared with the in-process links, which set it when a frame drops.
+  std::shared_ptr<std::atomic<bool>> broken_ = std::make_shared<std::atomic<bool>>(false);
   jet::Mutex mutex_;
   std::map<std::tuple<int32_t, int32_t, int32_t>, std::shared_ptr<ExchangeChannel>>
       channels_ JET_GUARDED_BY(mutex_);

@@ -27,19 +27,19 @@ const FaultPlan* Network::FaultFor(ChannelId channel) const {
   return it != faults_.end() ? &it->second : nullptr;
 }
 
-void Network::Send(ChannelId channel, std::function<void()> deliver) {
+bool Network::Send(ChannelId channel, std::function<void()> deliver) {
   jet::MutexLock lock(mutex_);
   ++sent_;
   if (shutdown_) {
     ++dropped_;
-    return;
+    return false;
   }
   Nanos extra = 0;
   if (const FaultPlan* fault = FaultFor(channel); fault != nullptr) {
     if (fault->blocked ||
         (fault->drop_probability > 0.0 && rng_.NextDouble() < fault->drop_probability)) {
       ++dropped_;
-      return;
+      return false;
     }
     extra = fault->extra_latency;
     if (fault->spike_probability > 0.0 && fault->spike_latency > 0 &&
@@ -56,6 +56,7 @@ void Network::Send(ChannelId channel, std::function<void()> deliver) {
   }
   queue_.push(Delivery{due, next_seq_++, std::move(deliver)});
   cv_.NotifyOne();
+  return true;
 }
 
 void Network::Shutdown() {

@@ -93,10 +93,12 @@ class Network {
 
   /// Schedules `deliver` to run after the sampled link latency, in FIFO
   /// order with previous sends on `channel`. Subject to any fault installed
-  /// on the channel's (from, to) link. Called from exchange processors on
+  /// on the channel's (from, to) link. Returns false exactly when the
+  /// message is dropped here (counted in `dropped_count()`): by a fault or
+  /// because the network is shut down. Called from exchange processors on
   /// cooperative workers; the critical section is a bounded enqueue (the
   /// holder never waits), an audited JET_COOPERATIVE boundary.
-  void Send(ChannelId channel, std::function<void()> deliver) JET_COOPERATIVE;
+  bool Send(ChannelId channel, std::function<void()> deliver) JET_COOPERATIVE;
 
   /// Stops the delivery thread; undelivered messages are dropped and
   /// counted in `dropped_count()` (used to model node/network failure at

@@ -182,8 +182,8 @@ std::vector<ChaosEvent> GenerateTimeline(uint64_t seed,
 // ---------------------------------------------------------------------------
 
 ChaosScheduler::ChaosScheduler(cluster::JetCluster* cluster,
-                               std::vector<ChaosEvent> timeline, bool unattended)
-    : cluster_(cluster), timeline_(std::move(timeline)), unattended_(unattended) {
+                               std::vector<ChaosEvent> timeline)
+    : cluster_(cluster), timeline_(std::move(timeline)) {
   std::stable_sort(timeline_.begin(), timeline_.end(),
                    [](const ChaosEvent& x, const ChaosEvent& y) { return x.at < y.at; });
 }
@@ -192,16 +192,12 @@ Status ChaosScheduler::Apply(const ChaosEvent& event) {
   net::Network& network = cluster_->network();
   switch (event.type) {
     case ChaosEventType::kKillNode: {
-      // Unattended: fail-stop only; eviction and restart are the control
-      // plane's job. Scripted: KillNode does the whole recovery inline.
-      if (unattended_) {
-        Status s = cluster_->CrashNode(event.a);
-        // The control plane may have transiently evicted the target (e.g.
-        // a partition minority); crashing an already-gone member is moot.
-        if (s.code() == StatusCode::kNotFound) return Status::OK();
-        return s;
-      }
-      return cluster_->KillNode(event.a);
+      // Fail-stop only; eviction and restart are the control plane's job.
+      Status s = cluster_->CrashNode(event.a);
+      // The control plane may have transiently evicted the target (e.g. a
+      // partition minority); crashing an already-gone member is moot.
+      if (s.code() == StatusCode::kNotFound) return Status::OK();
+      return s;
     }
     case ChaosEventType::kAddNode: {
       auto added = cluster_->AddNode();
@@ -216,16 +212,12 @@ Status ChaosScheduler::Apply(const ChaosEvent& event) {
       network.Partition(event.a, event.b);
       return Status::OK();
     case ChaosEventType::kHeal:
-      // Unattended: just unblock the link; the health monitor notices the
-      // heal and the supervisor resumes or restarts on its own. Scripted:
-      // stop-heal-restart (see JetCluster::RecoverAfterFault for why the
-      // attempt must stop before the link comes back).
-      if (unattended_) {
-        network.Heal(event.a, event.b);
-        return Status::OK();
-      }
-      return cluster_->RecoverAfterFault(
-          [&network, &event]() { network.Heal(event.a, event.b); });
+      // The health monitor notices the heal and the control plane resumes
+      // or restarts jobs on its own. An attempt that lost a frame to the
+      // partition was already failed by its exchange, so nothing it missed
+      // can commit once the link is back.
+      network.Heal(event.a, event.b);
+      return Status::OK();
     case ChaosEventType::kClearLink:
       // Delay spikes lose no messages, so no recovery is needed — but never
       // clear a pair that is (unexpectedly) partitioned.
@@ -243,7 +235,7 @@ Status ChaosScheduler::Apply(const ChaosEvent& event) {
     }
     case ChaosEventType::kStallWorker: {
       Status s = cluster_->StallNode(event.a, event.duration);
-      if (unattended_ && s.code() == StatusCode::kNotFound) return Status::OK();
+      if (s.code() == StatusCode::kNotFound) return Status::OK();
       return s;
     }
   }

@@ -25,7 +25,7 @@ enum class ChaosEventType {
   kKillNode,     // fail-stop member `a`
   kAddNode,      // join a fresh member
   kPartition,    // block both directions between `a` and `b`
-  kHeal,         // unblock (a, b) and restart jobs from the last snapshot
+  kHeal,         // unblock (a, b)
   kDelaySpike,   // add `latency` to both directions of (a, b)
   kClearLink,    // remove the delay spike on (a, b)
   kStallWorker,  // freeze member `a`'s workers for `duration` (GC pause)
@@ -70,19 +70,13 @@ std::vector<ChaosEvent> GenerateTimeline(uint64_t seed, const ChaosTimelineOptio
 std::string TimelineToString(const std::vector<ChaosEvent>& timeline);
 
 /// Executes a timeline against a live cluster. Each event is applied at
-/// its wall-clock offset from Run()'s start. Heals go through
-/// JetCluster::RecoverAfterFault so stalled jobs restart from their last
-/// committed snapshot once the link is back.
+/// its wall-clock offset from Run()'s start. The scheduler only injects
+/// faults: a kill is JetCluster::CrashNode (no membership change — the
+/// control plane must detect the death itself) and a heal is
+/// Network::Heal (the control plane must resume or restart jobs itself).
 class ChaosScheduler {
  public:
-  /// `unattended` switches the scheduler from scripted recovery to pure
-  /// fault injection against a supervised cluster: kills go through
-  /// CrashNode (no membership change — the control plane must detect the
-  /// death itself) and heals just unblock the link (no RecoverAfterFault —
-  /// the control plane must resume suspended jobs itself). Requires
-  /// ClusterConfig::supervisor.enabled.
-  ChaosScheduler(cluster::JetCluster* cluster, std::vector<ChaosEvent> timeline,
-                 bool unattended = false);
+  ChaosScheduler(cluster::JetCluster* cluster, std::vector<ChaosEvent> timeline);
 
   /// Blocks until every event has been applied. Returns the first error.
   Status Run();
@@ -99,7 +93,6 @@ class ChaosScheduler {
 
   cluster::JetCluster* cluster_;
   std::vector<ChaosEvent> timeline_;
-  bool unattended_;
   std::vector<std::string> log_;
   std::vector<int64_t> table_versions_;
 };
@@ -123,7 +116,8 @@ struct FixtureOptions {
   /// the hops are in-process (JobConfig::serialize_exchange_frames): the
   /// simulated cluster pays the real serialization cost.
   bool serialize_exchange_frames = false;
-  /// Forwarded into ClusterConfig::supervisor; enable for unattended chaos.
+  /// Forwarded into ClusterConfig::supervisor (the control plane's
+  /// thresholds).
   cluster::SupervisorOptions supervisor;
 };
 

@@ -4,6 +4,7 @@
 // timeline derives purely from its seed; a failing seed replays with
 //   JETSIM_CHAOS_SEED=<seed> ./chaos_test --gtest_filter='*SingleSeedFromEnv*'
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -17,8 +18,11 @@ namespace jet::testkit {
 namespace {
 
 // One full seeded chaos run: bring up the fixture, execute the timeline,
-// then check exactly-once output, snapshot monotonicity, partition-table
-// invariants, and network delivery accounting.
+// then check exactly-once output, snapshot and table-version monotonicity,
+// the supervisor finishing in COMPLETED, partition-table invariants, and
+// network delivery accounting. Nobody scripts the recovery: kills are bare
+// fail-stops (CrashNode) and heals just unblock the link; detection,
+// eviction, suspension and restarts are the control plane's doing.
 void RunSeededChaos(uint64_t seed) {
   ChaosTimelineOptions timeline_options;
   auto timeline = GenerateTimeline(seed, timeline_options);
@@ -58,6 +62,13 @@ void RunSeededChaos(uint64_t seed) {
   ASSERT_TRUE(chaos.ok()) << "chaos scheduler failed: " << chaos.ToString() << applied;
   ASSERT_TRUE(join.ok()) << join.ToString() << applied;
   EXPECT_TRUE(monotonic.load()) << "committed snapshot id went backwards" << applied;
+  // COMPLETED is recorded by the control loop's next reconcile tick.
+  EXPECT_TRUE(WaitUntil(
+      [&fixture]() {
+        return fixture.job()->supervisor()->state() == core::JobState::kCompleted;
+      },
+      5 * kNanosPerSecond))
+      << applied;
 
   // Partition-table version monotonicity across the whole event sequence.
   const auto& versions = scheduler.table_versions();
@@ -82,67 +93,6 @@ TEST_P(ChaosSuite, SeededTimelineKeepsExactlyOnce) { RunSeededChaos(GetParam());
 INSTANTIATE_TEST_SUITE_P(SeededTimelines, ChaosSuite,
                          ::testing::Range<uint64_t>(1, 21));
 
-// Unattended variant: the SAME seeded timelines, but nobody scripts the
-// recovery. Kills are bare fail-stops (CrashNode) and heals just unblock
-// the link; detection, eviction, suspension and restarts are entirely the
-// self-healing control plane's doing, and the results must still be
-// exactly-once with the supervisor finishing in COMPLETED.
-void RunUnattendedChaos(uint64_t seed) {
-  ChaosTimelineOptions timeline_options;
-  auto timeline = GenerateTimeline(seed, timeline_options);
-  SCOPED_TRACE("unattended chaos seed " + std::to_string(seed) +
-               " timeline: " + TimelineToString(timeline) +
-               "\nreproduce: JETSIM_CHAOS_SEED=" + std::to_string(seed) +
-               " ./chaos_test --gtest_filter='*UnattendedSeedFromEnv*'");
-
-  FixtureOptions options;
-  options.supervisor.enabled = true;
-  ClusterFixture fixture(options);
-  ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
-  fixture.WaitForCommittedSnapshot(1, kNanosPerSecond);
-
-  ChaosScheduler scheduler(&fixture.cluster(), timeline, /*unattended=*/true);
-  Status chaos = scheduler.Run();
-  Status join = fixture.JoinJob();
-
-  std::string applied;
-  for (const auto& line : scheduler.log()) applied += "\n  " + line;
-  ASSERT_TRUE(chaos.ok()) << "chaos scheduler failed: " << chaos.ToString() << applied;
-  ASSERT_TRUE(join.ok()) << join.ToString() << applied;
-  // COMPLETED is recorded by the control loop's next reconcile tick.
-  EXPECT_TRUE(WaitUntil(
-      [&fixture]() {
-        return fixture.job()->supervisor()->state() == core::JobState::kCompleted;
-      },
-      5 * kNanosPerSecond))
-      << applied;
-
-  Status exact = fixture.VerifyExactlyOnce();
-  EXPECT_TRUE(exact.ok()) << exact.ToString() << applied;
-  Status invariants = fixture.VerifyClusterInvariants();
-  EXPECT_TRUE(invariants.ok()) << invariants.ToString() << applied;
-  Status accounting = fixture.VerifyDeliveryAccounting();
-  EXPECT_TRUE(accounting.ok()) << accounting.ToString() << applied;
-}
-
-class UnattendedChaosSuite : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(UnattendedChaosSuite, SelfHealingKeepsExactlyOnce) {
-  RunUnattendedChaos(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(SeededTimelines, UnattendedChaosSuite,
-                         ::testing::Range<uint64_t>(1, 11));
-
-// One-command reproduction of a failing unattended seed.
-TEST(ChaosRepro, UnattendedSeedFromEnv) {
-  const char* seed_env = std::getenv("JETSIM_CHAOS_SEED");
-  if (seed_env == nullptr) {
-    GTEST_SKIP() << "set JETSIM_CHAOS_SEED=<seed> to replay one timeline";
-  }
-  RunUnattendedChaos(std::strtoull(seed_env, nullptr, 10));
-}
-
 // One-command reproduction of a failing seed from the suite above.
 TEST(ChaosRepro, SingleSeedFromEnv) {
   const char* seed_env = std::getenv("JETSIM_CHAOS_SEED");
@@ -154,8 +104,9 @@ TEST(ChaosRepro, SingleSeedFromEnv) {
 
 // Acceptance criterion: a link partition between two nodes — with NO node
 // death — is survivable. The job stalls while the link is down (messages
-// between the pair are dropped and counted), then Heal + restart from the
-// last committed snapshot recovers exact results on the full membership.
+// between the pair are dropped and counted), then Heal lets the control
+// plane restart it from the last committed snapshot, and the results are
+// exact on the full membership.
 TEST(ChaosScriptTest, LinkPartitionWithoutNodeDeathIsSurvivable) {
   ClusterFixture fixture;
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
@@ -166,14 +117,17 @@ TEST(ChaosScriptTest, LinkPartitionWithoutNodeDeathIsSurvivable) {
   network.Partition(0, 1);
   // The partition must actually bite: traffic between nodes 0 and 1 is
   // being dropped (the exchange is all-to-all, so a running job always
-  // crosses this link).
+  // crosses this link), and a lost exchange frame failed the attempt.
   ASSERT_TRUE(WaitUntil(
       [&network, dropped_before]() { return network.dropped_count() > dropped_before; },
       5 * kNanosPerSecond))
       << "partition dropped no traffic";
+  core::RestartPolicy* policy = fixture.job()->supervisor();
+  ASSERT_TRUE(WaitUntil([policy]() { return policy->state() != core::JobState::kRunning; },
+                        5 * kNanosPerSecond))
+      << "no exchange frame was lost";
 
-  ASSERT_TRUE(
-      fixture.cluster().RecoverAfterFault([&network]() { network.Heal(0, 1); }).ok());
+  network.Heal(0, 1);
 
   ASSERT_TRUE(fixture.JoinJob().ok());
   EXPECT_EQ(fixture.cluster().AliveNodes().size(), 3u) << "no node died";
@@ -182,6 +136,33 @@ TEST(ChaosScriptTest, LinkPartitionWithoutNodeDeathIsSurvivable) {
   EXPECT_TRUE(exact.ok()) << exact.ToString();
   Status invariants = fixture.VerifyClusterInvariants();
   EXPECT_TRUE(invariants.ok()) << invariants.ToString();
+  Status accounting = fixture.VerifyDeliveryAccounting();
+  EXPECT_TRUE(accounting.ok()) << accounting.ToString();
+}
+
+// A partition that heals before the health monitor notices it (40 ms is
+// under `suspect_after`) must not lose events. The frames it dropped reset
+// their exchange link, so the attempt that lost them can neither commit a
+// later epoch nor complete; the control loop restarts it from the last
+// committed snapshot.
+TEST(ChaosScriptTest, ShortPartitionHealedBeforeDetectionKeepsExactlyOnce) {
+  ClusterFixture fixture;
+  ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
+  ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, 5 * kNanosPerSecond));
+
+  net::Network& network = fixture.network();
+  const int64_t dropped_before = network.dropped_count();
+  network.Partition(0, 1);
+  ASSERT_TRUE(WaitUntil(
+      [&network, dropped_before]() { return network.dropped_count() > dropped_before; },
+      5 * kNanosPerSecond))
+      << "partition dropped no traffic";
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  network.Heal(0, 1);
+
+  ASSERT_TRUE(fixture.JoinJob().ok());
+  Status exact = fixture.VerifyExactlyOnce();
+  EXPECT_TRUE(exact.ok()) << exact.ToString();
   Status accounting = fixture.VerifyDeliveryAccounting();
   EXPECT_TRUE(accounting.ok()) << accounting.ToString();
 }

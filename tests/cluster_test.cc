@@ -262,59 +262,58 @@ int CountThreads() {
   return threads;
 }
 
-// Besides its members' workers, a cluster runs two threads whether
-// supervised or not: the network's delivery thread and the control loop,
-// which heartbeats, judges health, reconciles restarts and steps every
-// attempt's snapshots. A restart adds none.
+// Besides its members' workers, a cluster runs two threads: the network's
+// delivery thread and the control loop, which heartbeats, judges health,
+// reconciles restarts and steps every attempt's snapshots. A restart adds
+// none.
 TEST(ClusterTest, ControlPlaneRunsOnOneLoopBesidesTheDeliveryThread) {
   // ThreadSanitizer starts a helper thread of its own with the first thread
   // a process creates: have it running before the first count.
   std::thread([]() {}).join();
-  for (bool supervised : {true, false}) {
-    SCOPED_TRACE(supervised ? "supervised" : "unsupervised");
-    const int before = CountThreads();
-    ASSERT_GT(before, 0);
-    ClusterConfig config;
-    config.initial_nodes = 2;
-    config.threads_per_node = 1;
-    config.supervisor.enabled = supervised;
-    JetCluster cluster(config);
-    auto parts = MakeDistributedPassthrough(/*rate=*/2'000, 60 * kNanosPerSecond);
-    core::JobConfig job_config;
-    job_config.guarantee = core::ProcessingGuarantee::kExactlyOnce;
-    job_config.snapshot_interval = 20 * kNanosPerMilli;
-    auto job = cluster.SubmitJob(&parts->dag, job_config, 1);
-    ASSERT_TRUE(job.ok()) << job.status().ToString();
-    ASSERT_TRUE(testkit::WaitUntil([&]() { return (*job)->last_committed_snapshot() >= 1; },
-                                   10 * kNanosPerSecond));
-    const int workers = config.initial_nodes * config.threads_per_node;
-    const int non_workers = CountThreads() - before - workers;
-    EXPECT_LE(non_workers, 2);
-    if (!supervised) {
-      EXPECT_EQ(non_workers, 2);
-    }
+  const int before = CountThreads();
+  ASSERT_GT(before, 0);
+  ClusterConfig config;
+  config.initial_nodes = 2;
+  config.threads_per_node = 1;
+  JetCluster cluster(config);
+  auto parts = MakeDistributedPassthrough(/*rate=*/2'000, 60 * kNanosPerSecond);
+  core::JobConfig job_config;
+  job_config.guarantee = core::ProcessingGuarantee::kExactlyOnce;
+  job_config.snapshot_interval = 20 * kNanosPerMilli;
+  auto job = cluster.SubmitJob(&parts->dag, job_config, 1);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_TRUE(testkit::WaitUntil([&]() { return (*job)->last_committed_snapshot() >= 1; },
+                                 10 * kNanosPerSecond));
+  const int workers = config.initial_nodes * config.threads_per_node;
+  const int non_workers = CountThreads() - before - workers;
+  EXPECT_EQ(non_workers, 2);
 
-    ASSERT_TRUE(cluster.RecoverAfterFault(nullptr).ok());
-    ASSERT_EQ((*job)->attempts_started(), 2);
-    const int64_t restored = (*job)->last_committed_snapshot();
-    ASSERT_TRUE(testkit::WaitUntil(
-        [&]() { return (*job)->last_committed_snapshot() > restored; }, 10 * kNanosPerSecond));
-    EXPECT_EQ(CountThreads() - before - workers, non_workers);
-    (*job)->Cancel();
-    (void)(*job)->Join();
-  }
+  // A scale-out restarts the job onto one more member's worker.
+  ASSERT_TRUE(cluster.AddNode().ok());
+  ASSERT_TRUE(testkit::WaitUntil([&]() { return (*job)->attempts_started() == 2; },
+                                 10 * kNanosPerSecond));
+  const int64_t restored = (*job)->last_committed_snapshot();
+  ASSERT_TRUE(testkit::WaitUntil(
+      [&]() { return (*job)->last_committed_snapshot() > restored; }, 10 * kNanosPerSecond));
+  EXPECT_EQ(CountThreads() - before - workers - config.threads_per_node, non_workers);
+  (*job)->Cancel();
+  (void)(*job)->Join();
 }
 
-// No snapshot step reaches an attempt once it is stopped. Between the stop
-// and the restart of RecoverAfterFault (its `heal` callback) the last
-// committed epoch holds still, so the restart restores it and the new
-// attempt numbers its epochs after it, never reusing a committed id. The
-// watchdog stays quiet too: a step of the stopped attempt, whose tasklets
-// can complete no epoch, would abort one within `snapshot_ack_timeout`.
+// No snapshot step reaches an attempt once it is stopped. A partition of
+// the 2 members leaves no quorum: the dropped frames fail the attempt, and
+// the job is suspended until the link heals. Meanwhile the last committed
+// epoch holds still, so the restart restores it and the new attempt
+// numbers its epochs after it, never reusing a committed id. The watchdog
+// stays quiet too: a step of the stopped attempt, whose tasklets can
+// complete no epoch, would abort one within `snapshot_ack_timeout`.
 TEST(ClusterTest, NoSnapshotStepAfterAnAttemptStopped) {
   ClusterConfig config;
   config.initial_nodes = 2;
   config.threads_per_node = 1;
+  // Each partition may charge the job twice before it is suspended (the
+  // failed attempt and one relaunch before the partition is suspected).
+  config.supervisor.restart.backoff.retry_budget = 20;
   JetCluster cluster(config);
   auto parts = MakeDistributedPassthrough(/*rate=*/2'000, 60 * kNanosPerSecond);
   core::JobConfig job_config;
@@ -324,22 +323,25 @@ TEST(ClusterTest, NoSnapshotStepAfterAnAttemptStopped) {
   auto job = cluster.SubmitJob(&parts->dag, job_config, 1);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
   ClusterJob* j = *job;
+  core::RestartPolicy* policy = j->supervisor();
+  net::Network& network = cluster.network();
   for (int restart = 0; restart < 5; ++restart) {
     const int64_t before = j->last_committed_snapshot();
     ASSERT_TRUE(testkit::WaitUntil([&]() { return j->last_committed_snapshot() > before; },
                                    10 * kNanosPerSecond));
-    ASSERT_TRUE(cluster
-                    .RecoverAfterFault([&]() {
-                      const int64_t committed = j->last_committed_snapshot();
-                      const int64_t aborted = j->snapshots_aborted();
-                      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-                      EXPECT_EQ(j->last_committed_snapshot(), committed);
-                      EXPECT_EQ(j->snapshots_aborted(), aborted);
-                      auto stored = cluster.snapshot_store().LastCommitted(1);
-                      ASSERT_TRUE(stored.ok());
-                      EXPECT_EQ(stored->value_or(0), committed);
-                    })
-                    .ok());
+    network.Partition(0, 1);
+    ASSERT_TRUE(testkit::WaitUntil(
+        [&]() { return policy->state() == core::JobState::kSuspended; },
+        10 * kNanosPerSecond));
+    const int64_t committed = j->last_committed_snapshot();
+    const int64_t aborted = j->snapshots_aborted();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(j->last_committed_snapshot(), committed);
+    EXPECT_EQ(j->snapshots_aborted(), aborted);
+    auto stored = cluster.snapshot_store().LastCommitted(1);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(stored->value_or(0), committed);
+    network.Heal(0, 1);
   }
   j->Cancel();
   ASSERT_TRUE(j->Join().ok());
@@ -358,7 +360,6 @@ TEST(ClusterTest, HeartbeatsGoOnWhileKillNodeHoldsTheMembershipLock) {
   config.initial_nodes = 3;
   config.threads_per_node = 1;
   config.failure_detection_delay = 400 * kNanosPerMilli;
-  config.supervisor.enabled = true;
   JetCluster cluster(config);
   std::thread killer([&cluster]() { EXPECT_TRUE(cluster.KillNode(2).ok()); });
   // Sample well inside KillNode's delay.

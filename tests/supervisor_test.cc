@@ -1,7 +1,7 @@
 // Self-healing control plane tests: member death, snapshot watchdog,
 // retry-budget exhaustion, flap damping and quorum-aware degradation, all
-// WITHOUT any test-driven KillNode / RecoverAfterFault calls — detection
-// and recovery are the supervisor's job (§4.4's autonomous story).
+// without a test-driven KillNode call — detection and recovery are the
+// supervisor's job (§4.4's autonomous story).
 #include <string>
 
 #include <gtest/gtest.h>
@@ -26,10 +26,9 @@ constexpr Nanos kWait = 10 * kNanosPerSecond;
 // the death is even diagnosed; then the control plane evicts the member
 // and restarts the job from the last committed snapshot on the survivors.
 // Restart count, abort count and the final RUNNING state are all readable
-// from DiagnosticsDump(). No RecoverAfterFault anywhere.
+// from DiagnosticsDump().
 TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
   FixtureOptions options;
-  options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 120 * kNanosPerMilli;
   options.supervisor.liveness.dead_after = 400 * kNanosPerMilli;
   options.source_duration = 2 * kNanosPerSecond;
@@ -38,7 +37,6 @@ TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(2, kWait));
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
-  ASSERT_NE(sup, nullptr);
   ASSERT_TRUE(fixture.cluster().CrashNode(2).ok());
 
   // The coordinator's next epoch cannot complete with a dead participant:
@@ -79,7 +77,6 @@ TEST(SupervisorTest, KillDuringSnapshotAbortsEpochAndSelfHeals) {
 TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
   FixtureOptions options;
   options.initial_nodes = 5;
-  options.supervisor.enabled = true;
   options.supervisor.restart.backoff.retry_budget = 1;
   // Keep the watchdog out of the way so only member deaths are charged.
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
@@ -89,7 +86,6 @@ TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
-  ASSERT_NE(sup, nullptr);
   EXPECT_EQ(sup->budget_remaining(), 1);
 
   ASSERT_TRUE(fixture.cluster().CrashNode(4).ok());
@@ -115,7 +111,6 @@ TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
 TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   FixtureOptions options;
   options.initial_nodes = 4;
-  options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
   // The job must outlive the partition: its first commit and the
   // suspension may each take up to kWait.
@@ -125,7 +120,6 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
-  ASSERT_NE(sup, nullptr);
 
   // Split {0,1} from {2,3}: both halves are minorities.
   net::Network& network = fixture.network();
@@ -159,7 +153,6 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
 // restarts anything — suspicion alone is not failure.
 TEST(SupervisorTest, FlappingSuspicionIsRefutedWithoutRestart) {
   FixtureOptions options;
-  options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
   ClusterFixture fixture(options);
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
@@ -167,8 +160,6 @@ TEST(SupervisorTest, FlappingSuspicionIsRefutedWithoutRestart) {
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
   ClusterHealthMonitor* monitor = fixture.cluster().health_monitor();
-  ASSERT_NE(sup, nullptr);
-  ASSERT_NE(monitor, nullptr);
 
   // A delay spike (no loss!) longer than suspect_after but far below the
   // suspicion timeout: heartbeats arrive late enough to raise suspicion
@@ -197,14 +188,12 @@ TEST(SupervisorTest, FlappingSuspicionIsRefutedWithoutRestart) {
 // once on the grown membership.
 TEST(SupervisorTest, ScaleOutIsAFreeRestart) {
   FixtureOptions options;
-  options.supervisor.enabled = true;
   options.supervisor.snapshot_ack_timeout = 5 * kNanosPerSecond;
   ClusterFixture fixture(options);
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
-  ASSERT_NE(sup, nullptr);
   auto added = fixture.cluster().AddNode();
   ASSERT_TRUE(added.ok());
   ASSERT_TRUE(WaitUntil([sup]() {
@@ -216,17 +205,6 @@ TEST(SupervisorTest, ScaleOutIsAFreeRestart) {
   EXPECT_EQ(fixture.cluster().AliveNodes().size(), 4u);
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
-}
-
-// CrashNode is the supervised fail-stop; without a control plane to pick
-// up the pieces it must refuse to run.
-TEST(SupervisorTest, CrashNodeRequiresSupervisor) {
-  ClusterConfig config;
-  config.initial_nodes = 2;
-  config.threads_per_node = 1;
-  JetCluster cluster(config);
-  Status s = cluster.CrashNode(0);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
 }
 
 }  // namespace

@@ -124,6 +124,34 @@ TEST(FaultPlanTest, DropProbabilityIsSeedDeterministic) {
   EXPECT_NE(first, run(8));  // different seed diverges (overwhelmingly likely)
 }
 
+// Send reports a drop to its caller exactly when it counts one, whether
+// the link is blocked or the message lost its coin flip; the in-process
+// exchange resets a link on that signal.
+TEST(FaultPlanTest, SendReturnsFalseExactlyForCountedDrops) {
+  Network network(kFastLink);
+  ChannelId blocked = network.OpenChannel(0, 1);
+  ChannelId lossy = network.OpenChannel(1, 2);
+  ChannelId clean = network.OpenChannel(2, 0);
+  network.Partition(0, 1);
+  FaultPlan plan;
+  plan.drop_probability = 0.5;
+  network.SetLinkFault(1, 2, plan);
+  int64_t refused = 0;
+  for (int i = 0; i < 200; ++i) {
+    for (ChannelId ch : {blocked, lossy, clean}) {
+      const int64_t dropped_before = network.dropped_count();
+      const bool sent = network.Send(ch, []() {});
+      EXPECT_EQ(sent, network.dropped_count() == dropped_before) << "channel " << ch;
+      if (!sent) ++refused;
+      EXPECT_TRUE(sent || ch != clean);
+      EXPECT_FALSE(sent && ch == blocked);
+    }
+  }
+  EXPECT_EQ(refused, network.dropped_count());
+  EXPECT_GT(refused, 250);  // 200 blocked + ~100 lost
+  EXPECT_LT(refused, 350);
+}
+
 TEST(FaultPlanTest, ExtraLatencyDelaysDelivery) {
   Network network(kFastLink);
   ChannelId ch = network.OpenChannel(0, 1);
