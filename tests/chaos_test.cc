@@ -23,15 +23,14 @@ namespace {
 // network delivery accounting. Nobody scripts the recovery: kills are bare
 // fail-stops (CrashNode) and heals just unblock the link; detection,
 // eviction, suspension and restarts are the control plane's doing.
-void RunSeededChaos(uint64_t seed) {
+// `options` picks the fixture's shape; the timeline depends on the seed only.
+void RunSeededChaos(uint64_t seed, const FixtureOptions& options, const std::string& reproduce) {
   ChaosTimelineOptions timeline_options;
   auto timeline = GenerateTimeline(seed, timeline_options);
   SCOPED_TRACE("chaos seed " + std::to_string(seed) +
-               " timeline: " + TimelineToString(timeline) +
-               "\nreproduce: JETSIM_CHAOS_SEED=" + std::to_string(seed) +
-               " ./chaos_test --gtest_filter='*SingleSeedFromEnv*'");
+               " timeline: " + TimelineToString(timeline) + "\nreproduce: " + reproduce);
 
-  ClusterFixture fixture;
+  ClusterFixture fixture(options);
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   // Give the job a head start so most timelines recover from a real
   // snapshot rather than replaying from scratch.
@@ -84,22 +83,47 @@ void RunSeededChaos(uint64_t seed) {
   EXPECT_TRUE(accounting.ok()) << accounting.ToString() << applied;
 }
 
+std::string ReproduceFromEnv(uint64_t seed) {
+  return "JETSIM_CHAOS_SEED=" + std::to_string(seed) +
+         " ./chaos_test --gtest_filter='*SingleSeedFromEnv*'";
+}
+
 class ChaosSuite : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ChaosSuite, SeededTimelineKeepsExactlyOnce) { RunSeededChaos(GetParam()); }
+TEST_P(ChaosSuite, SeededTimelineKeepsExactlyOnce) {
+  RunSeededChaos(GetParam(), FixtureOptions{}, ReproduceFromEnv(GetParam()));
+}
 
 // >= 20 seeded random fault timelines (acceptance criterion). Each
 // parameter is its own ctest entry, so the suite parallelizes under -j.
 INSTANTIATE_TEST_SUITE_P(SeededTimelines, ChaosSuite,
                          ::testing::Range<uint64_t>(1, 21));
 
-// One-command reproduction of a failing seed from the suite above.
+// The first 10 timelines again, with every exchange frame round-tripped
+// through the wire codec (serialize_exchange_frames): the self-healing
+// restarts, the link-reset rule and the barriers must hold on the encoded
+// path too, which the scripted Serialized* cases below cover only for
+// one kill.
+class UnattendedChaosSuite : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(UnattendedChaosSuite, SelfHealingKeepsExactlyOnce) {
+  FixtureOptions options;
+  options.serialize_exchange_frames = true;
+  RunSeededChaos(GetParam(), options,
+                 "ctest -R 'UnattendedChaosSuite.*/" + std::to_string(GetParam()) + "$'");
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededTimelines, UnattendedChaosSuite,
+                         ::testing::Range<uint64_t>(1, 11));
+
+// One-command reproduction of a failing seed from ChaosSuite.
 TEST(ChaosRepro, SingleSeedFromEnv) {
   const char* seed_env = std::getenv("JETSIM_CHAOS_SEED");
   if (seed_env == nullptr) {
     GTEST_SKIP() << "set JETSIM_CHAOS_SEED=<seed> to replay one timeline";
   }
-  RunSeededChaos(std::strtoull(seed_env, nullptr, 10));
+  uint64_t seed = std::strtoull(seed_env, nullptr, 10);
+  RunSeededChaos(seed, FixtureOptions{}, ReproduceFromEnv(seed));
 }
 
 // Acceptance criterion: a link partition between two nodes — with NO node
