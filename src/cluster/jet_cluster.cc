@@ -13,10 +13,8 @@ namespace jet::cluster {
 
 namespace {
 
-// The control loop's cadences: restart policies are reconciled every
-// kReconcileTick; a tick that found mutex_ held retries after kLockRetry;
-// an idle loop ticks at least every kIdleTick.
-constexpr Nanos kReconcileTick = 2 * kNanosPerMilli;
+// The control loop's cadences: a tick that found mutex_ held retries after
+// kLockRetry; an idle loop ticks at least every kIdleTick.
 constexpr Nanos kLockRetry = kNanosPerMilli;
 constexpr Nanos kIdleTick = 100 * kNanosPerMilli;
 constexpr Nanos kNeverDue = std::numeric_limits<Nanos>::max();
@@ -109,6 +107,7 @@ Status JetCluster::KillNode(int32_t node_id) {
   for (auto& job : jobs_) {
     if (job->StopForRecovery()) ChargeFailure(job.get(), now, "member failure");
   }
+  Wake();
   return Status::OK();
 }
 
@@ -163,6 +162,7 @@ Result<int32_t> JetCluster::AddNode() {
   for (auto& job : jobs_) {
     if (job->StopForRecovery()) job->supervisor()->OnFreeRestart(now);
   }
+  Wake();
   return id;
 }
 
@@ -266,7 +266,7 @@ Nanos JetCluster::Tick(Nanos now) {
   // Heartbeats go out even while a user call holds mutex_; a changed
   // report waits for the lock.
   ClusterHealthMonitor::TickResult beat = monitor_.Tick(now);
-  Nanos due = std::min(beat.next_due, now + kReconcileTick);
+  Nanos due = beat.next_due;
   if (beat.changed.has_value()) pending_report_ = std::move(beat.changed);
   if (!mutex_.try_lock()) return std::min(due, now + kLockRetry);
   due = std::min(due, TickLocked(now));
@@ -283,15 +283,20 @@ Nanos JetCluster::TickLocked(Nanos now) {
   for (auto& job : jobs_) {
     const core::SnapshotStep step = job->StepSnapshot(now);
     due = std::min(due, step.next_due);
-    // A stuck or dead participant, or a link that lost a frame: the
-    // attempt is charged one failure-class restart.
-    const char* what = step.watchdog_aborted ? "snapshot watchdog timeouts"
-                       : job->AttemptBroken() ? "a lost exchange frame"
-                                              : nullptr;
-    if (what != nullptr && job->StopForRecovery()) ChargeFailure(job.get(), now, what);
+    // A stuck or dead participant: the attempt is charged one
+    // failure-class restart.
+    if (step.watchdog_aborted) {
+      if (job->StopForRecovery()) ChargeFailure(job.get(), now, "snapshot watchdog timeouts");
+    } else if (job->AttemptBroken() && job->StopForRecovery()) {
+      // A link that lost a frame: charged likewise, and relaunched no
+      // sooner than the monitor suspects a cut that is still there, so the
+      // new attempt does not lose a frame to the same cut and pay twice.
+      const core::LivenessOptions& liveness = config_.supervisor.liveness;
+      job->relaunch_not_before_ = now + liveness.suspect_after + liveness.heartbeat_interval;
+      ChargeFailure(job.get(), now, "a lost exchange frame");
+    }
   }
-  ReconcileJobs(clock_.Now());
-  return due;
+  return std::min(due, ReconcileJobs(clock_.Now()));
 }
 
 void JetCluster::HandleHealthReport(const HealthReport& report) {
@@ -404,7 +409,8 @@ void JetCluster::ChargeFailure(ClusterJob* job, Nanos now, const char* what) {
   }
 }
 
-void JetCluster::ReconcileJobs(Nanos now) {
+Nanos JetCluster::ReconcileJobs(Nanos now) {
+  Nanos due = kNeverDue;
   for (auto& job : jobs_) {
     // A cancelled job is never restarted.
     if (job->job_cancelled_.load(std::memory_order_acquire)) continue;
@@ -418,11 +424,17 @@ void JetCluster::ReconcileJobs(Nanos now) {
       }
       continue;
     }
+    if (policy->state() != core::JobState::kRestarting) continue;
+    const Nanos launch_at = std::max(policy->restart_due(), job->relaunch_not_before_);
+    if (now < launch_at) {
+      due = std::min(due, launch_at);
+      continue;
+    }
     // Launch only into a healthy membership: restarting while a member is
     // down, suspected or cut off would burn the budget on a doomed attempt
     // (and the health event that reported it will reshape the membership
-    // first anyway).
-    if (!policy->RestartDue(now) || !AllHealthy(alive_nodes_, last_report_)) continue;
+    // first anyway; the tick that acts on the next report comes back here).
+    if (!AllHealthy(alive_nodes_, last_report_)) continue;
     Status st = job->RestartFromLastSnapshot();
     if (std::getenv("JETSIM_DEBUG_CONTROL") != nullptr)
       fprintf(stderr, "[ctl] restart launch: %s\n", st.ToString().c_str());
@@ -433,6 +445,7 @@ void JetCluster::ReconcileJobs(Nanos now) {
       job->FailTerminally(st);
     }
   }
+  return due;
 }
 
 // ---------------------------------------------------------------------------

@@ -150,7 +150,8 @@ class JetCluster {
   // schedule is new).
   void Wake() JET_EXCLUDES(loop_mutex_);
   void HandleHealthReport(const HealthReport& report) JET_REQUIRES(mutex_);
-  void ReconcileJobs(Nanos now) JET_REQUIRES(mutex_);
+  // Launches the restarts that are due; returns when the next one is.
+  Nanos ReconcileJobs(Nanos now) JET_REQUIRES(mutex_);
   // Feeds a failure-class incident to the job's policy; fails the job when
   // the retry budget is exhausted.
   void ChargeFailure(ClusterJob* job, Nanos now, const char* what)
@@ -333,6 +334,9 @@ class ClusterJob {
   // they survive attempt churn.
   obs::MetricsRegistry supervisor_metrics_;
   core::RestartPolicy supervisor_;
+  // After a lost frame, the restart launches no sooner than this (see
+  // JetCluster::TickLocked). Control loop only, under the cluster mutex.
+  Nanos relaunch_not_before_ = 0;
   Status first_error_;
 };
 

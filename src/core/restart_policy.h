@@ -114,6 +114,9 @@ class RestartPolicy {
   void OnCompleted();
   void OnFailed();
 
+  /// When the pending restart is due (meaningful while RESTARTING).
+  Nanos restart_due() const { return restart_due_; }
+
   /// True when a restart is pending and its backoff has elapsed.
   bool RestartDue(Nanos now) const {
     return state() == JobState::kRestarting && now >= restart_due_;

@@ -103,7 +103,10 @@ INSTANTIATE_TEST_SUITE_P(SeededTimelines, ChaosSuite,
 // through the wire codec (serialize_exchange_frames): the self-healing
 // restarts, the link-reset rule and the barriers must hold on the encoded
 // path too, which the scripted Serialized* cases below cover only for
-// one kill.
+// one kill: here barriers, watermarks and done markers of restored
+// attempts cross the codec under partitions, delay spikes, stalls and
+// joins. The suite keeps the name it had when a chaos run could also be
+// scripted, so its ctest ids and their history carry over.
 class UnattendedChaosSuite : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(UnattendedChaosSuite, SelfHealingKeepsExactlyOnce) {
@@ -168,12 +171,15 @@ TEST(ChaosScriptTest, LinkPartitionWithoutNodeDeathIsSurvivable) {
 // under `suspect_after`) must not lose events. The frames it dropped reset
 // their exchange link, so the attempt that lost them can neither commit a
 // later epoch nor complete; the control loop restarts it from the last
-// committed snapshot.
+// committed snapshot, once the cut could have been suspected, so the
+// incident costs the retry budget one charge.
 TEST(ChaosScriptTest, ShortPartitionHealedBeforeDetectionKeepsExactlyOnce) {
   ClusterFixture fixture;
   ASSERT_TRUE(fixture.SubmitWindowedJob().ok());
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, 5 * kNanosPerSecond));
 
+  core::RestartPolicy* policy = fixture.job()->supervisor();
+  const int32_t budget = policy->budget_remaining();
   net::Network& network = fixture.network();
   const int64_t dropped_before = network.dropped_count();
   network.Partition(0, 1);
@@ -185,6 +191,7 @@ TEST(ChaosScriptTest, ShortPartitionHealedBeforeDetectionKeepsExactlyOnce) {
   network.Heal(0, 1);
 
   ASSERT_TRUE(fixture.JoinJob().ok());
+  EXPECT_GE(policy->budget_remaining(), budget - 1) << "one incident, one charge";
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
   Status accounting = fixture.VerifyDeliveryAccounting();

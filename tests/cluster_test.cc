@@ -301,8 +301,9 @@ TEST(ClusterTest, ControlPlaneRunsOnOneLoopBesidesTheDeliveryThread) {
 }
 
 // No snapshot step reaches an attempt once it is stopped. A partition of
-// the 2 members leaves no quorum: the dropped frames fail the attempt, and
-// the job is suspended until the link heals. Meanwhile the last committed
+// the 2 members leaves no quorum: the dropped frames fail the attempt, at
+// most one charge per partition, and the job is suspended until the link
+// heals. Meanwhile the last committed
 // epoch holds still, so the restart restores it and the new attempt
 // numbers its epochs after it, never reusing a committed id. The watchdog
 // stays quiet too: a step of the stopped attempt, whose tasklets can
@@ -311,9 +312,6 @@ TEST(ClusterTest, NoSnapshotStepAfterAnAttemptStopped) {
   ClusterConfig config;
   config.initial_nodes = 2;
   config.threads_per_node = 1;
-  // Each partition may charge the job twice before it is suspended (the
-  // failed attempt and one relaunch before the partition is suspected).
-  config.supervisor.restart.backoff.retry_budget = 20;
   JetCluster cluster(config);
   auto parts = MakeDistributedPassthrough(/*rate=*/2'000, 60 * kNanosPerSecond);
   core::JobConfig job_config;
@@ -329,6 +327,7 @@ TEST(ClusterTest, NoSnapshotStepAfterAnAttemptStopped) {
     const int64_t before = j->last_committed_snapshot();
     ASSERT_TRUE(testkit::WaitUntil([&]() { return j->last_committed_snapshot() > before; },
                                    10 * kNanosPerSecond));
+    const int32_t budget = policy->budget_remaining();
     network.Partition(0, 1);
     ASSERT_TRUE(testkit::WaitUntil(
         [&]() { return policy->state() == core::JobState::kSuspended; },
@@ -342,6 +341,9 @@ TEST(ClusterTest, NoSnapshotStepAfterAnAttemptStopped) {
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(stored->value_or(0), committed);
     network.Heal(0, 1);
+    ASSERT_TRUE(testkit::WaitUntil(
+        [&]() { return policy->state() == core::JobState::kRunning; }, 10 * kNanosPerSecond));
+    EXPECT_GE(policy->budget_remaining(), budget - 1) << "partition " << restart;
   }
   j->Cancel();
   ASSERT_TRUE(j->Join().ok());

@@ -106,8 +106,9 @@ TEST(SupervisorTest, RetryBudgetExhaustionFailsTerminally) {
 
 // Quorum-aware degradation: a 2-2 partition leaves no majority, so the
 // job suspends — no split-brain double-processing, no backup promotion,
-// no budget charge for the suspension. Healing restores quorum and the
-// job resumes on its own, still exactly-once.
+// no budget charge for the suspension (the frames the cut dropped charge
+// the attempt they broke, once). Healing restores quorum and the job
+// resumes on its own, still exactly-once.
 TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   FixtureOptions options;
   options.initial_nodes = 4;
@@ -120,6 +121,7 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
   ASSERT_TRUE(fixture.WaitForCommittedSnapshot(1, kWait));
 
   core::RestartPolicy* sup = fixture.job()->supervisor();
+  const int32_t budget = sup->budget_remaining();
 
   // Split {0,1} from {2,3}: both halves are minorities.
   net::Network& network = fixture.network();
@@ -141,6 +143,7 @@ TEST(SupervisorTest, MinorityPartitionSuspendsThenResumes) {
 
   ASSERT_TRUE(
       WaitUntil([sup]() { return sup->state() == core::JobState::kRunning; }, kWait));
+  EXPECT_GE(sup->budget_remaining(), budget - 1) << "one incident, one charge";
   ASSERT_TRUE(fixture.JoinJob().ok());
   Status exact = fixture.VerifyExactlyOnce();
   EXPECT_TRUE(exact.ok()) << exact.ToString();
